@@ -127,8 +127,10 @@ class Dataset:
         self.inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
         if self.inputs.ndim != 2:
             raise ValueError(f"inputs must be 2-D, got shape {self.inputs.shape}")
-        if self.inputs.size and (self.inputs.min() < 0.0 or self.inputs.max() > 1.0):
-            raise ValueError("input entries must lie in [0, 1]")
+        # min and max propagate NaN, so the negated test rejects NaN as well
+        # as every value outside [0, 1], infinities included.
+        if self.inputs.size and not (self.inputs.min() >= 0.0 and self.inputs.max() <= 1.0):
+            raise ValueError("input entries must be finite and lie in [0, 1]")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.inputs.shape[0],):

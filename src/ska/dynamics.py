@@ -35,26 +35,36 @@ LN2 = float(np.log(2.0))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic map, exact in both tails.
+    """Numerically stable logistic map, exact in both tails, without branches.
 
-    Split by sign so the exponential argument is never positive; for
+    With e = exp(-|z|) the exponential argument is never positive, and the
+    map is 1 / (1 + e) for z >= 0 and e / (1 + e) below zero. Since
+    0 <= e <= 1, the numerator is max(z >= 0, e), so one pass over the
+    array serves both signs and equals the sign-split form bit for bit. For
     |z| < 36 the result stays strictly inside (0, 1) in float64.
     """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.abs(z, out=np.empty_like(z))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(z >= 0.0, e, out=np.empty_like(z))
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
-def entropy_gradient(z: np.ndarray, d: np.ndarray) -> np.ndarray:
+def entropy_gradient(
+    z: np.ndarray, d: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Gradient of the layer entropy with respect to pre-activations.
 
-    Closed form -(1/ln 2) * z * sigmoid'(z) with sigmoid'(z) = d * (1 - d).
+    Closed form -(1/ln 2) * z * sigmoid'(z) with sigmoid'(z) = d * (1 - d),
+    evaluated as ((z * d) * (1 - d)) / -ln 2. When given, out receives the
+    result and scratch holds 1 - d; both must have the shape of z.
     """
-    return -(z * d * (1.0 - d)) / LN2
+    out = np.multiply(z, d, out=out)
+    out *= np.subtract(1.0, d, out=scratch)
+    out /= -LN2
+    return out
 
 
 def entropy_primitive(z) -> np.ndarray:
@@ -94,8 +104,8 @@ class NetworkConfig:
             raise ValueError("dt must be positive and finite")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if self.init_std_scale < 0.0:
-            raise ValueError("init_std_scale must be non-negative")
+        if not (self.init_std_scale >= 0.0) or not np.isfinite(self.init_std_scale):
+            raise ValueError("init_std_scale must be non-negative and finite")
 
     @property
     def n_layers(self) -> int:
@@ -107,14 +117,32 @@ class NetworkConfig:
 
 
 @dataclass
+class Workspace:
+    """Per-layer buffers one step writes in place, each shaped like Z.
+
+    G holds the entropy gradient, dZ and dD the increments against the
+    previous snapshot, and scratch one temporary block: 1 - D while the
+    gradient is formed, then the elementwise products of the metric pass.
+    """
+
+    G: np.ndarray
+    dZ: np.ndarray
+    dD: np.ndarray
+    scratch: np.ndarray
+
+
+@dataclass
 class LayerState:
-    """Weights plus the current and previous forward snapshots of one layer."""
+    """Weights, the current and previous forward snapshots of one layer, and
+    the step workspace, allocated on the first step. The increments need
+    every step's batch to have one shape, so the workspace keeps it too."""
 
     W: np.ndarray
     Z: np.ndarray | None = None
     D: np.ndarray | None = None
     prev_Z: np.ndarray | None = None
     prev_D: np.ndarray | None = None
+    work: Workspace | None = None
 
 
 @dataclass
@@ -129,7 +157,11 @@ class StepRecord:
     """Everything one step produced, per layer, for the metrics stage.
 
     dZ and dD are None at the seeding step (k = 0), where no previous
-    forward snapshot exists yet.
+    forward snapshot exists yet. G, dZ, dD and scratch alias the network's
+    workspace: they stay valid until the next step() overwrites them, and
+    scratch is free for the consumer to overwrite. Z and D are the layers'
+    own snapshots, which the next step rotates into prev_Z/prev_D and the
+    step after that releases; they are never written in place.
     """
 
     k: int
@@ -138,6 +170,7 @@ class StepRecord:
     G: list
     dZ: list | None
     dD: list | None
+    scratch: list | None = None
 
 
 def init_network(config: NetworkConfig) -> Network:
@@ -183,30 +216,40 @@ def step(net: Network, X: np.ndarray, dt: float | None = None) -> StepRecord:
     """Forward pass, entropy gradients, simultaneous Euler weight update.
 
     Every layer's gradient and input come from the snapshot the forward pass
-    just produced; weight assignments happen only after all updates are
-    computed, so shallower layers are never contaminated by deeper ones
-    within the same step. With dt = 0 the weights are left untouched.
+    just produced, and neither depends on any weight, so updating each layer
+    in place as soon as its gradient is known leaves the step simultaneous:
+    shallower layers are never contaminated by deeper ones. Gradients and
+    increments are written into each layer's workspace and the update is
+    subtracted in place, so a step allocates only the new snapshot (Z, D)
+    and the update block. With dt = 0 the weights are left untouched.
     """
     if dt is None:
         dt = net.config.dt
     had_prev = net.step_index >= 1
     forward(net, X)
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    grads = [entropy_gradient(l.Z, l.D) for l in net.layers]
-    inputs = [X] + [l.D for l in net.layers[:-1]]
-    updates = [linalg.outer_mean(g, i) for g, i in zip(grads, inputs)]
-    if dt != 0.0:
-        for layer, upd in zip(net.layers, updates):
-            layer.W = layer.W - dt * upd
-    dZ = [l.Z - l.prev_Z for l in net.layers] if had_prev else None
-    dD = [l.D - l.prev_D for l in net.layers] if had_prev else None
+    inp = np.ascontiguousarray(X, dtype=np.float64)
+    for layer in net.layers:
+        if layer.work is None:
+            layer.work = Workspace(*(np.empty_like(layer.Z) for _ in range(4)))
+        ws = layer.work
+        entropy_gradient(layer.Z, layer.D, out=ws.G, scratch=ws.scratch)
+        if dt != 0.0:
+            upd = linalg.outer_mean(ws.G, inp)
+            upd *= dt
+            layer.W -= upd
+        if had_prev:
+            np.subtract(layer.Z, layer.prev_Z, out=ws.dZ)
+            np.subtract(layer.D, layer.prev_D, out=ws.dD)
+        inp = layer.D
+    works = [l.work for l in net.layers]
     rec = StepRecord(
         k=net.step_index,
         Z=[l.Z for l in net.layers],
         D=[l.D for l in net.layers],
-        G=grads,
-        dZ=dZ,
-        dD=dD,
+        G=[w.G for w in works],
+        dZ=[w.dZ for w in works] if had_prev else None,
+        dD=[w.dD for w in works] if had_prev else None,
+        scratch=[w.scratch for w in works],
     )
     net.step_index += 1
     return rec

@@ -3,10 +3,15 @@
 Thin wrappers over numpy that pin the dtype and shape conventions and raise
 structured errors instead of letting broadcasting paper over mistakes.
 Matrices are 2-D float64 arrays, row-major, one sample per row where a batch
-is involved. Operations allocate fresh outputs; nothing mutates its inputs.
+is involved. Nothing mutates its inputs. matmul and outer_mean return a
+fresh array; outer_mean scales its product in place rather than allocating
+a second one. The norm and cosine reduce to Python floats through one dot
+product per operand, with no intermediate array.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -55,27 +60,36 @@ def outer_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError("outer_mean", a.shape, b.shape)
     if a.shape[0] == 0:
         raise ValueError("outer_mean: empty batch")
-    return (a.T @ b) / a.shape[0]
+    out = a.T @ b
+    out /= a.shape[0]
+    return out
+
+
+def _norm(m: np.ndarray) -> float:
+    # What np.linalg.norm(m) computes for real input, without its dispatch.
+    v = m.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+    return _norm(m)
 
 
 def cosine_flat(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of the angle between two same-shape arrays flattened to vectors.
 
-    Raises UndefinedCosineError when either operand has zero norm; the result
-    is clamped to [-1, 1] so downstream acos never sees a rounding excursion.
+    Raises UndefinedCosineError when either operand has zero norm; a finite
+    result is clamped to [-1, 1] so downstream acos never sees a rounding
+    excursion, and a NaN (from non-finite operands) is returned as NaN.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError("cosine_flat", a.shape, b.shape)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    na = _norm(a)
+    nb = _norm(b)
     if na == 0.0 or nb == 0.0:
         raise UndefinedCosineError("cosine undefined for zero-norm operand")
     c = float(np.dot(a.ravel(), b.ravel()) / (na * nb))
-    return min(1.0, max(-1.0, c))
+    return c if math.isnan(c) else min(1.0, max(-1.0, c))
 
 
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,11 +19,14 @@ from . import linalg
 from .dynamics import LN2, NetworkConfig, StepRecord
 
 
-def entropy_step(Z: np.ndarray, dD: np.ndarray) -> float:
-    """Single-step layer entropy -(1/ln 2) * mean_samples sum_units Z * dD."""
+def entropy_step(Z: np.ndarray, dD: np.ndarray, scratch: np.ndarray | None = None) -> float:
+    """Single-step layer entropy -(1/ln 2) * mean_samples sum_units Z * dD.
+
+    scratch, when given, receives the product Z * dD instead of a fresh array.
+    """
     if Z.shape != dD.shape:
         raise linalg.ShapeMismatchError("entropy_step", Z.shape, dD.shape)
-    return float(-np.sum(Z * dD) / (LN2 * Z.shape[0]))
+    return float(-np.multiply(Z, dD, out=scratch).sum() / (LN2 * Z.shape[0]))
 
 
 def knowledge_flow(Z: np.ndarray, Z_prev: np.ndarray, dt: float) -> np.ndarray:
@@ -39,16 +42,20 @@ def flow_norm(Z: np.ndarray, Z_prev: np.ndarray, dt: float) -> float:
     return linalg.frobenius_norm(knowledge_flow(Z, Z_prev, dt))
 
 
-def net_step(D: np.ndarray, G: np.ndarray, dZ: np.ndarray) -> float:
+def net_step(D: np.ndarray, G: np.ndarray, dZ: np.ndarray,
+             scratch: np.ndarray | None = None) -> float:
     """Single-step tensor net mean_samples sum_units (D - G) * dZ.
 
     D - G compares what a unit decided against how hard its entropy pushes
     it; weighting by the knowledge increment makes the running sum a
-    discrete line integral along the trajectory.
+    discrete line integral along the trajectory. scratch, when given,
+    receives (D - G) * dZ instead of a fresh array.
     """
     if not (D.shape == G.shape == dZ.shape):
         raise linalg.ShapeMismatchError("net_step", D.shape, dZ.shape)
-    return float(np.sum((D - G) * dZ) / D.shape[0])
+    prod = np.subtract(D, G, out=scratch)
+    prod *= dZ
+    return float(prod.sum() / D.shape[0])
 
 
 def cosine_alignment(Z: np.ndarray, dD: np.ndarray) -> float:
@@ -132,14 +139,15 @@ class TraceAccumulator:
         if not 1 <= rec.k <= self.config.steps:
             raise ValueError(f"step index {rec.k} outside 1..{self.config.steps}")
         row = rec.k - 1
+        scratch = rec.scratch or [None] * self.config.n_layers
         for l in range(self.config.n_layers):
             Z, D, G = rec.Z[l], rec.D[l], rec.G[l]
-            dZ, dD = rec.dZ[l], rec.dD[l]
-            self._es[row, l] = entropy_step(Z, dD)
+            dZ, dD, S = rec.dZ[l], rec.dD[l], scratch[l]
+            self._es[row, l] = entropy_step(Z, dD, S)
             self._cos[row, l] = cosine_alignment(Z, dD)
             self._zn[row, l] = linalg.frobenius_norm(Z)
             self._fn[row, l] = linalg.frobenius_norm(dZ) / self.config.dt
-            self._ns[row, l] = net_step(D, G, dZ)
+            self._ns[row, l] = net_step(D, G, dZ, S)
         self._seen += 1
 
     def finish(self) -> TrajectoryTrace:

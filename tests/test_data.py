@@ -128,6 +128,9 @@ def test_dataset_validation():
         data.Dataset(np.zeros(3))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         data.Dataset(np.array([[1.5, 0.0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            data.Dataset(np.array([[0.5, bad], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="labels"):
         data.Dataset(np.zeros((3, 2)), labels=np.array([1, 2]))
 

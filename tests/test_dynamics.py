@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ska
-from ska.dynamics import LayerState, NetworkConfig, StepRecord
+from ska.dynamics import LN2, LayerState, NetworkConfig, StepRecord
 
 SIG1 = 0.7310585786300049
 GRAD1 = -0.2836510610670778
@@ -45,6 +45,39 @@ def test_sigmoid_monotone_on_grid():
     s = ska.sigmoid(z)
     assert np.all(np.diff(s) >= 0.0)
     assert np.all((s >= 0.0) & (s <= 1.0))
+
+
+def sigmoid_sign_split(z):
+    """The masked two-branch logistic map, kept as the reference form."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_sign_split_form_bitwise():
+    rng = np.random.default_rng(31)
+    special = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 36.0, -36.0]
+    for z in [rng.standard_normal((64, 33)) * s for s in (0.5, 5.0, 50.0, 900.0)] + [
+        np.array(special)
+    ]:
+        assert ska.sigmoid(z).tobytes() == sigmoid_sign_split(z).tobytes()
+    assert np.isnan(ska.sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
+def test_entropy_gradient_out_matches_fresh_bitwise():
+    rng = np.random.default_rng(32)
+    z = rng.standard_normal((17, 9)) * 4.0
+    d = ska.sigmoid(z)
+    fresh = ska.entropy_gradient(z, d)
+    out, scratch = np.empty_like(z), np.empty_like(z)
+    got = ska.entropy_gradient(z, d, out=out, scratch=scratch)
+    assert got is out
+    assert got.tobytes() == fresh.tobytes()
+    assert fresh.tobytes() == (-(z * d * (1.0 - d)) / LN2).tobytes()
 
 
 # ---------------------------------------------------------- gradient ---
@@ -107,6 +140,9 @@ def test_network_config_validation():
         NetworkConfig(layer_sizes=(4, 2), dt=0.1, steps=0)
     with pytest.raises(ValueError):
         NetworkConfig(layer_sizes=(4, 2), dt=0.1, steps=1, init_std_scale=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="init_std_scale"):
+            NetworkConfig(layer_sizes=(4, 2), dt=0.1, steps=1, init_std_scale=bad)
     cfg = NetworkConfig(layer_sizes=[4, 2], dt=0.25, steps=8)
     assert cfg.n_layers == 1
     assert cfg.total_time == 2.0
@@ -208,6 +244,31 @@ def test_step_record_shapes_and_seed_semantics():
     assert rec1.dZ[0].shape == (5, 3) and rec1.dD[1].shape == (5, 2)
     # dZ really is the difference of consecutive pre-activations
     np.testing.assert_array_equal(rec1.dZ[0], rec1.Z[0] - rec0.Z[0])
+
+
+def test_step_reuses_workspace_and_updates_weights_in_place():
+    cfg = NetworkConfig(layer_sizes=(4, 3, 2), dt=0.1, steps=1, seed=8)
+    net = ska.init_network(cfg)
+    X = np.random.default_rng(9).uniform(0, 1, (6, 4))
+    weights = [l.W for l in net.layers]
+    ska.step(net, X)
+    buffers = [(id(l.work.G), id(l.work.dZ), id(l.work.dD), id(l.work.scratch))
+               for l in net.layers]
+    for _ in range(3):
+        rec = ska.step(net, X)
+        assert [(id(g), id(dz), id(dd)) for g, dz, dd in zip(rec.G, rec.dZ, rec.dD)] == [
+            b[:3] for b in buffers]
+        assert [(id(l.work.G), id(l.work.dZ), id(l.work.dD), id(l.work.scratch))
+                for l in net.layers] == buffers
+        assert all(l.W is w for l, w in zip(net.layers, weights))
+    # once the workspace exists, dt = 0 still leaves every weight bit-identical
+    before = [w.copy() for w in weights]
+    ska.step(net, X, dt=0.0)
+    for w0, layer in zip(before, net.layers):
+        assert w0.tobytes() == layer.W.tobytes()
+    # increments need one batch shape throughout, as before the workspace
+    with pytest.raises(ValueError):
+        ska.step(net, X[:2])
 
 
 def test_update_uses_simultaneous_snapshot():
@@ -326,3 +387,43 @@ def test_run_recorded_unit_starts_at_initial_network():
     path = trace.unit_paths[(0, 0, 0)]
     assert len(path) == 3
     assert path[0] == w0  # z = w * 1 before any update
+
+
+def test_run_matches_reference_loop_bitwise():
+    """Every trace column equals an allocation-heavy loop over the formulas."""
+    cfg = NetworkConfig(layer_sizes=(6, 5, 4, 3), dt=0.05, steps=8, init_std_scale=2.0,
+                        seed=12)
+    ds = ska.synthetic_blobs(20, 6, 3, seed=4)
+    trace = ska.run(ska.init_network(cfg), ds)
+
+    X = ds.inputs
+    n, L, K = X.shape[0], cfg.n_layers, cfg.steps
+    Ws = [l.W.copy() for l in ska.init_network(cfg).layers]
+    cols = {c: np.full((K, L), np.nan) for c in
+            ("entropy_step", "cosine", "z_norm", "flow_norm", "net_step")}
+    prev = None
+    for k in range(K + 1):
+        inp, snap = X, []
+        for W in Ws:
+            Z = inp @ W.T
+            D = sigmoid_sign_split(Z)
+            G = -(Z * D * (1.0 - D)) / LN2
+            snap.append((Z, D, G, inp))
+            inp = D
+        Ws = [W - cfg.dt * ((G.T @ x) / n) for W, (_, _, G, x) in zip(Ws, snap)]
+        if prev is not None:
+            for l, ((Z, D, G, _), (Zp, Dp, _, _)) in enumerate(zip(snap, prev)):
+                dZ, dD = Z - Zp, D - Dp
+                nz, nd = np.linalg.norm(Z), np.linalg.norm(dD)
+                cols["entropy_step"][k - 1, l] = -np.sum(Z * dD) / (LN2 * n)
+                if nz > 0 and nd > 0:
+                    c = float(np.dot(Z.ravel(), dD.ravel()) / (nz * nd))
+                    cols["cosine"][k - 1, l] = min(1.0, max(-1.0, c))
+                cols["z_norm"][k - 1, l] = np.linalg.norm(Z)
+                cols["flow_norm"][k - 1, l] = np.linalg.norm(dZ) / cfg.dt
+                cols["net_step"][k - 1, l] = np.sum((D - G) * dZ) / n
+        prev = snap
+    cols["entropy_cum"] = np.cumsum(cols["entropy_step"], axis=0)
+    cols["net_cum"] = np.cumsum(cols["net_step"], axis=0)
+    for name, want in cols.items():
+        assert np.array_equal(trace.column(name), want, equal_nan=True), name

@@ -89,6 +89,11 @@ def test_cosine_flat_loop_oracle_and_clamp():
     assert linalg.cosine_flat(v, 3.0 * v) == 1.0
 
 
+def test_cosine_flat_nan_is_not_clamped():
+    # min(1, max(-1, nan)) is -1, a valid-looking cosine; NaN must stay NaN
+    assert math.isnan(linalg.cosine_flat(np.array([[np.nan, 1.0]]), np.array([[1.0, 1.0]])))
+
+
 def test_cosine_flat_errors():
     with pytest.raises(linalg.UndefinedCosineError):
         linalg.cosine_flat(np.zeros((2, 2)), np.ones((2, 2)))

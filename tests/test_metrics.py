@@ -95,6 +95,7 @@ def test_cosine_alignment_gap_is_nan():
     Z = np.ones((2, 2))
     assert math.isnan(cosine_alignment(Z, np.zeros((2, 2))))
     assert math.isnan(cosine_alignment(np.zeros((2, 2)), Z))
+    assert math.isnan(cosine_alignment(np.array([[np.nan, 1.0]]), np.ones((1, 2))))
     assert cosine_alignment(Z, 2.5 * Z) == 1.0
 
 
