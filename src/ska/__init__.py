@@ -33,7 +33,6 @@ from .dynamics import (
 from .invariance import (
     InvarianceSpec,
     compare,
-    normalize_trace,
     resample_common_grid,
     run_family,
 )
@@ -43,7 +42,6 @@ from .metrics import (
     find_entropy_minimum,
     find_flow_peak,
     find_zero_crossings,
-    knowledge_flow,
     net_step,
 )
 from .variational import (
@@ -78,7 +76,6 @@ __all__ = [
     "step",
     "InvarianceSpec",
     "compare",
-    "normalize_trace",
     "resample_common_grid",
     "run_family",
     "TrajectoryTrace",
@@ -86,7 +83,6 @@ __all__ = [
     "find_entropy_minimum",
     "find_flow_peak",
     "find_zero_crossings",
-    "knowledge_flow",
     "net_step",
     "UnitTrajectory",
     "action_entropy",

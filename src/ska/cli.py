@@ -3,8 +3,8 @@
 Commands: train, invariance, variational-check, report. Configs are JSON
 with a fixed key schema (see README). Every command writes a manifest.json
 echoing the fully resolved config so the exact run can be repeated from the
-manifest alone. Exit codes: 0 success, 1 comparison failure, 2 usage, config
-or IO error.
+manifest alone. Exit codes: 0 success, 1 comparison failure, 2 usage,
+config, input or IO error, reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -52,12 +52,54 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------- config ---
 
+REQUIRED = object()  # table default: the key must be given
+SEED = object()  # table default: the run's top-level seed
+
+# A section table maps each key to (type, default | REQUIRED). A type is a
+# Python type, a tuple of the allowed strings, a one-element list [type] for
+# a list of that type, or a nested table. A float must be finite; an int is
+# accepted where a float is expected. A null value counts as absent.
+SECTIONS = {
+    "network": {"layer_sizes": ([int], REQUIRED), "init_std_scale": (float, 1.0)},
+    "run": {"dt": (float, REQUIRED), "steps": (int, None), "total_time": (float, None)},
+    "invariance": {
+        "eta_list": ([float], REQUIRED),
+        "total_time": (float, REQUIRED),
+        "tolerance": (float, 0.02),
+        "metrics": ([str], list(COMPARE_METRICS)),
+        "seed_overrides": ([int], None),
+    },
+    "variational": {"units": ([[int]], [[0, 0, 0]]), "dt_halving": (bool, True)},
+}
+
+# The data section reads the keys of its source's table besides these.
+SOURCES = {
+    "synthetic": {"n": (int, 512), "dim": (int, 64), "classes": (int, 8), "seed": (int, SEED),
+                  "center_spacing": (float, 0.45), "std": (float, 0.08)},
+    "glyphs": {"n": (int, 4096), "seed": (int, SEED)},
+    "constant": {"n": (int, 1), "dim": (int, 1), "value": (float, 1.0)},
+    "mnist": {"images": (str, REQUIRED), "labels": (str, None), "limit": (int, None)},
+}
+DATA = {
+    "source": (tuple(SOURCES), REQUIRED),
+    "batch": ({"mode": (("full", "cyclic"), "full"), "size": (int, None)}, {}),
+}
+
+# The sections each command reads, each with its default.
+COMMANDS = {
+    "train": {"network": REQUIRED, "run": REQUIRED, "data": REQUIRED},
+    "invariance": {"network": REQUIRED, "data": REQUIRED, "invariance": REQUIRED},
+    "variational-check": {"network": {"layer_sizes": [1, 1]}, "run": REQUIRED,
+                          "data": {"source": "constant"}, "variational": {}},
+}
+
 
 def load_config(path) -> dict:
+    """Read a JSON file whose top level is an object."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -69,107 +111,98 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _expect_keys(d: dict, allowed: tuple, path: str) -> None:
-    unknown = [k for k in d if k not in allowed]
-    if unknown:
-        where = f"{path}.{unknown[0]}" if path else unknown[0]
-        raise ConfigError(f"unknown config key {where}")
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _get(d: dict, key: str, path: str, kind, default=None, required=False):
-    if key not in d or d[key] is None:
-        if required:
-            raise ConfigError(f"missing config key {path}.{key}")
-        return default
-    v = d[key]
-    if kind is float and isinstance(v, int) and not isinstance(v, bool):
-        v = float(v)
-    bad_bool = kind is not bool and isinstance(v, bool)
-    if kind is not None and (not isinstance(v, kind) or bad_bool):
-        raise ConfigError(f"config key {path}.{key} must be {kind.__name__}")
-    return v
+def _value(value, kind, default, path: str):
+    """A config value, or its default when absent, checked against its type."""
+    if value is None:
+        if default is REQUIRED:
+            raise ConfigError(f"missing config key {path}")
+        if default is None:
+            return None
+        value = default
+    return _check(value, kind, path)
 
 
-def resolve_network(cfg: dict, seed: int) -> dict:
-    net = _get(cfg, "network", "", dict, required=True)
-    _expect_keys(net, ("layer_sizes", "init_std_scale"), "network")
-    sizes = _get(net, "layer_sizes", "network", list, required=True)
-    if len(sizes) < 2 or any(not isinstance(s, int) or s < 1 for s in sizes):
-        raise ConfigError("network.layer_sizes must list 2+ positive integers")
-    scale = _get(net, "init_std_scale", "network", float, default=1.0)
-    if scale < 0:
-        raise ConfigError("network.init_std_scale must be nonnegative")
-    return {"layer_sizes": list(sizes), "init_std_scale": scale, "seed": seed}
-
-
-def resolve_run(cfg: dict) -> dict:
-    run_cfg = _get(cfg, "run", "", dict, required=True)
-    _expect_keys(run_cfg, ("dt", "steps", "total_time"), "run")
-    dt = _get(run_cfg, "dt", "run", float, required=True)
-    if dt <= 0:
-        raise ConfigError("run.dt must be positive")
-    steps = _get(run_cfg, "steps", "run", int)
-    total = _get(run_cfg, "total_time", "run", float)
-    if steps is None and total is None:
-        raise ConfigError("run needs steps or total_time")
-    if steps is not None and total is not None:
-        # both allowed only when consistent, so manifests re-load cleanly
-        if abs(total - dt * steps) > 1e-9 * max(1.0, abs(total)):
-            raise ConfigError("run.steps and run.total_time disagree")
-    if steps is None:
-        steps = int(round(total / dt))
-        if steps < 1:
-            raise ConfigError("run.total_time is shorter than one dt")
-    if steps < 1:
-        raise ConfigError("run.steps must be positive")
-    return {"dt": dt, "steps": steps, "total_time": dt * steps}
+def _check(value, kind, path: str):
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key {path} must be an object")
+        unknown = [k for k in value if k not in kind]
+        if unknown:
+            raise ConfigError(f"unknown config key {_join(path, unknown[0])}")
+        return {key: _value(value.get(key), sub, default, _join(path, key))
+                for key, (sub, default) in kind.items()}
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {path} must be a list")
+        return [_check(v, kind[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"config key {path} must be one of {', '.join(kind)}")
+        return value
+    if kind is float and type(value) is int:
+        value = float(value)
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"config key {path} must be {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"config key {path} must be finite")
+    return value
 
 
 def resolve_data(cfg: dict, default_seed: int) -> dict:
-    d = _get(cfg, "data", "", dict, required=True)
-    _expect_keys(
-        d,
-        ("source", "n", "dim", "classes", "seed", "center_spacing", "std",
-         "value", "images", "labels", "limit", "batch"),
-        "data",
-    )
-    source = _get(d, "source", "data", str, required=True)
-    batch = _get(d, "batch", "data", dict, default={})
-    _expect_keys(batch, ("mode", "size"), "data.batch")
-    mode = _get(batch, "mode", "data.batch", str, default="full")
-    if mode not in ("full", "cyclic"):
-        raise ConfigError("data.batch.mode must be 'full' or 'cyclic'")
-    size = _get(batch, "size", "data.batch", int)
-    out = {"source": source, "batch": {"mode": mode, "size": size}}
-    if source == "synthetic":
-        out.update(
-            n=_get(d, "n", "data", int, default=512),
-            dim=_get(d, "dim", "data", int, default=64),
-            classes=_get(d, "classes", "data", int, default=8),
-            seed=_get(d, "seed", "data", int, default=default_seed),
-            center_spacing=_get(d, "center_spacing", "data", float, default=0.45),
-            std=_get(d, "std", "data", float, default=0.08),
-        )
-    elif source == "glyphs":
-        out.update(
-            n=_get(d, "n", "data", int, default=4096),
-            seed=_get(d, "seed", "data", int, default=default_seed),
-        )
-    elif source == "constant":
-        out.update(
-            n=_get(d, "n", "data", int, default=1),
-            dim=_get(d, "dim", "data", int, default=1),
-            value=_get(d, "value", "data", float, default=1.0),
-        )
-    elif source == "mnist":
-        out.update(
-            images=_get(d, "images", "data", str, required=True),
-            labels=_get(d, "labels", "data", str),
-            limit=_get(d, "limit", "data", int),
-        )
-    else:
-        raise ConfigError(f"data.source {source!r} is not a known source")
-    return out
+    """The data section of cfg, checked and completed from its source's table."""
+    data = _value(cfg.get("data"), dict, REQUIRED, "data")
+    source = _value(data.get("source"), tuple(SOURCES), REQUIRED, "data.source")
+    keys = {k: (kind, default_seed if d is SEED else d) for k, (kind, d) in SOURCES[source].items()}
+    return _check(data, {**DATA, **keys}, "data")
+
+
+def _check_rules(c: dict) -> None:
+    """Rules across keys that the tables cannot state; completes the run window."""
+    sizes = c["network"]["layer_sizes"]
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise ConfigError("network.layer_sizes must list 2+ positive integers")
+    if c["network"]["init_std_scale"] < 0:
+        raise ConfigError("network.init_std_scale must be nonnegative")
+    if "run" in c:
+        run_cfg = c["run"]
+        dt, steps, total = run_cfg["dt"], run_cfg["steps"], run_cfg["total_time"]
+        if dt <= 0:
+            raise ConfigError("run.dt must be positive")
+        if steps is None and total is None:
+            raise ConfigError("run needs steps or total_time")
+        # both allowed only when consistent, so manifests re-load cleanly
+        if None not in (steps, total) and abs(total - dt * steps) > 1e-9 * max(1.0, abs(total)):
+            raise ConfigError("run.steps and run.total_time disagree")
+        if steps is None:
+            steps = int(round(total / dt))
+        if steps < 1:
+            raise ConfigError("run window is shorter than one step")
+        run_cfg.update(steps=steps, total_time=dt * steps)
+    if "invariance" in c and c["data"]["batch"] != {"mode": "full", "size": None}:
+        raise ConfigError("invariance runs compare full-batch trajectories only")
+    if "variational" in c and any(len(u) != 3 for u in c["variational"]["units"]):
+        raise ConfigError("variational.units entries must be [layer, unit, sample]")
+
+
+def resolve_config(args) -> dict:
+    """The command's config, checked and completed from the tables.
+
+    Commands run on this dict and their manifests echo it as "config", so
+    the echo re-resolves to itself.
+    """
+    sections = COMMANDS[args.command]
+    table = {"seed": (int, 0), **{name: (SECTIONS.get(name, dict), default)
+                                  for name, default in sections.items()}}
+    c = _check(load_config(args.config), table, "")
+    if args.seed is not None:
+        c["seed"] = args.seed
+    c["data"] = resolve_data(c, c["seed"])
+    _check_rules(c)
+    return c
 
 
 def build_dataset(spec: dict) -> Dataset:
@@ -332,30 +365,21 @@ def train_charts(out_dir: Path, trace: TrajectoryTrace) -> list:
 # -------------------------------------------------------------- commands ---
 
 
-def cmd_train(args) -> int:
-    t0 = time.perf_counter()
-    cfg = load_config(args.config)
-    _expect_keys(cfg, ("seed", "network", "run", "data"), "")
-    seed = _get(cfg, "seed", "", int, default=0)
-    if args.seed is not None:
-        seed = args.seed
-    net_cfg = resolve_network(cfg, seed)
-    run_cfg = resolve_run(cfg)
-    data_cfg = resolve_data(cfg, seed)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ds = build_dataset(data_cfg)
+def _run(c: dict, ds: Dataset, dt: float, steps: int, record_units=None) -> TrajectoryTrace:
+    """One run of the configured network and batch selection on ds."""
     config = NetworkConfig(
-        layer_sizes=tuple(net_cfg["layer_sizes"]),
-        dt=run_cfg["dt"],
-        steps=run_cfg["steps"],
-        init_std_scale=net_cfg["init_std_scale"],
-        seed=seed,
+        layer_sizes=c["network"]["layer_sizes"], dt=dt, steps=steps,
+        init_std_scale=c["network"]["init_std_scale"], seed=c["seed"],
     )
-    trace = run(init_network(config), ds,
-                batch_size=data_cfg["batch"]["size"],
-                batch_mode=data_cfg["batch"]["mode"])
+    batch = c["data"]["batch"]
+    return run(init_network(config), ds, batch_size=batch["size"],
+               batch_mode=batch["mode"], record_units=record_units)
+
+
+def cmd_train(args, c: dict, t0: float) -> int:
+    out_dir = args.out
+    ds = build_dataset(c["data"])
+    trace = _run(c, ds, c["run"]["dt"], c["run"]["steps"])
 
     artifacts = ["trace.csv", "markers.csv", "manifest.json"]
     write_trace_csv(out_dir / "trace.csv", trace)
@@ -363,65 +387,46 @@ def cmd_train(args) -> int:
     if args.svg:
         artifacts += train_charts(out_dir, trace)
 
-    echo = {"seed": seed, "network": {k: v for k, v in net_cfg.items() if k != "seed"},
-            "run": run_cfg, "data": data_cfg}
     resolved = {
-        "eta": run_cfg["dt"],
-        "steps": run_cfg["steps"],
-        "eta_times_K": run_cfg["dt"] * run_cfg["steps"],
-        "layers": len(net_cfg["layer_sizes"]) - 1,
+        "eta": c["run"]["dt"],
+        "steps": c["run"]["steps"],
+        "eta_times_K": c["run"]["dt"] * c["run"]["steps"],
+        "layers": len(c["network"]["layer_sizes"]) - 1,
         "samples": ds.n,
     }
-    write_manifest(out_dir, "train", echo, resolved, artifacts, t0)
+    write_manifest(out_dir, "train", c, resolved, artifacts, t0)
     print(f"train: {trace.n_steps} steps x {trace.n_layers} layers, "
           f"eta*K = {resolved['eta_times_K']:g}, wrote {len(artifacts)} files to {out_dir}")
     return 0
 
 
-def cmd_invariance(args) -> int:
-    t0 = time.perf_counter()
-    cfg = load_config(args.config)
-    _expect_keys(cfg, ("seed", "network", "data", "invariance"), "")
-    seed = _get(cfg, "seed", "", int, default=0)
-    if args.seed is not None:
-        seed = args.seed
-    net_cfg = resolve_network(cfg, seed)
-    data_cfg = resolve_data(cfg, seed)
-    inv = _get(cfg, "invariance", "", dict, required=True)
-    _expect_keys(inv, ("eta_list", "total_time", "tolerance", "metrics", "seed_overrides"), "invariance")
-    eta_list = _get(inv, "eta_list", "invariance", list, required=True)
-    total_time = _get(inv, "total_time", "invariance", float, required=True)
-    tolerance = _get(inv, "tolerance", "invariance", float, default=0.02)
-    metric_names = _get(inv, "metrics", "invariance", list, default=list(COMPARE_METRICS))
-    overrides = _get(inv, "seed_overrides", "invariance", list)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if overrides is not None and any(s != seed for s in overrides):
+def cmd_invariance(args, c: dict, t0: float) -> int:
+    out_dir = args.out
+    inv = c["invariance"]
+    # seed_overrides only guards the family; a family that passes it uses
+    # the one seed, so the echo leaves it out
+    overrides = inv.pop("seed_overrides")
+    if overrides is not None and any(s != c["seed"] for s in overrides):
         # runs seeded differently are not discretizations of one trajectory
         write_json(out_dir / "invariance_report.json", {
             "incomparable": True,
             "reason": "seed_overrides give the runs different initializations",
-            "seed": seed,
+            "seed": c["seed"],
             "seed_overrides": overrides,
         })
         print("invariance: refusing comparison, seed_overrides differ across runs",
               file=sys.stderr)
         return 2
-    if data_cfg["batch"]["mode"] != "full" or data_cfg["batch"]["size"] is not None:
-        raise ConfigError("invariance runs compare full-batch trajectories only")
 
-    ds = build_dataset(data_cfg)
     spec = InvarianceSpec(
-        total_time=total_time,
-        eta_list=tuple(float(e) for e in eta_list),
-        layer_sizes=tuple(net_cfg["layer_sizes"]),
-        seed=seed,
-        dataset=ds,
-        init_std_scale=net_cfg["init_std_scale"],
-        tolerance=tolerance,
-        metrics=tuple(metric_names),
+        total_time=inv["total_time"],
+        eta_list=inv["eta_list"],
+        layer_sizes=c["network"]["layer_sizes"],
+        seed=c["seed"],
+        dataset=build_dataset(c["data"]),
+        init_std_scale=c["network"]["init_std_scale"],
+        tolerance=inv["tolerance"],
+        metrics=inv["metrics"],
     )
     runs = run_family(spec)
     artifacts = ["aligned.csv", "invariance_report.csv", "invariance_report.json", "manifest.json"]
@@ -441,7 +446,7 @@ def cmd_invariance(args) -> int:
                                  f"{_cell(float(tval))},{_cell(float(vals[g, l]))}")
     (out_dir / "aligned.csv").write_text("\n".join(lines) + "\n")
 
-    report = compare(aligned, tolerance=tolerance)
+    report = compare(aligned, tolerance=spec.tolerance)
     lines = ["metric,run,eta,reference_eta,sup_dev,rel_dev,tolerance,passed"]
     for r in report.rows:
         word = "incomparable" if r.passed is None else ("pass" if r.passed else "fail")
@@ -469,74 +474,35 @@ def cmd_invariance(args) -> int:
         } for r in report.rows],
     })
 
-    echo = {"seed": seed, "network": {k: v for k, v in net_cfg.items() if k != "seed"},
-            "data": data_cfg,
-            "invariance": {"eta_list": [float(e) for e in eta_list],
-                           "total_time": total_time, "tolerance": tolerance,
-                           "metrics": list(metric_names)}}
     resolved = {
         "runs": [{"label": fr.label, "eta": fr.eta, "steps": fr.steps,
                   "eta_times_K": fr.realized_product} for fr in runs],
         "all_pass": report.all_pass,
     }
-    write_manifest(out_dir, "invariance", echo, resolved, artifacts, t0)
+    write_manifest(out_dir, "invariance", c, resolved, artifacts, t0)
     verdict = "PASS" if report.all_pass else "FAIL"
     print(f"invariance: {len(runs)} runs, {len(report.rows)} compared rows, {verdict}")
     return 0 if report.all_pass else 1
 
 
-def cmd_variational(args) -> int:
-    t0 = time.perf_counter()
-    cfg = load_config(args.config)
-    _expect_keys(cfg, ("seed", "network", "run", "data", "variational"), "")
-    seed = _get(cfg, "seed", "", int, default=0)
-    if args.seed is not None:
-        seed = args.seed
-    if "network" not in cfg:
-        cfg["network"] = {"layer_sizes": [1, 1]}
-    if "data" not in cfg:
-        cfg["data"] = {"source": "constant", "n": 1, "dim": 1, "value": 1.0}
-    net_cfg = resolve_network(cfg, seed)
-    run_cfg = resolve_run(cfg)
-    data_cfg = resolve_data(cfg, seed)
-    var = _get(cfg, "variational", "", dict, default={})
-    _expect_keys(var, ("units", "dt_halving"), "variational")
-    units = _get(var, "units", "variational", list, default=[[0, 0, 0]])
-    halving = _get(var, "dt_halving", "variational", bool, default=True)
-    selections = []
-    for u in units:
-        if (not isinstance(u, list) or len(u) != 3
-                or any(not isinstance(x, int) for x in u)):
-            raise ConfigError("variational.units entries must be [layer, unit, sample]")
-        selections.append(tuple(u))
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ds = build_dataset(data_cfg)
-
-    def one_run(dt, steps):
-        config = NetworkConfig(
-            layer_sizes=tuple(net_cfg["layer_sizes"]), dt=dt, steps=steps,
-            init_std_scale=net_cfg["init_std_scale"], seed=seed,
-        )
-        trace = run(init_network(config), ds,
-                    batch_size=data_cfg["batch"]["size"],
-                    batch_mode=data_cfg["batch"]["mode"],
-                    record_units=selections)
-        return trace, extract_unit_trajectories(trace, selections)
-
-    trace, trajs = one_run(run_cfg["dt"], run_cfg["steps"])
+def cmd_variational(args, c: dict, t0: float) -> int:
+    out_dir = args.out
+    ds = build_dataset(c["data"])
+    dt, steps = c["run"]["dt"], c["run"]["steps"]
+    units, halving = c["variational"]["units"], c["variational"]["dt_halving"]
+    trace = _run(c, ds, dt, steps, units)
+    trajs = extract_unit_trajectories(trace, units)
     trajs_half = None
     if halving:
-        _, trajs_half = one_run(run_cfg["dt"] / 2.0, run_cfg["steps"] * 2)
+        trajs_half = extract_unit_trajectories(_run(c, ds, dt / 2.0, steps * 2, units), units)
 
     unit_reports = []
-    for i, sel in enumerate(selections):
+    for i, sel in enumerate(units):
         traj = trajs[i]
         res = el_residual(traj)
         norm = float(np.max(np.abs(res))) if res.size else 0.0
         entry = {
-            "selection": list(sel),
+            "selection": sel,
             "action_entropy": float(action_entropy(traj)),
             "entropy_by_definition": float(entropy_by_definition(traj)),
             "el_residual_max": norm,
@@ -562,31 +528,23 @@ def cmd_variational(args) -> int:
         unit_reports.append(entry)
 
     payload = {
-        "dt": run_cfg["dt"],
-        "steps": run_cfg["steps"],
+        "dt": dt,
+        "steps": steps,
         "dt_halving": halving,
         "units": unit_reports,
     }
     write_json(out_dir / "variational_report.json", payload)
-    echo = {"seed": seed, "network": {k: v for k, v in net_cfg.items() if k != "seed"},
-            "run": run_cfg, "data": data_cfg,
-            "variational": {"units": [list(s) for s in selections], "dt_halving": halving}}
-    resolved = {"eta_times_K": run_cfg["dt"] * run_cfg["steps"],
-                "recorded_units": len(selections)}
+    resolved = {"eta_times_K": dt * steps, "recorded_units": len(units)}
     artifacts = ["variational_report.json", "manifest.json"]
-    write_manifest(out_dir, "variational-check", echo, resolved, artifacts, t0)
-    print(f"variational-check: {len(selections)} unit(s), "
+    write_manifest(out_dir, "variational-check", c, resolved, artifacts, t0)
+    print(f"variational-check: {len(units)} unit(s), "
           f"el_residual_max = {unit_reports[0]['el_residual_max']:.3g}")
     return 0
 
 
 def cmd_report(args) -> int:
-    out_dir = Path(args.out)
-    manifest_path = out_dir / "manifest.json"
-    if not manifest_path.exists():
-        print(f"error: no manifest.json in {out_dir}", file=sys.stderr)
-        return 2
-    manifest = json.loads(manifest_path.read_text())
+    out_dir = args.out
+    manifest = load_config(out_dir / "manifest.json")
     command = manifest.get("command", "?")
     cfg = manifest.get("config", {})
     resolved = manifest.get("resolved", {})
@@ -615,11 +573,7 @@ def cmd_report(args) -> int:
     elif command == "invariance":
         inv = cfg.get("invariance", {})
         print(f"characteristic time eta*K = {inv.get('total_time')}")
-        report_path = out_dir / "invariance_report.json"
-        if not report_path.exists():
-            print(f"error: no invariance_report.json in {out_dir}", file=sys.stderr)
-            return 2
-        report = json.loads(report_path.read_text())
+        report = load_config(out_dir / "invariance_report.json")
         if report.get("incomparable"):
             print("comparison refused: " + report.get("reason", "incomparable setup"))
             print("FAIL")
@@ -633,7 +587,7 @@ def cmd_report(args) -> int:
         return 0 if report["all_pass"] else 1
     elif command == "variational-check":
         print(f"characteristic time eta*K = {resolved.get('eta_times_K')}")
-        report = json.loads((out_dir / "variational_report.json").read_text())
+        report = load_config(out_dir / "variational_report.json")
         for unit in report["units"]:
             sel = unit["selection"]
             print(f"unit {sel}: action {unit['action_entropy']:.6g}, "
@@ -644,8 +598,7 @@ def cmd_report(args) -> int:
                 print(f"  crossing t = {c['time']:.4g}: net identity residual {c['residual']:.3g}")
         print("PASS")
     else:
-        print(f"unknown command {command!r} in manifest", file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown command {command!r} in manifest")
     return 0
 
 
@@ -660,10 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ska {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", required=True, help="output directory")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON config path")
+        p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
 
     p_train = sub.add_parser("train", help="single run with trace, markers, charts")
@@ -681,20 +633,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_var.set_defaults(func=cmd_variational)
 
     p_rep = sub.add_parser("report", help="summarize a finished run directory")
-    p_rep.add_argument("--out", required=True, help="directory holding manifest.json")
-    p_rep.set_defaults(func=cmd_report)
+    p_rep.add_argument("--out", type=Path, required=True, help="directory holding manifest.json")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; every library or config error exits 2 with one line."""
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        if args.command == "report":
+            return cmd_report(args)
+        c = resolve_config(args)
+        args.out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, c, t0)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

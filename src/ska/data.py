@@ -271,13 +271,11 @@ def take_batch(ds: Dataset, size: int | None = None, mode: str = "full", k: int 
         size = ds.n
     if size < 1:
         raise ValueError("batch size must be positive")
+    if size > ds.n:
+        raise ValueError(f"batch size {size} exceeds dataset size {ds.n}")
     if mode == "full":
-        if size > ds.n:
-            raise ValueError(f"batch size {size} exceeds dataset size {ds.n}")
         return ds.inputs[:size]
     if mode == "cyclic":
-        if size > ds.n:
-            raise ValueError(f"batch size {size} exceeds dataset size {ds.n}")
         start = (k * size) % ds.n
         idx = (start + np.arange(size)) % ds.n
         return ds.inputs[idx]

@@ -18,7 +18,6 @@ proportionally more drift. With the default 0.02 the finest pair is held to
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +57,6 @@ class InvarianceSpec:
     seed: int
     dataset: Dataset
     init_std_scale: float = 1.0
-    batch_size: int | None = None
     tolerance: float = 0.02
     metrics: tuple = COMPARE_METRICS
 
@@ -110,7 +108,7 @@ def run_family(spec: InvarianceSpec) -> list:
             seed=spec.seed,
         )
         net = init_network(cfg)
-        trace = run(net, spec.dataset, batch_size=spec.batch_size, batch_mode="full")
+        trace = run(net, spec.dataset, batch_mode="full")
         runs.append(
             FamilyRun(
                 label=f"run{i}:eta={eta:g}",
@@ -121,19 +119,6 @@ def run_family(spec: InvarianceSpec) -> list:
             )
         )
     return runs
-
-
-def normalize_trace(trace: TrajectoryTrace) -> TrajectoryTrace:
-    """Copy of the trace with per-step entropy and net divided by eta = dt.
-
-    Cumulative columns are left alone; they approximate time integrals and
-    are already step-size free in the limit.
-    """
-    out = copy.copy(trace)
-    out.entropy_step = trace.entropy_step / trace.dt
-    out.net_step = trace.net_step / trace.dt
-    out.normalized = True
-    return out
 
 
 @dataclass
@@ -226,7 +211,7 @@ class InvarianceReport:
         return all(r.passed is not False for r in self.rows)
 
 
-def compare(aligned: AlignedFamily, tolerance: float = 0.02, pairwise: bool = False) -> InvarianceReport:
+def compare(aligned: AlignedFamily, tolerance: float = 0.02) -> InvarianceReport:
     """Sup-norm deviations from the smallest-eta reference on the shared grid.
 
     Per layer: dev = max_t |trace - reference|, rel = dev / (reference range
@@ -242,11 +227,10 @@ def compare(aligned: AlignedFamily, tolerance: float = 0.02, pairwise: bool = Fa
         if lab != ref_label
     ]
     finest_gap = min((eta - ref_eta for _, eta in others if eta > ref_eta), default=0.0)
-    rows = []
 
-    def one_row(metric, lab, eta, base_lab, base_eta):
+    def one_row(metric, lab, eta):
         mine = aligned.values(lab, metric)
-        base = aligned.values(base_lab, metric)
+        base = aligned.values(ref_label, metric)
         per_layer = {}
         worst_rel = 0.0
         worst_dev = 0.0
@@ -265,7 +249,7 @@ def compare(aligned: AlignedFamily, tolerance: float = 0.02, pairwise: bool = Fa
             worst_rel = max(worst_rel, rel)
             worst_dev = max(worst_dev, dev)
         if finest_gap > 0.0:
-            scaled_tol = tolerance * max(1.0, (eta - base_eta) / finest_gap)
+            scaled_tol = tolerance * max(1.0, (eta - ref_eta) / finest_gap)
         else:
             scaled_tol = tolerance
         passed = (worst_rel <= scaled_tol) if any_comparable else None
@@ -273,7 +257,7 @@ def compare(aligned: AlignedFamily, tolerance: float = 0.02, pairwise: bool = Fa
             metric=metric,
             label=lab,
             eta=eta,
-            reference_eta=base_eta,
+            reference_eta=ref_eta,
             sup_dev=worst_dev if any_comparable else float("nan"),
             rel_dev=worst_rel if any_comparable else float("nan"),
             tolerance=scaled_tol,
@@ -281,18 +265,9 @@ def compare(aligned: AlignedFamily, tolerance: float = 0.02, pairwise: bool = Fa
             per_layer=per_layer,
         )
 
-    for metric in aligned.metrics:
-        for lab, eta in others:
-            rows.append(one_row(metric, lab, eta, ref_label, ref_eta))
-        if pairwise:
-            for i, (la, ea) in enumerate(zip(aligned.labels, aligned.etas)):
-                for lb, eb in list(zip(aligned.labels, aligned.etas))[i + 1 :]:
-                    if la == ref_label or lb == ref_label:
-                        continue
-                    rows.append(one_row(metric, lb, eb, la, ea))
     return InvarianceReport(
         reference_label=ref_label,
         reference_eta=ref_eta,
         tolerance_base=tolerance,
-        rows=rows,
+        rows=[one_row(metric, lab, eta) for metric in aligned.metrics for lab, eta in others],
     )

@@ -1,12 +1,14 @@
-"""Dense float64 helpers shared by the dynamics, metrics and comparison code.
+"""Dense float64 kernels of the Euler step and the metric pass.
 
-Thin wrappers over numpy that pin the dtype and shape conventions and raise
-structured errors instead of letting broadcasting paper over mistakes.
-Matrices are 2-D float64 arrays, row-major, one sample per row where a batch
-is involved. Nothing mutates its inputs. matmul and outer_mean return a
-fresh array; outer_mean scales its product in place rather than allocating
-a second one. The norm and cosine reduce to Python floats through one dot
-product per operand, with no intermediate array.
+matmul, outer_mean, the Frobenius norm and the flattened cosine: the four
+operations the dynamics and the metrics run on every step. The three that
+take two operands check their shapes and raise ShapeMismatchError instead
+of letting broadcasting paper over a mistake. Matrices are 2-D float64
+arrays, row-major, one sample per row where a batch is involved. Nothing
+mutates its inputs. matmul and outer_mean return a fresh array; outer_mean scales
+its product in place rather than allocating a second one. The norm and
+cosine reduce to Python floats through one dot product per operand, with
+no intermediate array.
 """
 
 from __future__ import annotations
@@ -30,18 +32,6 @@ class ShapeMismatchError(ValueError):
 
 class UndefinedCosineError(ValueError):
     """Cosine requested against a zero-norm operand."""
-
-
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a fresh 2-D float64 array and reject non-finite entries."""
-    m = np.array(values, dtype=np.float64, order="C")
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    if m.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -90,29 +80,3 @@ def cosine_flat(a: np.ndarray, b: np.ndarray) -> float:
         raise UndefinedCosineError("cosine undefined for zero-norm operand")
     c = float(np.dot(a.ravel(), b.ravel()) / (na * nb))
     return c if math.isnan(c) else min(1.0, max(-1.0, c))
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeMismatchError("add", a.shape, b.shape)
-    return a + b
-
-
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeMismatchError("sub", a.shape, b.shape)
-    return a - b
-
-
-def scale(m: np.ndarray, c: float) -> np.ndarray:
-    return m * float(c)
-
-
-def elementwise(m: np.ndarray, f) -> np.ndarray:
-    """Apply a scalar map to every entry. f sees and returns Python floats."""
-    out = np.empty_like(m, dtype=np.float64)
-    flat_in = m.ravel()
-    flat_out = out.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = f(float(flat_in[i]))
-    return out

@@ -29,19 +29,6 @@ def entropy_step(Z: np.ndarray, dD: np.ndarray, scratch: np.ndarray | None = Non
     return float(-np.multiply(Z, dD, out=scratch).sum() / (LN2 * Z.shape[0]))
 
 
-def knowledge_flow(Z: np.ndarray, Z_prev: np.ndarray, dt: float) -> np.ndarray:
-    """Discrete knowledge velocity (Z_k - Z_{k-1}) / dt."""
-    if Z.shape != Z_prev.shape:
-        raise linalg.ShapeMismatchError("knowledge_flow", Z.shape, Z_prev.shape)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    return (Z - Z_prev) / dt
-
-
-def flow_norm(Z: np.ndarray, Z_prev: np.ndarray, dt: float) -> float:
-    return linalg.frobenius_norm(knowledge_flow(Z, Z_prev, dt))
-
-
 def net_step(D: np.ndarray, G: np.ndarray, dZ: np.ndarray,
              scratch: np.ndarray | None = None) -> float:
     """Single-step tensor net mean_samples sum_units (D - G) * dZ.
@@ -88,7 +75,6 @@ class TrajectoryTrace:
     flow_norm: np.ndarray
     net_step: np.ndarray
     net_cum: np.ndarray
-    normalized: bool = False
     unit_paths: dict = field(default_factory=dict)
 
     @property

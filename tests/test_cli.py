@@ -237,6 +237,53 @@ def test_variational_units_must_be_triples(tmp_path, capsys):
     assert "layer, unit, sample" in capsys.readouterr().err
 
 
+# ------------------------------------------------------- error boundary ---
+
+
+def _with(cfg, section, **keys):
+    return dict(cfg, **{section: dict(cfg[section], **keys)})
+
+
+BAD_INPUTS = {
+    "dt-nan": ("train", _with(TRAIN_CFG, "run", dt=float("nan")), "run.dt"),
+    "init-std-scale-nan": ("train", _with(TRAIN_CFG, "network", init_std_scale=float("nan")),
+                           "network.init_std_scale"),
+    "input-width-mismatch": ("train", _with(TRAIN_CFG, "network", layer_sizes=[5, 3]),
+                             "incompatible shapes"),
+    "batch-exceeds-dataset": ("train", _with(TRAIN_CFG, "data", batch={"size": 100}),
+                              "exceeds dataset size"),
+    "one-eta": ("invariance", _with(INV_CFG, "invariance", eta_list=[0.02]), "two step sizes"),
+    "unknown-metric": ("invariance", _with(INV_CFG, "invariance", metrics=["bogus"]), "bogus"),
+    "unit-out-of-range": ("variational-check", {"run": {"dt": 0.05, "steps": 4},
+                                                "variational": {"units": [[0, 5, 0]]}},
+                          "unit 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
+    command, cfg, needle = BAD_INPUTS[case]
+    path = _write_cfg(tmp_path, cfg)
+    rc = main([command, "--config", path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and needle in err
+
+
+def test_corrupt_manifest_exits_2_with_one_line(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_text('{"command": "train",')
+    rc = main(["report", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "manifest.json" in err
+
+
+def test_data_keys_of_another_source_are_rejected(tmp_path, capsys):
+    rc, _ = _train(tmp_path, _with(TRAIN_CFG, "data", value=0.5))
+    assert rc == 2
+    assert "data.value" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ entry point ---
 
 

@@ -20,7 +20,6 @@ from ska.invariance import (
     InvarianceSpec,
     _interp_column,
     compare,
-    normalize_trace,
     resample_common_grid,
     run_family,
     steps_for,
@@ -82,26 +81,6 @@ def test_spec_rejects_bad_inputs():
         InvarianceSpec(**{**good, "total_time": 0.0})
     with pytest.raises(InvarianceError, match="unknown comparison metric"):
         InvarianceSpec(**{**good, "metrics": ("z_norm", "z_norms")})
-
-
-# ------------------------------------------------------- normalization ---
-
-
-def test_normalize_trace_divides_per_step_columns_by_eta():
-    rng = np.random.default_rng(1)
-    cols = {name: rng.normal(size=(4, 2)) for name in
-            ("entropy_step", "net_step", "entropy_cum", "cosine", "net_cum")}
-    trace = _trace(0.05, 4, cols, n_layers=2)
-    out = normalize_trace(trace)
-    np.testing.assert_array_equal(out.entropy_step, cols["entropy_step"] / 0.05)
-    np.testing.assert_array_equal(out.net_step, cols["net_step"] / 0.05)
-    # cumulative and dimensionless columns stay put
-    np.testing.assert_array_equal(out.entropy_cum, cols["entropy_cum"])
-    np.testing.assert_array_equal(out.cosine, cols["cosine"])
-    np.testing.assert_array_equal(out.net_cum, cols["net_cum"])
-    assert out.normalized and not trace.normalized
-    # the source trace was not mutated
-    np.testing.assert_array_equal(trace.entropy_step, cols["entropy_step"])
 
 
 # -------------------------------------------------------- interpolation ---

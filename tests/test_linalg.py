@@ -101,40 +101,3 @@ def test_cosine_flat_errors():
         linalg.cosine_flat(np.ones((2, 2)), np.zeros((2, 2)))
     with pytest.raises(linalg.ShapeMismatchError):
         linalg.cosine_flat(np.ones((2, 2)), np.ones((2, 3)))
-
-
-def test_add_sub_round_trip():
-    rng = np.random.default_rng(16)
-    a = rng.standard_normal((6, 3))
-    b = rng.standard_normal((6, 3))
-    np.testing.assert_allclose(linalg.sub(linalg.add(a, b), b), a, rtol=0, atol=1e-15)
-    with pytest.raises(linalg.ShapeMismatchError):
-        linalg.add(a, b.T)
-    with pytest.raises(linalg.ShapeMismatchError):
-        linalg.sub(a, b[:3])
-
-
-def test_scale_and_elementwise():
-    rng = np.random.default_rng(17)
-    m = rng.standard_normal((4, 5))
-    np.testing.assert_allclose(linalg.scale(m, -2.5), -2.5 * m, rtol=1e-15)
-    doubled = linalg.elementwise(m, lambda v: 2.0 * v)
-    np.testing.assert_allclose(doubled, 2.0 * m, rtol=1e-15)
-    # elementwise must not mutate its input
-    before = m.copy()
-    linalg.elementwise(m, lambda v: 0.0)
-    np.testing.assert_array_equal(m, before)
-
-
-def test_as_matrix_coercion_and_finite_check():
-    m = linalg.as_matrix([1.0, 2.0, 3.0])
-    assert m.shape == (1, 3)
-    assert m.dtype == np.float64
-    src = np.ones((2, 2))
-    copy = linalg.as_matrix(src)
-    copy[0, 0] = 7.0
-    assert src[0, 0] == 1.0
-    with pytest.raises(ValueError, match="finite"):
-        linalg.as_matrix([[1.0, float("nan")]])
-    with pytest.raises(ValueError, match="2-D"):
-        linalg.as_matrix(np.ones((2, 2, 2)))

@@ -17,7 +17,6 @@ from ska.metrics import (
     TrajectoryTrace,
     cosine_alignment,
     crossing_positions,
-    flow_norm,
 )
 
 ENTROPY_EXAMPLE = -0.14426950408889634
@@ -72,23 +71,6 @@ def test_net_step_matches_loop_oracle():
 def test_net_step_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         ska.net_step(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-def test_knowledge_flow_definition_and_dt_halving():
-    rng = np.random.default_rng(7)
-    Z = rng.normal(size=(4, 3))
-    Zp = rng.normal(size=(4, 3))
-    np.testing.assert_array_equal(ska.knowledge_flow(Z, Zp, 0.1), (Z - Zp) / 0.1)
-    # halving dt doubles the norm exactly (power-of-two scaling)
-    assert flow_norm(Z, Zp, 0.05) == 2.0 * flow_norm(Z, Zp, 0.1)
-
-
-def test_knowledge_flow_rejects_bad_arguments():
-    Z = np.zeros((2, 2))
-    with pytest.raises(ValueError, match="dt"):
-        ska.knowledge_flow(Z, Z, 0.0)
-    with pytest.raises(ShapeMismatchError):
-        ska.knowledge_flow(Z, np.zeros((2, 3)), 0.1)
 
 
 def test_cosine_alignment_gap_is_nan():
