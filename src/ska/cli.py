@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, charts
 from .data import Dataset, constant_dataset, from_idx, glyph_dataset, synthetic_blobs
-from .dynamics import NetworkConfig, init_network, run
+from .dynamics import NetworkConfig, bounded_steps, init_network, run
 from .invariance import (
     COMPARE_METRICS,
     InvarianceSpec,
@@ -177,8 +177,7 @@ def _check_rules(c: dict) -> None:
         # both allowed only when consistent, so manifests re-load cleanly
         if None not in (steps, total) and abs(total - dt * steps) > 1e-9 * max(1.0, abs(total)):
             raise ConfigError("run.steps and run.total_time disagree")
-        if steps is None:
-            steps = int(round(total / dt))
+        steps = bounded_steps(total / dt if steps is None else steps, "run window")
         if steps < 1:
             raise ConfigError("run window is shorter than one step")
         run_cfg.update(steps=steps, total_time=dt * steps)
@@ -186,6 +185,8 @@ def _check_rules(c: dict) -> None:
         raise ConfigError("invariance runs compare full-batch trajectories only")
     if "variational" in c and any(len(u) != 3 for u in c["variational"]["units"]):
         raise ConfigError("variational.units entries must be [layer, unit, sample]")
+    if "variational" in c and c["variational"]["dt_halving"]:
+        bounded_steps(2 * c["run"]["steps"], "run window at dt/2")
 
 
 def resolve_config(args) -> dict:
@@ -542,17 +543,34 @@ def cmd_variational(args, c: dict, t0: float) -> int:
     return 0
 
 
+def _fields(obj, where: str, keys) -> dict:
+    """obj, checked to be a JSON object that holds every one of keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ConfigError(f"{where} has no key {key}")
+    return obj
+
+
+def _items(obj, where: str, keys) -> list:
+    """obj, checked to be a JSON list of objects that each hold every one of keys."""
+    if not isinstance(obj, list):
+        raise ConfigError(f"{where} must be a JSON list")
+    return [_fields(item, f"{where}[{i}]", keys) for i, item in enumerate(obj)]
+
+
 def cmd_report(args) -> int:
     out_dir = args.out
     manifest = load_config(out_dir / "manifest.json")
     command = manifest.get("command", "?")
-    cfg = manifest.get("config", {})
-    resolved = manifest.get("resolved", {})
     print(f"ska {manifest.get('version', '?')} {command} run in {out_dir}")
 
     if command == "train":
-        print(f"characteristic time eta*K = {resolved.get('eta_times_K')}")
-        print(f"layers: {resolved.get('layers')}, samples: {resolved.get('samples')}")
+        resolved = _fields(manifest.get("resolved"), "manifest.json resolved",
+                           ("eta_times_K", "layers", "samples"))
+        print(f"characteristic time eta*K = {resolved['eta_times_K']}")
+        print(f"layers: {resolved['layers']}, samples: {resolved['samples']}")
         markers_path = out_dir / "markers.csv"
         if markers_path.exists():
             by_layer = {}
@@ -571,14 +589,18 @@ def cmd_report(args) -> int:
                 print(f"layer {layer}: " + "; ".join(parts))
         print("PASS")
     elif command == "invariance":
-        inv = cfg.get("invariance", {})
-        print(f"characteristic time eta*K = {inv.get('total_time')}")
+        cfg = _fields(manifest.get("config"), "manifest.json config", ("invariance",))
+        inv = _fields(cfg["invariance"], "manifest.json config.invariance", ("total_time",))
+        print(f"characteristic time eta*K = {inv['total_time']}")
         report = load_config(out_dir / "invariance_report.json")
         if report.get("incomparable"):
             print("comparison refused: " + report.get("reason", "incomparable setup"))
             print("FAIL")
             return 1
-        for row in report["rows"]:
+        _fields(report, "invariance_report.json", ("rows", "all_pass"))
+        rows = _items(report["rows"], "invariance_report.json rows",
+                      ("metric", "run", "rel_dev", "tolerance", "passed"))
+        for row in rows:
             word = {True: "pass", False: "FAIL", None: "incomparable"}[row["passed"]]
             rel = "nan" if row["rel_dev"] is None else f"{row['rel_dev']:.4f}"
             print(f"{row['metric']} {row['run']}: rel_dev {rel} "
@@ -586,15 +608,23 @@ def cmd_report(args) -> int:
         print("PASS" if report["all_pass"] else "FAIL")
         return 0 if report["all_pass"] else 1
     elif command == "variational-check":
-        print(f"characteristic time eta*K = {resolved.get('eta_times_K')}")
-        report = load_config(out_dir / "variational_report.json")
-        for unit in report["units"]:
+        resolved = _fields(manifest.get("resolved"), "manifest.json resolved", ("eta_times_K",))
+        print(f"characteristic time eta*K = {resolved['eta_times_K']}")
+        report = _fields(load_config(out_dir / "variational_report.json"),
+                         "variational_report.json", ("units",))
+        units = _items(report["units"], "variational_report.json units",
+                       ("selection", "action_entropy", "entropy_by_definition",
+                        "el_residual_max", "net_identity_crossings"))
+        for i, unit in enumerate(units):
             sel = unit["selection"]
             print(f"unit {sel}: action {unit['action_entropy']:.6g}, "
                   f"entropy {unit['entropy_by_definition']:.6g}, "
                   f"el residual {unit['el_residual_max']:.3g}"
                   + (f", order {unit['el_order']:.2f}" if unit.get("el_order") is not None else ""))
-            for c in unit["net_identity_crossings"]:
+            crossings = _items(unit["net_identity_crossings"],
+                               f"variational_report.json units[{i}].net_identity_crossings",
+                               ("time", "residual"))
+            for c in crossings:
                 print(f"  crossing t = {c['time']:.4g}: net identity residual {c['residual']:.3g}")
         print("PASS")
     else:

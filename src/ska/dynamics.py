@@ -33,6 +33,10 @@ from .data import Dataset, take_batch
 
 LN2 = float(np.log(2.0))
 
+# Most steps one run may take. The trace keeps seven float64 columns of
+# (steps, layers), 56 MB per layer at this bound.
+MAX_STEPS = 1_000_000
+
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic map, exact in both tails, without branches.
@@ -79,6 +83,15 @@ def entropy_primitive(z) -> np.ndarray:
     return -(z * sigmoid(z) - np.logaddexp(0.0, z) + LN2) / LN2
 
 
+def bounded_steps(k, what: str) -> int:
+    """k rounded to a step count, or ValueError naming what when k is not
+    finite or exceeds MAX_STEPS. A window too long to trace then stops here
+    instead of in int() or while the trace is allocated."""
+    if not k <= MAX_STEPS:
+        raise ValueError(f"{what}: {k} steps exceed the limit of {MAX_STEPS}")
+    return int(round(k))
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture plus integration parameters.
@@ -117,39 +130,41 @@ class NetworkConfig:
 
 
 @dataclass
-class Workspace:
-    """Per-layer buffers one step writes in place, each shaped like Z.
-
-    G holds the entropy gradient, dZ and dD the increments against the
-    previous snapshot, and scratch one temporary block: 1 - D while the
-    gradient is formed, then the elementwise products of the metric pass.
-    """
-
-    G: np.ndarray
-    dZ: np.ndarray
-    dD: np.ndarray
-    scratch: np.ndarray
-
-
-@dataclass
 class LayerState:
-    """Weights, the current and previous forward snapshots of one layer, and
-    the step workspace, allocated on the first step. The increments need
-    every step's batch to have one shape, so the workspace keeps it too."""
+    """Weights and the step buffers of one layer, each buffer shaped like Z.
+
+    Z and D are the current forward snapshot. forward() rotates the previous
+    one into prev_Z and prev_D, and step() then writes the increments
+    Z - prev_Z and D - prev_D over them, so after a step prev_Z and prev_D
+    hold dZ and dD. G holds the entropy gradient and scratch is this layer's
+    view of the network's shared scratch block; both are allocated on the
+    first step, which also fixes the batch shape every later step must keep.
+    """
 
     W: np.ndarray
     Z: np.ndarray | None = None
     D: np.ndarray | None = None
     prev_Z: np.ndarray | None = None
     prev_D: np.ndarray | None = None
-    work: Workspace | None = None
+    G: np.ndarray | None = None
+    scratch: np.ndarray | None = None
 
 
 @dataclass
 class Network:
+    """Config, layers and the count of steps taken.
+
+    scratch is one block sized to the largest layer's Z, allocated on the
+    first step; every layer's scratch is a view of it. One block serves
+    them all because step() and TraceAccumulator.add visit the layers one
+    at a time. A StepRecord stays valid until the next step(), whose
+    increments overwrite its Z and D.
+    """
+
     config: NetworkConfig
     layers: list
     step_index: int = 0
+    scratch: np.ndarray | None = None
 
 
 @dataclass
@@ -157,11 +172,13 @@ class StepRecord:
     """Everything one step produced, per layer, for the metrics stage.
 
     dZ and dD are None at the seeding step (k = 0), where no previous
-    forward snapshot exists yet. G, dZ, dD and scratch alias the network's
-    workspace: they stay valid until the next step() overwrites them, and
-    scratch is free for the consumer to overwrite. Z and D are the layers'
-    own snapshots, which the next step rotates into prev_Z/prev_D and the
-    step after that releases; they are never written in place.
+    forward snapshot exists yet. Every array aliases a buffer of the
+    network, and the record is valid until the next step(): that step
+    writes its increments over this record's Z and D (the next record's dZ
+    and dD are this record's Z and D objects) and its gradient pass over G
+    and scratch. scratch is free for the consumer to overwrite. Holding a
+    record past the next step() keeps its dZ and dD alive alongside the
+    next forward snapshot, which is why run() drops each record first.
     """
 
     k: int
@@ -218,9 +235,9 @@ def step(net: Network, X: np.ndarray, dt: float | None = None) -> StepRecord:
     Every layer's gradient and input come from the snapshot the forward pass
     just produced, and neither depends on any weight, so updating each layer
     in place as soon as its gradient is known leaves the step simultaneous:
-    shallower layers are never contaminated by deeper ones. Gradients and
-    increments are written into each layer's workspace and the update is
-    subtracted in place, so a step allocates only the new snapshot (Z, D)
+    shallower layers are never contaminated by deeper ones. The gradient is
+    written into G, the increments over the retired snapshot, and the update
+    is subtracted in place, so a step allocates only the new snapshot (Z, D)
     and the update block. With dt = 0 the weights are left untouched.
     """
     if dt is None:
@@ -228,28 +245,30 @@ def step(net: Network, X: np.ndarray, dt: float | None = None) -> StepRecord:
     had_prev = net.step_index >= 1
     forward(net, X)
     inp = np.ascontiguousarray(X, dtype=np.float64)
-    for layer in net.layers:
-        if layer.work is None:
-            layer.work = Workspace(*(np.empty_like(layer.Z) for _ in range(4)))
-        ws = layer.work
-        entropy_gradient(layer.Z, layer.D, out=ws.G, scratch=ws.scratch)
+    layers = net.layers
+    if net.scratch is None:
+        net.scratch = np.empty(max(l.Z.size for l in layers))
+        for layer in layers:
+            layer.G = np.empty_like(layer.Z)
+            layer.scratch = net.scratch[:layer.Z.size].reshape(layer.Z.shape)
+    for layer in layers:
+        entropy_gradient(layer.Z, layer.D, out=layer.G, scratch=layer.scratch)
         if dt != 0.0:
-            upd = linalg.outer_mean(ws.G, inp)
+            upd = linalg.outer_mean(layer.G, inp)
             upd *= dt
             layer.W -= upd
         if had_prev:
-            np.subtract(layer.Z, layer.prev_Z, out=ws.dZ)
-            np.subtract(layer.D, layer.prev_D, out=ws.dD)
+            np.subtract(layer.Z, layer.prev_Z, out=layer.prev_Z)
+            np.subtract(layer.D, layer.prev_D, out=layer.prev_D)
         inp = layer.D
-    works = [l.work for l in net.layers]
     rec = StepRecord(
         k=net.step_index,
-        Z=[l.Z for l in net.layers],
-        D=[l.D for l in net.layers],
-        G=[w.G for w in works],
-        dZ=[w.dZ for w in works] if had_prev else None,
-        dD=[w.dD for w in works] if had_prev else None,
-        scratch=[w.scratch for w in works],
+        Z=[l.Z for l in layers],
+        D=[l.D for l in layers],
+        G=[l.G for l in layers],
+        dZ=[l.prev_Z for l in layers] if had_prev else None,
+        dD=[l.prev_D for l in layers] if had_prev else None,
+        scratch=[l.scratch for l in layers],
     )
     net.step_index += 1
     return rec
@@ -295,6 +314,9 @@ def run(
                 paths[sel][k] = rec.Z[layer_i][sample_i, unit_i]
         if k >= 1:
             acc.add(rec)
+        # A record still held at the next step would keep its increments
+        # alive through that forward pass, beside the snapshot it allocates.
+        del rec
     trace = acc.finish()
     trace.unit_paths = paths
     return trace

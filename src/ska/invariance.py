@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .dynamics import NetworkConfig, init_network, run
+from .dynamics import NetworkConfig, bounded_steps, init_network, run
 from .metrics import TrajectoryTrace
 
 DEFAULT_ETAS = (0.02, 0.01, 0.005, 0.0033, 0.0025, 0.001)
@@ -87,7 +87,7 @@ class FamilyRun:
 def steps_for(total_time: float, eta: float) -> int:
     """Rounded step count for the window; the realized eta*K may differ
     slightly from total_time (the mismatch is logged, never hidden)."""
-    k = int(round(total_time / eta))
+    k = bounded_steps(total_time / eta, f"eta {eta} over T = {total_time}")
     if k < 2:
         raise InvarianceError(
             f"eta {eta} gives only {k} steps over T = {total_time}; need at least 2"

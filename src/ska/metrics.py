@@ -45,10 +45,11 @@ def net_step(D: np.ndarray, G: np.ndarray, dZ: np.ndarray,
     return float(prod.sum() / D.shape[0])
 
 
-def cosine_alignment(Z: np.ndarray, dD: np.ndarray) -> float:
-    """Cosine between flattened Z and dD, NaN when undefined."""
+def cosine_alignment(Z: np.ndarray, dD: np.ndarray, norm_z: float | None = None) -> float:
+    """Cosine between flattened Z and dD, NaN when undefined. norm_z, when
+    given, is frobenius_norm(Z), already computed by the caller."""
     try:
-        return linalg.cosine_flat(Z, dD)
+        return linalg.cosine_flat(Z, dD, norm_a=norm_z)
     except linalg.UndefinedCosineError:
         return float("nan")
 
@@ -107,7 +108,12 @@ _COLUMNS = (
 
 
 class TraceAccumulator:
-    """Consumes StepRecords k = 1..K and assembles the trace arrays."""
+    """Consumes StepRecords k = 1..K and assembles the trace arrays.
+
+    add() must see each record before the next step() overwrites it, and it
+    visits the layers one at a time, so their scratch views may share one
+    block.
+    """
 
     def __init__(self, config: NetworkConfig):
         self.config = config
@@ -129,9 +135,10 @@ class TraceAccumulator:
         for l in range(self.config.n_layers):
             Z, D, G = rec.Z[l], rec.D[l], rec.G[l]
             dZ, dD, S = rec.dZ[l], rec.dD[l], scratch[l]
+            zn = linalg.frobenius_norm(Z)
             self._es[row, l] = entropy_step(Z, dD, S)
-            self._cos[row, l] = cosine_alignment(Z, dD)
-            self._zn[row, l] = linalg.frobenius_norm(Z)
+            self._cos[row, l] = cosine_alignment(Z, dD, zn)
+            self._zn[row, l] = zn
             self._fn[row, l] = linalg.frobenius_norm(dZ) / self.config.dt
             self._ns[row, l] = net_step(D, G, dZ, S)
         self._seen += 1

@@ -3,15 +3,21 @@
 perfbench/tracer.py wraps every function its WRAPPED table lists at
 ska.<layer>, and perfbench/child.py calls a few ska.cli functions and
 replaces the module-global run in ska.cli and ska.invariance. Both files
-are only read here. A function pruned or renamed under one of these names
-would break the traced benchmark run; these checks fail first.
+are only read here. A function pruned or renamed under one of these names,
+or a call count that no longer follows perfbench/workloads.py, would break
+the traced benchmark run; these checks fail first.
 """
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
 
 import ska.cli
 import ska.invariance
@@ -75,3 +81,27 @@ def test_runs_go_through_the_module_global_run(tmp_path, monkeypatch):
         assert ska.cli.main([command, "--config", str(path), "--out", str(tmp_path / command)]) in (0, 1)
     # train: one run; variational-check: dt and dt/2; invariance: one per eta
     assert calls == ["ska.cli"] * 3 + ["ska.invariance"] * 2
+
+
+def test_traced_child_makes_the_calls_the_config_implies(tmp_path):
+    """A miniature glyph-train iteration through child.py --traced, checked
+    as run.py --trace 1 checks it: every count expected_counts derives from
+    the config, and no wrapped call raised."""
+    cfg = {"seed": 10, "network": {"layer_sizes": [784, 6, 3], "init_std_scale": 0.15},
+           "run": {"dt": 0.01, "steps": 3}, "data": {"source": "glyphs", "n": 16, "seed": 7}}
+    config, result_path = tmp_path / "config.json", tmp_path / "result.json"
+    config.write_text(json.dumps(cfg))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "glyph-train", str(config),
+         str(tmp_path / "out"), str(result_path), "--traced"],
+        env=env, capture_output=True, text=True, timeout=120)
+    result = json.loads(result_path.read_text())
+    assert result["ok"], result.get("error") or proc.stderr
+    assert result["errors"] == {}
+    with np.load(result_path.with_suffix(".npz")) as spans:
+        layers = _load("tracer").layer_metrics(spans, result["work"], result["errors"])
+    expected = _load("workloads").expected_counts("glyph-train", cfg)
+    assert {k: layers[k] for k in expected} == expected

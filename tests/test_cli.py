@@ -257,6 +257,13 @@ BAD_INPUTS = {
     "unit-out-of-range": ("variational-check", {"run": {"dt": 0.05, "steps": 4},
                                                 "variational": {"units": [[0, 5, 0]]}},
                           "unit 5"),
+    "window-overflows": ("train", dict(TRAIN_CFG, run={"dt": 1e-310, "total_time": 1.0}),
+                         "steps exceed the limit"),
+    "steps-over-limit": ("train", _with(TRAIN_CFG, "run", steps=10**7), "steps exceed the limit"),
+    "eta-window-overflows": ("invariance", _with(INV_CFG, "invariance", eta_list=[1e-310, 0.1]),
+                             "steps exceed the limit"),
+    "halved-window-over-limit": ("variational-check", {"run": {"dt": 0.001, "steps": 600000}},
+                                 "run window at dt/2"),
 }
 
 
@@ -276,6 +283,30 @@ def test_corrupt_manifest_exits_2_with_one_line(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "manifest.json" in err
+
+
+# A finished run directory whose JSON parses but lacks a key report reads.
+BAD_RUN_DIRS = {
+    "train": ({"command": "train", "resolved": {"eta_times_K": 0.3, "layers": 2}}, None,
+              "samples"),
+    "invariance": ({"command": "invariance", "config": {"invariance": {"total_time": 0.2}}},
+                   ("invariance_report.json", {}), "rows"),
+    "variational-check": ({"command": "variational-check", "resolved": {"eta_times_K": 0.2}},
+                          ("variational_report.json", {"units": [{"selection": [0, 0, 0]}]}),
+                          "action_entropy"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_RUN_DIRS))
+def test_report_on_incomplete_run_exits_2_with_one_line(tmp_path, capsys, command):
+    manifest, report, needle = BAD_RUN_DIRS[command]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    if report is not None:
+        (tmp_path / report[0]).write_text(json.dumps(report[1]))
+    rc = main(["report", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and needle in err
 
 
 def test_data_keys_of_another_source_are_rejected(tmp_path, capsys):

@@ -8,6 +8,7 @@ h(1)        = -0.16005846201683078
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,11 +240,13 @@ def test_step_record_shapes_and_seed_semantics():
     rec0 = ska.step(net, X)
     assert rec0.k == 0
     assert rec0.dZ is None and rec0.dD is None
+    # a record is valid until the next step, which writes dZ over its Z
+    z0 = rec0.Z[0].copy()
     rec1 = ska.step(net, X)
     assert rec1.k == 1
     assert rec1.dZ[0].shape == (5, 3) and rec1.dD[1].shape == (5, 2)
     # dZ really is the difference of consecutive pre-activations
-    np.testing.assert_array_equal(rec1.dZ[0], rec1.Z[0] - rec0.Z[0])
+    np.testing.assert_array_equal(rec1.dZ[0], rec1.Z[0] - z0)
 
 
 def test_step_reuses_workspace_and_updates_weights_in_place():
@@ -251,24 +254,63 @@ def test_step_reuses_workspace_and_updates_weights_in_place():
     net = ska.init_network(cfg)
     X = np.random.default_rng(9).uniform(0, 1, (6, 4))
     weights = [l.W for l in net.layers]
-    ska.step(net, X)
-    buffers = [(id(l.work.G), id(l.work.dZ), id(l.work.dD), id(l.work.scratch))
-               for l in net.layers]
+    prev = ska.step(net, X)
+    buffers = [(id(l.G), id(l.scratch)) for l in net.layers]
     for _ in range(3):
         rec = ska.step(net, X)
-        assert [(id(g), id(dz), id(dd)) for g, dz, dd in zip(rec.G, rec.dZ, rec.dD)] == [
-            b[:3] for b in buffers]
-        assert [(id(l.work.G), id(l.work.dZ), id(l.work.dD), id(l.work.scratch))
-                for l in net.layers] == buffers
+        assert [(id(g), id(s)) for g, s in zip(rec.G, rec.scratch)] == buffers
+        assert [(id(l.G), id(l.scratch)) for l in net.layers] == buffers
+        # the increments are written over the snapshot the step retired
+        assert all(dz is z for dz, z in zip(rec.dZ, prev.Z))
+        assert all(dd is d for dd, d in zip(rec.dD, prev.D))
         assert all(l.W is w for l, w in zip(net.layers, weights))
-    # once the workspace exists, dt = 0 still leaves every weight bit-identical
+        prev = rec
+    # once the buffers exist, dt = 0 still leaves every weight bit-identical
     before = [w.copy() for w in weights]
     ska.step(net, X, dt=0.0)
     for w0, layer in zip(before, net.layers):
         assert w0.tobytes() == layer.W.tobytes()
-    # increments need one batch shape throughout, as before the workspace
+    # increments need one batch shape throughout
     with pytest.raises(ValueError):
         ska.step(net, X[:2])
+
+
+def test_layers_share_one_scratch_block():
+    cfg = NetworkConfig(layer_sizes=(4, 3, 5, 2), dt=0.1, steps=1, seed=8)
+    net = ska.init_network(cfg)
+    rec = ska.step(net, np.random.default_rng(9).uniform(0, 1, (6, 4)))
+    assert net.scratch.size == 6 * 5
+    for layer, view in zip(net.layers, rec.scratch):
+        assert layer.scratch is view
+        assert view.shape == layer.Z.shape
+        assert np.shares_memory(view, net.scratch)
+        assert not np.shares_memory(view, layer.G)
+
+
+def test_step_working_set_is_five_blocks_per_layer():
+    """Peak memory a run allocates: the weights, five Z-sized blocks per
+    layer (Z, D, G and the retired snapshot pair that takes the
+    increments), the shared scratch block, and the transients of one layer
+    at a time: the new snapshot's sigmoid temporaries (a float block and a
+    bool mask) and the update block. The layout with separate increment
+    buffers and per-layer scratch peaks about 2.5 block-sets higher."""
+    sizes = (64, 128, 96, 32)
+    n = 512
+    cfg = NetworkConfig(layer_sizes=sizes, dt=0.05, steps=6, seed=3)
+    ds = ska.synthetic_blobs(n, sizes[0], 4, seed=1)
+    ska.run(ska.init_network(cfg), ds)  # lazy imports and caches, outside the count
+    tracemalloc.start()
+    try:
+        ska.run(ska.init_network(cfg), ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    blocks = [8 * n * s for s in sizes[1:]]
+    weights = [8 * a * b for a, b in zip(sizes[:-1], sizes[1:])]
+    largest = max(blocks)
+    slack = 64 * 1024  # Python objects and the (steps, layers) trace
+    bound = sum(weights) + 5 * sum(blocks) + largest + (largest + largest // 8) + max(weights)
+    assert peak <= bound + slack
 
 
 def test_update_uses_simultaneous_snapshot():

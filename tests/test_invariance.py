@@ -66,6 +66,8 @@ def test_steps_for_rounds_the_window():
     assert steps_for(0.5, 0.003) == 167
     with pytest.raises(InvarianceError, match="at least 2"):
         steps_for(0.1, 0.09)
+    with pytest.raises(ValueError, match="limit"):
+        steps_for(1.0, 1e-310)
 
 
 def test_spec_rejects_bad_inputs():

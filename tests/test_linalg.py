@@ -84,6 +84,8 @@ def test_cosine_flat_loop_oracle_and_clamp():
     den = math.sqrt(sum(float(x) ** 2 for x in a.ravel()))
     den *= math.sqrt(sum(float(y) ** 2 for y in b.ravel()))
     assert abs(linalg.cosine_flat(a, b) - num / den) < 1e-12
+    # a norm the caller already holds gives the same bits
+    assert linalg.cosine_flat(a, b, norm_a=linalg.frobenius_norm(a)) == linalg.cosine_flat(a, b)
     # parallel vectors must clamp, never exceed 1
     v = rng.standard_normal((1, 64))
     assert linalg.cosine_flat(v, 3.0 * v) == 1.0
