@@ -543,21 +543,32 @@ def cmd_variational(args, c: dict, t0: float) -> int:
     return 0
 
 
-def _fields(obj, where: str, keys) -> dict:
-    """obj, checked to be a JSON object that holds every one of keys."""
+# What a value cmd_report formats as a number, or reads as a verdict, must
+# be: the Python types json gives it, and their JSON name.
+NUMBER = ((int, float), "a number")
+NUMBER_OR_NULL = ((int, float, type(None)), "a number or null")
+VERDICT = ((bool, type(None)), "true, false or null")
+
+
+def _fields(obj, where: str, keys, kinds=None) -> dict:
+    """obj, checked to be a JSON object that holds every one of keys, where
+    each key of kinds that obj holds has a value of the kind given there."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object")
     for key in keys:
         if key not in obj:
             raise ConfigError(f"{where} has no key {key}")
+    for key, (types, name) in (kinds or {}).items():
+        if key in obj and not isinstance(obj[key], types):
+            raise ConfigError(f"{where} key {key} must be {name}, not {json.dumps(obj[key])}")
     return obj
 
 
-def _items(obj, where: str, keys) -> list:
-    """obj, checked to be a JSON list of objects that each hold every one of keys."""
+def _items(obj, where: str, keys, kinds=None) -> list:
+    """obj, checked to be a JSON list of objects that each pass _fields."""
     if not isinstance(obj, list):
         raise ConfigError(f"{where} must be a JSON list")
-    return [_fields(item, f"{where}[{i}]", keys) for i, item in enumerate(obj)]
+    return [_fields(item, f"{where}[{i}]", keys, kinds) for i, item in enumerate(obj)]
 
 
 def cmd_report(args) -> int:
@@ -599,7 +610,8 @@ def cmd_report(args) -> int:
             return 1
         _fields(report, "invariance_report.json", ("rows", "all_pass"))
         rows = _items(report["rows"], "invariance_report.json rows",
-                      ("metric", "run", "rel_dev", "tolerance", "passed"))
+                      ("metric", "run", "rel_dev", "tolerance", "passed"),
+                      {"rel_dev": NUMBER_OR_NULL, "tolerance": NUMBER, "passed": VERDICT})
         for row in rows:
             word = {True: "pass", False: "FAIL", None: "incomparable"}[row["passed"]]
             rel = "nan" if row["rel_dev"] is None else f"{row['rel_dev']:.4f}"
@@ -614,7 +626,9 @@ def cmd_report(args) -> int:
                          "variational_report.json", ("units",))
         units = _items(report["units"], "variational_report.json units",
                        ("selection", "action_entropy", "entropy_by_definition",
-                        "el_residual_max", "net_identity_crossings"))
+                        "el_residual_max", "net_identity_crossings"),
+                       {"action_entropy": NUMBER, "entropy_by_definition": NUMBER,
+                        "el_residual_max": NUMBER, "el_order": NUMBER_OR_NULL})
         for i, unit in enumerate(units):
             sel = unit["selection"]
             print(f"unit {sel}: action {unit['action_entropy']:.6g}, "
@@ -623,7 +637,7 @@ def cmd_report(args) -> int:
                   + (f", order {unit['el_order']:.2f}" if unit.get("el_order") is not None else ""))
             crossings = _items(unit["net_identity_crossings"],
                                f"variational_report.json units[{i}].net_identity_crossings",
-                               ("time", "residual"))
+                               ("time", "residual"), {"time": NUMBER, "residual": NUMBER})
             for c in crossings:
                 print(f"  crossing t = {c['time']:.4g}: net identity residual {c['residual']:.3g}")
         print("PASS")

@@ -37,6 +37,11 @@ LN2 = float(np.log(2.0))
 # (steps, layers), 56 MB per layer at this bound.
 MAX_STEPS = 1_000_000
 
+# Elements per block of the blocked sigmoid and gradient passes: one float64
+# block is 128 KiB, so a block's temporaries stay in cache, and neither pass
+# allocates a temporary the size of its input.
+SIGMOID_BLOCK = 1 << 14
+
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic map, exact in both tails, without branches.
@@ -46,27 +51,82 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     0 <= e <= 1, the numerator is max(z >= 0, e), so one pass over the
     array serves both signs and equals the sign-split form bit for bit. For
     |z| < 36 the result stays strictly inside (0, 1) in float64.
+
+    An array larger than SIGMOID_BLOCK is walked flat in blocks of that
+    many elements, so the pass allocates the output plus one block-sized
+    float temporary and one bool mask (and a flat copy of z when z is
+    neither C- nor F-contiguous).
     """
     z = np.asarray(z, dtype=np.float64)
-    e = np.abs(z, out=np.empty_like(z))
+    if z.size <= SIGMOID_BLOCK:
+        return _logistic(z, np.empty_like(z), np.empty_like(z), None)
+    order = _order(z)
+    out = np.empty(z.shape, order=order)
+    e = np.empty(SIGMOID_BLOCK)
+    mask = np.empty(SIGMOID_BLOCK, dtype=bool)
+    zf, of = z.ravel(order), out.ravel(order)
+    for blk in _blocks(zf.size):
+        o = of[blk]
+        _logistic(zf[blk], o, e[:o.size], mask[:o.size])
+    return out
+
+
+def _logistic(z, out, e, mask):
+    # The branch-free chain of sigmoid() over one block; e and mask are
+    # temporaries shaped like z (mask None allocates one).
+    np.abs(z, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(z >= 0.0, e, out=np.empty_like(z))
+    np.maximum(np.greater_equal(z, 0.0, mask), e, out=out)
     e += 1.0
     return np.divide(out, e, out=out)
 
 
-def entropy_gradient(
-    z: np.ndarray, d: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def _order(a: np.ndarray) -> str:
+    """The order, C or F, in which a flattens to a view if it is contiguous."""
+    return "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+
+
+def _blocks(n: int):
+    """Slices covering 0..n in runs of SIGMOID_BLOCK elements."""
+    return (slice(i, i + SIGMOID_BLOCK) for i in range(0, n, SIGMOID_BLOCK))
+
+
+def entropy_gradient(z: np.ndarray, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the layer entropy with respect to pre-activations.
 
     Closed form -(1/ln 2) * z * sigmoid'(z) with sigmoid'(z) = d * (1 - d),
     evaluated as ((z * d) * (1 - d)) / -ln 2. When given, out receives the
-    result and scratch holds 1 - d; both must have the shape of z.
+    result. Above SIGMOID_BLOCK elements z, d and out must share one shape,
+    out must be contiguous, and 1 - d is formed one block at a time, so the
+    only temporary is block-sized (z and d are copied flat only when laid
+    out unlike out).
     """
+    # Python scalars have no size and take the whole-array form, as arrays
+    # of one block or less do.
+    if getattr(z, "size", 0) <= SIGMOID_BLOCK:
+        return _gradient(z, d, out, None)
+    if out is None:
+        out = np.empty(z.shape, order=_order(z))
+    for other in (d, out):
+        if other.shape != z.shape:
+            raise linalg.ShapeMismatchError("entropy_gradient", z.shape, other.shape)
+    if not (out.flags.c_contiguous or out.flags.f_contiguous):
+        raise ValueError("entropy_gradient: out must be contiguous")
+    order = _order(out)
+    zf, df, of = z.ravel(order), d.ravel(order), out.ravel(order)
+    t = np.empty(SIGMOID_BLOCK)
+    for blk in _blocks(of.size):
+        o = of[blk]
+        _gradient(zf[blk], df[blk], o, t[:o.size])
+    return out
+
+
+def _gradient(z, d, out, t):
+    # The chain of entropy_gradient() over one block; t is a temporary
+    # shaped like z for 1 - d (None allocates one), out may be None.
     out = np.multiply(z, d, out=out)
-    out *= np.subtract(1.0, d, out=scratch)
+    out *= np.subtract(1.0, d, out=t)
     out /= -LN2
     return out
 
@@ -136,9 +196,9 @@ class LayerState:
     Z and D are the current forward snapshot. forward() rotates the previous
     one into prev_Z and prev_D, and step() then writes the increments
     Z - prev_Z and D - prev_D over them, so after a step prev_Z and prev_D
-    hold dZ and dD. G holds the entropy gradient and scratch is this layer's
-    view of the network's shared scratch block; both are allocated on the
+    hold dZ and dD. G holds the entropy gradient; it is allocated on the
     first step, which also fixes the batch shape every later step must keep.
+    These five are the step's only buffers the size of Z.
     """
 
     W: np.ndarray
@@ -147,24 +207,19 @@ class LayerState:
     prev_Z: np.ndarray | None = None
     prev_D: np.ndarray | None = None
     G: np.ndarray | None = None
-    scratch: np.ndarray | None = None
 
 
 @dataclass
 class Network:
     """Config, layers and the count of steps taken.
 
-    scratch is one block sized to the largest layer's Z, allocated on the
-    first step; every layer's scratch is a view of it. One block serves
-    them all because step() and TraceAccumulator.add visit the layers one
-    at a time. A StepRecord stays valid until the next step(), whose
-    increments overwrite its Z and D.
+    A StepRecord stays valid until the next step(), whose increments
+    overwrite its Z and D, and TraceAccumulator.add spends its dD and G.
     """
 
     config: NetworkConfig
     layers: list
     step_index: int = 0
-    scratch: np.ndarray | None = None
 
 
 @dataclass
@@ -175,10 +230,11 @@ class StepRecord:
     forward snapshot exists yet. Every array aliases a buffer of the
     network, and the record is valid until the next step(): that step
     writes its increments over this record's Z and D (the next record's dZ
-    and dD are this record's Z and D objects) and its gradient pass over G
-    and scratch. scratch is free for the consumer to overwrite. Holding a
-    record past the next step() keeps its dZ and dD alive alongside the
-    next forward snapshot, which is why run() drops each record first.
+    and dD are this record's Z and D objects) and its gradient pass over G.
+    TraceAccumulator.add spends the record: it writes its metric products
+    over dD and G, so read those two before add(). Holding a record past
+    the next step() keeps its dZ and dD alive alongside the next forward
+    snapshot, which is why run() drops each record first.
     """
 
     k: int
@@ -187,7 +243,6 @@ class StepRecord:
     G: list
     dZ: list | None
     dD: list | None
-    scratch: list | None = None
 
 
 def init_network(config: NetworkConfig) -> Network:
@@ -237,8 +292,9 @@ def step(net: Network, X: np.ndarray, dt: float | None = None) -> StepRecord:
     in place as soon as its gradient is known leaves the step simultaneous:
     shallower layers are never contaminated by deeper ones. The gradient is
     written into G, the increments over the retired snapshot, and the update
-    is subtracted in place, so a step allocates only the new snapshot (Z, D)
-    and the update block. With dt = 0 the weights are left untouched.
+    is subtracted in place, so a step allocates only the new snapshot (Z, D),
+    the update block and the block-sized temporaries of the sigmoid and
+    gradient passes. With dt = 0 the weights are left untouched.
     """
     if dt is None:
         dt = net.config.dt
@@ -246,13 +302,11 @@ def step(net: Network, X: np.ndarray, dt: float | None = None) -> StepRecord:
     forward(net, X)
     inp = np.ascontiguousarray(X, dtype=np.float64)
     layers = net.layers
-    if net.scratch is None:
-        net.scratch = np.empty(max(l.Z.size for l in layers))
+    if layers[0].G is None:
         for layer in layers:
             layer.G = np.empty_like(layer.Z)
-            layer.scratch = net.scratch[:layer.Z.size].reshape(layer.Z.shape)
     for layer in layers:
-        entropy_gradient(layer.Z, layer.D, out=layer.G, scratch=layer.scratch)
+        entropy_gradient(layer.Z, layer.D, out=layer.G)
         if dt != 0.0:
             upd = linalg.outer_mean(layer.G, inp)
             upd *= dt
@@ -268,7 +322,6 @@ def step(net: Network, X: np.ndarray, dt: float | None = None) -> StepRecord:
         G=[l.G for l in layers],
         dZ=[l.prev_Z for l in layers] if had_prev else None,
         dD=[l.prev_D for l in layers] if had_prev else None,
-        scratch=[l.scratch for l in layers],
     )
     net.step_index += 1
     return rec

@@ -12,6 +12,7 @@ never 0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -19,28 +20,30 @@ from . import linalg
 from .dynamics import LN2, NetworkConfig, StepRecord
 
 
-def entropy_step(Z: np.ndarray, dD: np.ndarray, scratch: np.ndarray | None = None) -> float:
+def entropy_step(Z: np.ndarray, dD: np.ndarray, out: np.ndarray | None = None) -> float:
     """Single-step layer entropy -(1/ln 2) * mean_samples sum_units Z * dD.
 
-    scratch, when given, receives the product Z * dD instead of a fresh array.
+    out, when given, receives the product Z * dD instead of a fresh array;
+    it may be dD itself, which then no longer holds the increment.
     """
     if Z.shape != dD.shape:
         raise linalg.ShapeMismatchError("entropy_step", Z.shape, dD.shape)
-    return float(-np.multiply(Z, dD, out=scratch).sum() / (LN2 * Z.shape[0]))
+    return float(-np.multiply(Z, dD, out=out).sum() / (LN2 * Z.shape[0]))
 
 
 def net_step(D: np.ndarray, G: np.ndarray, dZ: np.ndarray,
-             scratch: np.ndarray | None = None) -> float:
+             out: np.ndarray | None = None) -> float:
     """Single-step tensor net mean_samples sum_units (D - G) * dZ.
 
     D - G compares what a unit decided against how hard its entropy pushes
     it; weighting by the knowledge increment makes the running sum a
-    discrete line integral along the trajectory. scratch, when given,
-    receives (D - G) * dZ instead of a fresh array.
+    discrete line integral along the trajectory. out, when given, receives
+    (D - G) * dZ instead of a fresh array; it may be G itself, which then no
+    longer holds the gradient.
     """
     if not (D.shape == G.shape == dZ.shape):
         raise linalg.ShapeMismatchError("net_step", D.shape, dZ.shape)
-    prod = np.subtract(D, G, out=scratch)
+    prod = np.subtract(D, G, out=out)
     prod *= dZ
     return float(prod.sum() / D.shape[0])
 
@@ -111,8 +114,11 @@ class TraceAccumulator:
     """Consumes StepRecords k = 1..K and assembles the trace arrays.
 
     add() must see each record before the next step() overwrites it, and it
-    visits the layers one at a time, so their scratch views may share one
-    block.
+    spends the record: per layer it takes ||Z||, the cosine and ||dZ|| / dt
+    first, then writes Z * dD over dD and (D - G) * dZ over G, so the metric
+    pass allocates nothing the size of Z. A non-finite entropy, norm, flow
+    or net raises ValueError naming the step and the layer; a cosine that is
+    undefined or not finite stays a NaN gap.
     """
 
     def __init__(self, config: NetworkConfig):
@@ -131,16 +137,20 @@ class TraceAccumulator:
         if not 1 <= rec.k <= self.config.steps:
             raise ValueError(f"step index {rec.k} outside 1..{self.config.steps}")
         row = rec.k - 1
-        scratch = rec.scratch or [None] * self.config.n_layers
         for l in range(self.config.n_layers):
-            Z, D, G = rec.Z[l], rec.D[l], rec.G[l]
-            dZ, dD, S = rec.dZ[l], rec.dD[l], scratch[l]
+            Z, D, G, dZ, dD = rec.Z[l], rec.D[l], rec.G[l], rec.dZ[l], rec.dD[l]
             zn = linalg.frobenius_norm(Z)
-            self._es[row, l] = entropy_step(Z, dD, S)
             self._cos[row, l] = cosine_alignment(Z, dD, zn)
+            fn = linalg.frobenius_norm(dZ) / self.config.dt
+            es = entropy_step(Z, dD, out=dD)
+            ns = net_step(D, G, dZ, out=G)
+            if not (isfinite(es) and isfinite(zn) and isfinite(fn) and isfinite(ns)):
+                _raise_not_finite(rec.k, l, entropy_step=es, z_norm=zn, flow_norm=fn,
+                                  net_step=ns)
+            self._es[row, l] = es
             self._zn[row, l] = zn
-            self._fn[row, l] = linalg.frobenius_norm(dZ) / self.config.dt
-            self._ns[row, l] = net_step(D, G, dZ, S)
+            self._fn[row, l] = fn
+            self._ns[row, l] = ns
         self._seen += 1
 
     def finish(self) -> TrajectoryTrace:
@@ -162,6 +172,11 @@ class TraceAccumulator:
             net_step=self._ns,
             net_cum=np.cumsum(self._ns, axis=0),
         )
+
+
+def _raise_not_finite(k: int, layer: int, **values) -> None:
+    name = next(n for n, v in values.items() if not isfinite(v))
+    raise ValueError(f"step {k}, layer {layer}: {name} is {values[name]}, not finite")
 
 
 def crossing_positions(values: np.ndarray) -> list:

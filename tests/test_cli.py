@@ -262,11 +262,17 @@ BAD_INPUTS = {
     "steps-over-limit": ("train", _with(TRAIN_CFG, "run", steps=10**7), "steps exceed the limit"),
     "eta-window-overflows": ("invariance", _with(INV_CFG, "invariance", eta_list=[1e-310, 0.1]),
                              "steps exceed the limit"),
+    # weights stay finite, but the norms of Z and dZ overflow
+    "metrics-overflow": ("train", dict(TRAIN_CFG, network={"layer_sizes": [8, 4, 2]},
+                                       run={"dt": 1e300, "steps": 6},
+                                       data=dict(TRAIN_CFG["data"], dim=8)),
+                         "step 1, layer 0: z_norm is inf"),
     "halved-window-over-limit": ("variational-check", {"run": {"dt": 0.001, "steps": 600000}},
                                  "run window at dt/2"),
 }
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     command, cfg, needle = BAD_INPUTS[case]
@@ -294,6 +300,26 @@ BAD_RUN_DIRS = {
     "variational-check": ({"command": "variational-check", "resolved": {"eta_times_K": 0.2}},
                           ("variational_report.json", {"units": [{"selection": [0, 0, 0]}]}),
                           "action_entropy"),
+    # keys present, but holding values report cannot format
+    "invariance-null-tolerance": (
+        {"command": "invariance", "config": {"invariance": {"total_time": 0.2}}},
+        ("invariance_report.json",
+         {"all_pass": True, "rows": [{"metric": "cosine", "run": 1, "rel_dev": 0.01,
+                                      "tolerance": None, "passed": True}]}),
+        "rows[0] key tolerance must be a number, not null"),
+    "invariance-text-verdict": (
+        {"command": "invariance", "config": {"invariance": {"total_time": 0.2}}},
+        ("invariance_report.json",
+         {"all_pass": True, "rows": [{"metric": "cosine", "run": 1, "rel_dev": None,
+                                      "tolerance": 0.02, "passed": "yes"}]}),
+        'key passed must be true, false or null, not "yes"'),
+    "variational-check-text-time": (
+        {"command": "variational-check", "resolved": {"eta_times_K": 0.2}},
+        ("variational_report.json",
+         {"units": [{"selection": [0, 0, 0], "action_entropy": 0.1,
+                     "entropy_by_definition": 0.1, "el_residual_max": 1e-6,
+                     "net_identity_crossings": [{"time": "0.5", "residual": 0.0}]}]}),
+        'net_identity_crossings[0] key time must be a number, not "0.5"'),
 }
 
 

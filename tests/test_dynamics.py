@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ska
-from ska.dynamics import LN2, LayerState, NetworkConfig, StepRecord
+from ska.dynamics import LN2, SIGMOID_BLOCK, NetworkConfig
 
 SIG1 = 0.7310585786300049
 GRAD1 = -0.2836510610670778
@@ -74,11 +74,72 @@ def test_entropy_gradient_out_matches_fresh_bitwise():
     z = rng.standard_normal((17, 9)) * 4.0
     d = ska.sigmoid(z)
     fresh = ska.entropy_gradient(z, d)
-    out, scratch = np.empty_like(z), np.empty_like(z)
-    got = ska.entropy_gradient(z, d, out=out, scratch=scratch)
+    out = np.empty_like(z)
+    got = ska.entropy_gradient(z, d, out=out)
     assert got is out
     assert got.tobytes() == fresh.tobytes()
     assert fresh.tobytes() == (-(z * d * (1.0 - d)) / LN2).tobytes()
+
+
+def sigmoid_whole_array(z):
+    """The branch-free chain of sigmoid() over the whole array at once, with
+    its two full-size temporaries: the unblocked reference form."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(-np.abs(z))
+    return np.maximum(z >= 0.0, e) / (e + 1.0)
+
+
+def _blocking_inputs():
+    """Inputs around the block size: 1-d at SIGMOID_BLOCK - 1, + 0, + 1 and
+    3 * SIGMOID_BLOCK + 5 elements with special values spread through them
+    (block edges included), their transposed 2-d forms, a strided view, and
+    0-d arrays."""
+    B = SIGMOID_BLOCK
+    rng = np.random.default_rng(34)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0,
+                        36.0, -36.0, 5e-324, -5e-324, 1e300, -1e300])
+    shapes = {B - 1: (129, 127), B: (128, 128), B + 1: (113, 145), 3 * B + 5: None}
+    out = []
+    for n, shape in shapes.items():
+        z = rng.standard_normal(n) * 30.0
+        z[np.linspace(0, n - 1, special.size).astype(int)] = special
+        z[[i for i in (B - 1, B) if i < n]] = -np.inf
+        out.append(z)
+        if shape is not None:
+            out.append(z.reshape(shape).T)
+    out.append(out[-1][::2])
+    out.append(out[-1].reshape(-1, 1).T)
+    out += [np.array(v) for v in special]
+    return out
+
+
+def _same_bits(a, b):
+    """Bitwise equality; on 0-d values numpy's scalar and array arithmetic
+    may give a NaN opposite signs, so there any two NaNs match."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.tobytes() == b.tobytes() or (a.ndim == 0 and np.isnan(a) and np.isnan(b))
+
+
+@np.errstate(invalid="ignore")
+def test_blocked_passes_match_whole_array_forms_bitwise():
+    for z in _blocking_inputs():
+        s = ska.sigmoid(z)
+        assert s.shape == z.shape
+        assert s.tobytes() == sigmoid_whole_array(z).tobytes(), z.shape
+        if z.ndim == 2 and z.flags.f_contiguous:
+            assert s.flags.f_contiguous
+        d = sigmoid_whole_array(z)
+        # divided by -ln 2 rather than negated, so NaN signs match too
+        want = (z * d) * (1.0 - d) / -LN2
+        assert _same_bits(ska.entropy_gradient(z, d), want), z.shape
+        out = np.empty_like(z)
+        assert ska.entropy_gradient(z, d, out=out) is out
+        assert _same_bits(out, want), z.shape
+    big = np.zeros(SIGMOID_BLOCK + 1)
+    with pytest.raises(ska.linalg.ShapeMismatchError):
+        ska.entropy_gradient(big, big, out=np.empty(SIGMOID_BLOCK + 2))
+    with pytest.raises(ValueError, match="contiguous"):
+        ska.entropy_gradient(big, big, out=np.empty(2 * big.size)[::2])
 
 
 # ---------------------------------------------------------- gradient ---
@@ -255,11 +316,11 @@ def test_step_reuses_workspace_and_updates_weights_in_place():
     X = np.random.default_rng(9).uniform(0, 1, (6, 4))
     weights = [l.W for l in net.layers]
     prev = ska.step(net, X)
-    buffers = [(id(l.G), id(l.scratch)) for l in net.layers]
+    buffers = [id(l.G) for l in net.layers]
     for _ in range(3):
         rec = ska.step(net, X)
-        assert [(id(g), id(s)) for g, s in zip(rec.G, rec.scratch)] == buffers
-        assert [(id(l.G), id(l.scratch)) for l in net.layers] == buffers
+        assert [id(g) for g in rec.G] == buffers
+        assert [id(l.G) for l in net.layers] == buffers
         # the increments are written over the snapshot the step retired
         assert all(dz is z for dz, z in zip(rec.dZ, prev.Z))
         assert all(dd is d for dd, d in zip(rec.dD, prev.D))
@@ -275,25 +336,14 @@ def test_step_reuses_workspace_and_updates_weights_in_place():
         ska.step(net, X[:2])
 
 
-def test_layers_share_one_scratch_block():
-    cfg = NetworkConfig(layer_sizes=(4, 3, 5, 2), dt=0.1, steps=1, seed=8)
-    net = ska.init_network(cfg)
-    rec = ska.step(net, np.random.default_rng(9).uniform(0, 1, (6, 4)))
-    assert net.scratch.size == 6 * 5
-    for layer, view in zip(net.layers, rec.scratch):
-        assert layer.scratch is view
-        assert view.shape == layer.Z.shape
-        assert np.shares_memory(view, net.scratch)
-        assert not np.shares_memory(view, layer.G)
-
-
 def test_step_working_set_is_five_blocks_per_layer():
     """Peak memory a run allocates: the weights, five Z-sized blocks per
     layer (Z, D, G and the retired snapshot pair that takes the
-    increments), the shared scratch block, and the transients of one layer
-    at a time: the new snapshot's sigmoid temporaries (a float block and a
-    bool mask) and the update block. The layout with separate increment
-    buffers and per-layer scratch peaks about 2.5 block-sets higher."""
+    increments), and the transients of one layer at a time: the update
+    block and the sigmoid's block-sized temporaries (a float block and a
+    bool mask; the gradient's one float block is no larger). The first two
+    layers' Z span four and three sigmoid blocks, so a pass that allocated
+    a Z-sized temporary there would exceed the bound."""
     sizes = (64, 128, 96, 32)
     n = 512
     cfg = NetworkConfig(layer_sizes=sizes, dt=0.05, steps=6, seed=3)
@@ -307,9 +357,8 @@ def test_step_working_set_is_five_blocks_per_layer():
         tracemalloc.stop()
     blocks = [8 * n * s for s in sizes[1:]]
     weights = [8 * a * b for a, b in zip(sizes[:-1], sizes[1:])]
-    largest = max(blocks)
     slack = 64 * 1024  # Python objects and the (steps, layers) trace
-    bound = sum(weights) + 5 * sum(blocks) + largest + (largest + largest // 8) + max(weights)
+    bound = sum(weights) + 5 * sum(blocks) + max(weights) + 9 * SIGMOID_BLOCK
     assert peak <= bound + slack
 
 
@@ -432,13 +481,22 @@ def test_run_recorded_unit_starts_at_initial_network():
 
 
 def test_run_matches_reference_loop_bitwise():
-    """Every trace column equals an allocation-heavy loop over the formulas."""
-    cfg = NetworkConfig(layer_sizes=(6, 5, 4, 3), dt=0.05, steps=8, init_std_scale=2.0,
-                        seed=12)
+    """Every trace column equals an allocation-heavy loop over the formulas.
+    The 900-unit layer's Z (20 x 900) spans two sigmoid blocks, so the
+    blocked sigmoid and gradient and the metric pass that writes over dD
+    and G run against the reference too."""
     ds = ska.synthetic_blobs(20, 6, 3, seed=4)
-    trace = ska.run(ska.init_network(cfg), ds)
+    assert 20 * 900 > SIGMOID_BLOCK
+    for sizes in ((6, 5, 4, 3), (6, 900, 4, 3)):
+        cfg = NetworkConfig(layer_sizes=sizes, dt=0.05, steps=8, init_std_scale=2.0, seed=12)
+        trace = ska.run(ska.init_network(cfg), ds)
+        for name, want in reference_columns(cfg, ds.inputs).items():
+            assert np.array_equal(trace.column(name), want, equal_nan=True), (sizes, name)
 
-    X = ds.inputs
+
+def reference_columns(cfg, X):
+    """The trace columns of a run on X, by a loop that allocates fresh arrays
+    for every formula."""
     n, L, K = X.shape[0], cfg.n_layers, cfg.steps
     Ws = [l.W.copy() for l in ska.init_network(cfg).layers]
     cols = {c: np.full((K, L), np.nan) for c in
@@ -467,5 +525,4 @@ def test_run_matches_reference_loop_bitwise():
         prev = snap
     cols["entropy_cum"] = np.cumsum(cols["entropy_step"], axis=0)
     cols["net_cum"] = np.cumsum(cols["net_step"], axis=0)
-    for name, want in cols.items():
-        assert np.array_equal(trace.column(name), want, equal_nan=True), name
+    return cols

@@ -175,6 +175,58 @@ def test_trace_accumulator_finish_requires_all_steps():
         acc.finish()
 
 
+def test_add_spends_dD_and_G_and_matches_the_formulas():
+    """add() takes the norms and the cosine before it writes Z * dD over dD
+    and (D - G) * dZ over G, so every column equals the metric functions on
+    copies taken before the call, and the spent buffers hold the products."""
+    cfg = NetworkConfig(layer_sizes=(4, 3, 5, 2), dt=0.1, steps=1, seed=8)
+    net = ska.init_network(cfg)
+    X = np.random.default_rng(9).uniform(0, 1, (6, 4))
+    ska.step(net, X)
+    rec = ska.step(net, X)
+    Z, D, G, dZ, dD = ([a.copy() for a in arrays]
+                       for arrays in (rec.Z, rec.D, rec.G, rec.dZ, rec.dD))
+    acc = TraceAccumulator(cfg)
+    acc.add(rec)
+    trace = acc.finish()
+    for l in range(cfg.n_layers):
+        assert trace.entropy_step[0, l] == ska.entropy_step(Z[l], dD[l])
+        assert trace.cosine[0, l] == cosine_alignment(Z[l], dD[l])
+        assert trace.z_norm[0, l] == ska.linalg.frobenius_norm(Z[l])
+        assert trace.flow_norm[0, l] == ska.linalg.frobenius_norm(dZ[l]) / cfg.dt
+        assert trace.net_step[0, l] == ska.net_step(D[l], G[l], dZ[l])
+        np.testing.assert_array_equal(rec.dD[l], Z[l] * dD[l])
+        np.testing.assert_array_equal(rec.G[l], (D[l] - G[l]) * dZ[l])
+
+
+# One layer's record where exactly the named metric overflows; D - G = 0 by
+# default, so the net stays finite while dZ grows.
+NON_FINITE = {
+    "entropy_step": {"Z": [[1e10, 0.0]], "dD": [[1e300, 0.0]]},
+    "z_norm": {"Z": [[1e200, 0.0]], "dD": [[0.0, 0.0]]},
+    "flow_norm": {"dZ": [[1e200, 0.0]]},
+    "net_step": {"D": [[1e300, 0.0]], "G": [[-1e300, 0.0]], "dZ": [[1e10, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("metric", sorted(NON_FINITE))
+@np.errstate(over="ignore", invalid="ignore")
+def test_add_stops_on_a_non_finite_metric(metric):
+    cfg = NetworkConfig(layer_sizes=(2, 2, 2), dt=0.1, steps=2, seed=0)
+    fine = {k: np.ones((1, 2)) for k in ("Z", "D", "G", "dZ", "dD")}
+    bad = dict(fine, **{k: np.array(v) for k, v in NON_FINITE[metric].items()})
+    rec = StepRecord(k=2, **{k: [fine[k].copy(), bad[k]] for k in fine})
+    with pytest.raises(ValueError, match=f"step 2, layer 1: {metric} is -?inf, not finite"):
+        TraceAccumulator(cfg).add(rec)
+
+
+def test_add_leaves_an_undefined_cosine_as_a_gap():
+    acc = TraceAccumulator(NetworkConfig(layer_sizes=(2, 2), dt=0.1, steps=1, seed=0))
+    zero = [np.zeros((1, 2))]
+    acc.add(StepRecord(k=1, Z=zero, D=zero, G=zero, dZ=zero, dD=zero))
+    assert np.isnan(acc.finish().cosine).all()
+
+
 # ------------------------------------------------------------ markers ---
 
 
