@@ -167,6 +167,9 @@ def _check_rules(c: dict) -> None:
         raise ConfigError("network.layer_sizes must list 2+ positive integers")
     if c["network"]["init_std_scale"] < 0:
         raise ConfigError("network.init_std_scale must be nonnegative")
+    for path, seed in (("seed", c["seed"]), ("data.seed", c["data"].get("seed"))):
+        if seed is not None and seed < 0:
+            raise ConfigError(f"config key {path} must be non-negative")
     if "run" in c:
         run_cfg = c["run"]
         dt, steps, total = run_cfg["dt"], run_cfg["steps"], run_cfg["total_time"]
@@ -682,18 +685,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; every library or config error exits 2 with one line."""
+    """Run one command; every library or config error exits 2 with one line.
+
+    numpy's floating-point warnings are off inside a command: a run whose
+    metrics go non-finite stops with its own error line instead.
+    """
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        if args.command == "report":
-            return cmd_report(args)
-        c = resolve_config(args)
-        args.out.mkdir(parents=True, exist_ok=True)
-        return args.func(args, c, t0)
+        with np.errstate(all="ignore"):
+            if args.command == "report":
+                return cmd_report(args)
+            c = resolve_config(args)
+            args.out.mkdir(parents=True, exist_ok=True)
+            return args.func(args, c, t0)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -20,6 +20,8 @@ sees another layer's update.
 Step indexing: a run performs one unrecorded seeding step (index 0) so that
 every recorded step k = 1..K has a previous forward snapshot and therefore
 well-defined increments dZ and dD. Recorded rows carry time t = k * dt.
+Each recorded step measures its own metrics (see ska.metrics) while the
+increments and the gradient are at hand.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ import numpy as np
 
 from . import linalg
 from .data import Dataset, take_batch
-
-LN2 = float(np.log(2.0))
+from .metrics import LN2, TraceAccumulator, cosine_alignment, entropy_step, net_step
 
 # Most steps one run may take. The trace keeps seven float64 columns of
 # (steps, layers), 56 MB per layer at this bound.
@@ -194,11 +195,10 @@ class LayerState:
     """Weights and the step buffers of one layer, each buffer shaped like Z.
 
     Z and D are the current forward snapshot. forward() rotates the previous
-    one into prev_Z and prev_D, and step() then writes the increments
-    Z - prev_Z and D - prev_D over them, so after a step prev_Z and prev_D
-    hold dZ and dD. G holds the entropy gradient; it is allocated on the
-    first step, which also fixes the batch shape every later step must keep.
-    These five are the step's only buffers the size of Z.
+    one into prev_Z and prev_D, which a recorded step() reuses: prev_Z takes
+    dZ, and prev_D takes dD, then the metric products and G in turn. These
+    four are the step's only buffers the size of Z, and the first recorded
+    step fixes the batch shape every later step must keep.
     """
 
     W: np.ndarray
@@ -206,16 +206,11 @@ class LayerState:
     D: np.ndarray | None = None
     prev_Z: np.ndarray | None = None
     prev_D: np.ndarray | None = None
-    G: np.ndarray | None = None
 
 
 @dataclass
 class Network:
-    """Config, layers and the count of steps taken.
-
-    A StepRecord stays valid until the next step(), whose increments
-    overwrite its Z and D, and TraceAccumulator.add spends its dD and G.
-    """
+    """Config, layers and the count of steps taken."""
 
     config: NetworkConfig
     layers: list
@@ -224,25 +219,19 @@ class Network:
 
 @dataclass
 class StepRecord:
-    """Everything one step produced, per layer, for the metrics stage.
+    """The metrics one step measured, one float per layer in each list.
 
-    dZ and dD are None at the seeding step (k = 0), where no previous
-    forward snapshot exists yet. Every array aliases a buffer of the
-    network, and the record is valid until the next step(): that step
-    writes its increments over this record's Z and D (the next record's dZ
-    and dD are this record's Z and D objects) and its gradient pass over G.
-    TraceAccumulator.add spends the record: it writes its metric products
-    over dD and G, so read those two before add(). Holding a record past
-    the next step() keeps its dZ and dD alive alongside the next forward
-    snapshot, which is why run() drops each record first.
+    The five lists are None at the seeding step (k = 0), which has no
+    previous forward snapshot to take increments against. cosine is NaN
+    where it is undefined.
     """
 
     k: int
-    Z: list
-    D: list
-    G: list
-    dZ: list | None
-    dD: list | None
+    entropy_step: list | None = None
+    cosine: list | None = None
+    z_norm: list | None = None
+    flow_norm: list | None = None
+    net_step: list | None = None
 
 
 def init_network(config: NetworkConfig) -> Network:
@@ -285,44 +274,49 @@ def forward(net: Network, X: np.ndarray) -> list:
 
 
 def step(net: Network, X: np.ndarray, dt: float | None = None) -> StepRecord:
-    """Forward pass, entropy gradients, simultaneous Euler weight update.
+    """Forward pass, step metrics, entropy gradients, simultaneous Euler update.
 
     Every layer's gradient and input come from the snapshot the forward pass
     just produced, and neither depends on any weight, so updating each layer
     in place as soon as its gradient is known leaves the step simultaneous:
-    shallower layers are never contaminated by deeper ones. The gradient is
-    written into G, the increments over the retired snapshot, and the update
-    is subtracted in place, so a step allocates only the new snapshot (Z, D),
-    the update block and the block-sized temporaries of the sigmoid and
-    gradient passes. With dt = 0 the weights are left untouched.
+    shallower layers are never contaminated by deeper ones.
+
+    A recorded step (k >= 1) works per layer over the retired snapshot:
+    it writes the increments dZ and dD over it, takes ||Z||, the cosine of
+    Z and dD, and ||dZ|| / config.dt, writes Z * dD over dD for the
+    entropy, the gradient G over that spent block, applies the update, and
+    writes (D - G) * dZ over the same block for the net. So a step allocates
+    only the new snapshot (Z, D), the update block and the block-sized
+    temporaries of the sigmoid and gradient passes. The seeding step (k = 0)
+    has no increments and takes its gradient in a transient array. With
+    dt = 0 the weights are left untouched.
     """
     if dt is None:
         dt = net.config.dt
-    had_prev = net.step_index >= 1
+    k = net.step_index
     forward(net, X)
     inp = np.ascontiguousarray(X, dtype=np.float64)
-    layers = net.layers
-    if layers[0].G is None:
-        for layer in layers:
-            layer.G = np.empty_like(layer.Z)
-    for layer in layers:
-        entropy_gradient(layer.Z, layer.D, out=layer.G)
+    rec = StepRecord(k) if k == 0 else StepRecord(k, [], [], [], [], [])
+    for layer in net.layers:
+        Z, D = layer.Z, layer.D
+        if k == 0:
+            G = entropy_gradient(Z, D)
+        else:
+            dZ = np.subtract(Z, layer.prev_Z, out=layer.prev_Z)
+            dD = np.subtract(D, layer.prev_D, out=layer.prev_D)
+            zn = linalg.frobenius_norm(Z)
+            rec.z_norm.append(zn)
+            rec.cosine.append(cosine_alignment(Z, dD, zn))
+            rec.flow_norm.append(linalg.frobenius_norm(dZ) / net.config.dt)
+            rec.entropy_step.append(entropy_step(Z, dD, out=dD))
+            G = entropy_gradient(Z, D, out=dD)
         if dt != 0.0:
-            upd = linalg.outer_mean(layer.G, inp)
+            upd = linalg.outer_mean(G, inp)
             upd *= dt
             layer.W -= upd
-        if had_prev:
-            np.subtract(layer.Z, layer.prev_Z, out=layer.prev_Z)
-            np.subtract(layer.D, layer.prev_D, out=layer.prev_D)
-        inp = layer.D
-    rec = StepRecord(
-        k=net.step_index,
-        Z=[l.Z for l in layers],
-        D=[l.D for l in layers],
-        G=[l.G for l in layers],
-        dZ=[l.prev_Z for l in layers] if had_prev else None,
-        dD=[l.prev_D for l in layers] if had_prev else None,
-    )
+        if k != 0:
+            rec.net_step.append(net_step(D, G, dZ, out=G))
+        inp = D
     net.step_index += 1
     return rec
 
@@ -342,8 +336,6 @@ def run(
     triples; each selected scalar pre-activation is sampled at steps
     0..K-1 (K values, constant dt spacing) and stored on the trace.
     """
-    from .metrics import TraceAccumulator
-
     cfg = net.config
     if net.step_index != 0:
         raise ValueError("run() expects a freshly initialized network")
@@ -364,12 +356,9 @@ def run(
         if k < cfg.steps:
             for sel in selections:
                 layer_i, unit_i, sample_i = sel
-                paths[sel][k] = rec.Z[layer_i][sample_i, unit_i]
+                paths[sel][k] = net.layers[layer_i].Z[sample_i, unit_i]
         if k >= 1:
             acc.add(rec)
-        # A record still held at the next step would keep its increments
-        # alive through that forward pass, beside the snapshot it allocates.
-        del rec
     trace = acc.finish()
     trace.unit_paths = paths
     return trace

@@ -13,18 +13,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import linalg
-from .dynamics import LN2, NetworkConfig, StepRecord
+
+if TYPE_CHECKING:
+    from .dynamics import NetworkConfig, StepRecord
+
+LN2 = float(np.log(2.0))
 
 
 def entropy_step(Z: np.ndarray, dD: np.ndarray, out: np.ndarray | None = None) -> float:
     """Single-step layer entropy -(1/ln 2) * mean_samples sum_units Z * dD.
 
     out, when given, receives the product Z * dD instead of a fresh array;
-    it may be dD itself, which then no longer holds the increment.
+    it may be dD itself, which then no longer holds the increment. The
+    Euler step passes dD, and then writes the entropy gradient over it.
     """
     if Z.shape != dD.shape:
         raise linalg.ShapeMismatchError("entropy_step", Z.shape, dD.shape)
@@ -39,7 +45,8 @@ def net_step(D: np.ndarray, G: np.ndarray, dZ: np.ndarray,
     it; weighting by the knowledge increment makes the running sum a
     discrete line integral along the trajectory. out, when given, receives
     (D - G) * dZ instead of a fresh array; it may be G itself, which then no
-    longer holds the gradient.
+    longer holds the gradient. The Euler step passes G once the weight
+    update has read it.
     """
     if not (D.shape == G.shape == dZ.shape):
         raise linalg.ShapeMismatchError("net_step", D.shape, dZ.shape)
@@ -113,12 +120,9 @@ _COLUMNS = (
 class TraceAccumulator:
     """Consumes StepRecords k = 1..K and assembles the trace arrays.
 
-    add() must see each record before the next step() overwrites it, and it
-    spends the record: per layer it takes ||Z||, the cosine and ||dZ|| / dt
-    first, then writes Z * dD over dD and (D - G) * dZ over G, so the metric
-    pass allocates nothing the size of Z. A non-finite entropy, norm, flow
-    or net raises ValueError naming the step and the layer; a cosine that is
-    undefined or not finite stays a NaN gap.
+    add() stores the record's metric values in row k - 1. A non-finite
+    entropy, norm, flow or net raises ValueError naming the step and the
+    layer; a cosine that is undefined or not finite stays a NaN gap.
     """
 
     def __init__(self, config: NetworkConfig):
@@ -132,22 +136,18 @@ class TraceAccumulator:
         self._seen = 0
 
     def add(self, rec: StepRecord) -> None:
-        if rec.dZ is None or rec.dD is None:
+        if rec.entropy_step is None:
             raise ValueError("record has no increments; seeding step is not accumulated")
         if not 1 <= rec.k <= self.config.steps:
             raise ValueError(f"step index {rec.k} outside 1..{self.config.steps}")
         row = rec.k - 1
-        for l in range(self.config.n_layers):
-            Z, D, G, dZ, dD = rec.Z[l], rec.D[l], rec.G[l], rec.dZ[l], rec.dD[l]
-            zn = linalg.frobenius_norm(Z)
-            self._cos[row, l] = cosine_alignment(Z, dD, zn)
-            fn = linalg.frobenius_norm(dZ) / self.config.dt
-            es = entropy_step(Z, dD, out=dD)
-            ns = net_step(D, G, dZ, out=G)
+        values = zip(rec.entropy_step, rec.cosine, rec.z_norm, rec.flow_norm, rec.net_step)
+        for l, (es, cos, zn, fn, ns) in enumerate(values):
             if not (isfinite(es) and isfinite(zn) and isfinite(fn) and isfinite(ns)):
                 _raise_not_finite(rec.k, l, entropy_step=es, z_norm=zn, flow_norm=fn,
                                   net_step=ns)
             self._es[row, l] = es
+            self._cos[row, l] = cos
             self._zn[row, l] = zn
             self._fn[row, l] = fn
             self._ns[row, l] = ns

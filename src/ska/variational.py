@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LN2, sigmoid
-from .metrics import TrajectoryTrace
+from .dynamics import sigmoid
+from .metrics import LN2, TrajectoryTrace
 
 
 @dataclass

@@ -244,6 +244,11 @@ def _with(cfg, section, **keys):
     return dict(cfg, **{section: dict(cfg[section], **keys)})
 
 
+OVERFLOW_CFG = dict(TRAIN_CFG, network={"layer_sizes": [8, 4, 2]}, run={"dt": 1e300, "steps": 6},
+                    data=dict(TRAIN_CFG["data"], dim=8))
+WIDE_DATA = {"source": "synthetic", "n": 24, "dim": 64, "center_spacing": 0.35, "std": 0.1}
+
+
 BAD_INPUTS = {
     "dt-nan": ("train", _with(TRAIN_CFG, "run", dt=float("nan")), "run.dt"),
     "init-std-scale-nan": ("train", _with(TRAIN_CFG, "network", init_std_scale=float("nan")),
@@ -263,16 +268,24 @@ BAD_INPUTS = {
     "eta-window-overflows": ("invariance", _with(INV_CFG, "invariance", eta_list=[1e-310, 0.1]),
                              "steps exceed the limit"),
     # weights stay finite, but the norms of Z and dZ overflow
-    "metrics-overflow": ("train", dict(TRAIN_CFG, network={"layer_sizes": [8, 4, 2]},
-                                       run={"dt": 1e300, "steps": 6},
-                                       data=dict(TRAIN_CFG["data"], dim=8)),
-                         "step 1, layer 0: z_norm is inf"),
+    "metrics-overflow": ("train", OVERFLOW_CFG, "step 1, layer 0: z_norm is inf"),
     "halved-window-over-limit": ("variational-check", {"run": {"dt": 0.001, "steps": 600000}},
                                  "run window at dt/2"),
+    # 10**15 elements: 7 PiB and more, far past any address space, so the
+    # allocation always fails at once
+    "dataset-out-of-memory": ("train", dict(TRAIN_CFG, network={"layer_sizes": [64, 4]},
+                                            data=dict(WIDE_DATA, n=10**15)), "out of memory"),
+    "layer-out-of-memory": ("train", dict(TRAIN_CFG, network={"layer_sizes": [64, 10**15]},
+                                          data=WIDE_DATA), "out of memory"),
+    "negative-seed": ("train", dict(TRAIN_CFG, seed=-1), "config key seed must be non-negative"),
+    "negative-data-seed": ("train", _with(TRAIN_CFG, "data", seed=-1),
+                           "config key data.seed must be non-negative"),
+    "negative-seed-variational": ("variational-check",
+                                  {"seed": -1, "run": {"dt": 0.05, "steps": 4}},
+                                  "config key seed must be non-negative"),
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     command, cfg, needle = BAD_INPUTS[case]
@@ -281,6 +294,23 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and needle in err
+
+
+def test_negative_seed_flag_names_its_key(tmp_path, capsys):
+    rc, _ = _train(tmp_path, TRAIN_CFG, extra=("--seed", "-1"))
+    assert rc == 2
+    assert capsys.readouterr().err == "error: config key seed must be non-negative\n"
+
+
+def test_overflow_prints_only_the_error_line(tmp_path):
+    """numpy's overflow warnings stay off stderr in a command."""
+    path = _write_cfg(tmp_path, OVERFLOW_CFG)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ska", "train", "--config", path, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: step 1, layer 0: z_norm is inf, not finite\n"
 
 
 def test_corrupt_manifest_exits_2_with_one_line(tmp_path, capsys):

@@ -15,6 +15,8 @@ import pytest
 
 import ska
 from ska.dynamics import LN2, SIGMOID_BLOCK, NetworkConfig
+from ska.linalg import frobenius_norm
+from ska.metrics import cosine_alignment
 
 SIG1 = 0.7310585786300049
 GRAD1 = -0.2836510610670778
@@ -269,8 +271,8 @@ def test_forward_rejects_wrong_input_width():
 def test_one_step_weight_update_frozen():
     # W = 1, x = 1, dt = 0.1: W' = W - dt * gradient(1) = 1.0283651061067078
     net = scalar_net(1.0, 0.1)
-    rec = ska.step(net, np.array([[1.0]]))
-    assert float(rec.Z[0][0, 0]) == 1.0
+    ska.step(net, np.array([[1.0]]))
+    assert float(net.layers[0].Z[0, 0]) == 1.0
     assert abs(float(net.layers[0].W[0, 0]) - 1.0283651061067078) < 1e-15
 
 
@@ -300,14 +302,47 @@ def test_step_record_shapes_and_seed_semantics():
     X = np.random.default_rng(2).uniform(0, 1, (5, 4))
     rec0 = ska.step(net, X)
     assert rec0.k == 0
-    assert rec0.dZ is None and rec0.dD is None
-    # a record is valid until the next step, which writes dZ over its Z
-    z0 = rec0.Z[0].copy()
+    # the seeding step has no increments, so it measures nothing
+    metrics = ("entropy_step", "cosine", "z_norm", "flow_norm", "net_step")
+    assert all(getattr(rec0, m) is None for m in metrics)
+    z0 = net.layers[0].Z.copy()
     rec1 = ska.step(net, X)
     assert rec1.k == 1
-    assert rec1.dZ[0].shape == (5, 3) and rec1.dD[1].shape == (5, 2)
-    # dZ really is the difference of consecutive pre-activations
-    np.testing.assert_array_equal(rec1.dZ[0], rec1.Z[0] - z0)
+    for m in metrics:
+        values = getattr(rec1, m)
+        assert len(values) == 2 and all(type(v) is float for v in values), m
+    # the retired snapshot now holds dZ, the difference of consecutive
+    # pre-activations
+    np.testing.assert_array_equal(net.layers[0].prev_Z, net.layers[0].Z - z0)
+
+
+@pytest.mark.parametrize("sizes", [(4, 3, 5, 2), (6, 900, 3)])
+def test_step_metrics_match_their_formulas_bitwise(sizes):
+    """Each metric a recorded step measures equals its metric function on
+    copies of the two snapshots, the weights move by the gradient the metric
+    pass wrote over the spent dD, and the retired pair ends holding dZ and
+    (D - G) * dZ. The 900-unit layer's Z (20 x 900) spans two blocks, so
+    the gradient written over the spent dD takes the blocked path."""
+    cfg = NetworkConfig(layer_sizes=sizes, dt=0.1, steps=1, init_std_scale=2.0, seed=8)
+    net = ska.init_network(cfg)
+    X = np.random.default_rng(9).uniform(0, 1, (20, sizes[0]))
+    ska.step(net, X)
+    prev = [(l.Z.copy(), l.D.copy(), l.W.copy()) for l in net.layers]
+    rec = ska.step(net, X)
+    inp = X
+    for l, (layer, (Zp, Dp, W)) in enumerate(zip(net.layers, prev)):
+        Z, D = layer.Z.copy(), layer.D.copy()
+        dZ, dD = Z - Zp, D - Dp
+        G = ska.entropy_gradient(Z, D)
+        assert rec.entropy_step[l] == ska.entropy_step(Z, dD)
+        assert rec.cosine[l] == cosine_alignment(Z, dD)
+        assert rec.z_norm[l] == frobenius_norm(Z)
+        assert rec.flow_norm[l] == frobenius_norm(dZ) / cfg.dt
+        assert rec.net_step[l] == ska.net_step(D, G, dZ)
+        assert layer.W.tobytes() == (W - ska.linalg.outer_mean(G, inp) * cfg.dt).tobytes()
+        assert layer.prev_Z.tobytes() == dZ.tobytes()
+        assert layer.prev_D.tobytes() == ((D - G) * dZ).tobytes()
+        inp = D
 
 
 def test_step_reuses_workspace_and_updates_weights_in_place():
@@ -315,18 +350,15 @@ def test_step_reuses_workspace_and_updates_weights_in_place():
     net = ska.init_network(cfg)
     X = np.random.default_rng(9).uniform(0, 1, (6, 4))
     weights = [l.W for l in net.layers]
-    prev = ska.step(net, X)
-    buffers = [id(l.G) for l in net.layers]
+    ska.step(net, X)
     for _ in range(3):
-        rec = ska.step(net, X)
-        assert [id(g) for g in rec.G] == buffers
-        assert [id(l.G) for l in net.layers] == buffers
-        # the increments are written over the snapshot the step retired
-        assert all(dz is z for dz, z in zip(rec.dZ, prev.Z))
-        assert all(dd is d for dd, d in zip(rec.dD, prev.D))
+        snapshot = [(l.Z, l.D) for l in net.layers]
+        ska.step(net, X)
+        # the increments and the metric products are written over the
+        # snapshot the step retired, and the weights are updated in place
+        assert all(l.prev_Z is z and l.prev_D is d for l, (z, d) in zip(net.layers, snapshot))
         assert all(l.W is w for l, w in zip(net.layers, weights))
-        prev = rec
-    # once the buffers exist, dt = 0 still leaves every weight bit-identical
+    # dt = 0 still leaves every weight bit-identical
     before = [w.copy() for w in weights]
     ska.step(net, X, dt=0.0)
     for w0, layer in zip(before, net.layers):
@@ -336,14 +368,14 @@ def test_step_reuses_workspace_and_updates_weights_in_place():
         ska.step(net, X[:2])
 
 
-def test_step_working_set_is_five_blocks_per_layer():
-    """Peak memory a run allocates: the weights, five Z-sized blocks per
-    layer (Z, D, G and the retired snapshot pair that takes the
-    increments), and the transients of one layer at a time: the update
-    block and the sigmoid's block-sized temporaries (a float block and a
-    bool mask; the gradient's one float block is no larger). The first two
-    layers' Z span four and three sigmoid blocks, so a pass that allocated
-    a Z-sized temporary there would exceed the bound."""
+def test_step_working_set_is_four_blocks_per_layer():
+    """Peak memory a run allocates: the weights, four Z-sized blocks per
+    layer (Z, D and the retired snapshot pair, which holds dZ and a spent
+    block that carries G), and the transients of one layer at a time: the
+    update block and the sigmoid's block-sized temporaries (a float block
+    and a bool mask; the gradient's one float block is no larger). The
+    first two layers' Z span four and three sigmoid blocks, so a pass that
+    allocated a Z-sized temporary there would exceed the bound."""
     sizes = (64, 128, 96, 32)
     n = 512
     cfg = NetworkConfig(layer_sizes=sizes, dt=0.05, steps=6, seed=3)
@@ -358,7 +390,7 @@ def test_step_working_set_is_five_blocks_per_layer():
     blocks = [8 * n * s for s in sizes[1:]]
     weights = [8 * a * b for a, b in zip(sizes[:-1], sizes[1:])]
     slack = 64 * 1024  # Python objects and the (steps, layers) trace
-    bound = sum(weights) + 5 * sum(blocks) + max(weights) + 9 * SIGMOID_BLOCK
+    bound = sum(weights) + 4 * sum(blocks) + max(weights) + 9 * SIGMOID_BLOCK
     assert peak <= bound + slack
 
 
@@ -381,11 +413,11 @@ def test_update_is_local_to_each_layer():
     net = ska.init_network(cfg)
     w_before = [l.W.copy() for l in net.layers]
     X = np.random.default_rng(6).uniform(0, 1, (4, 3))
-    rec = ska.step(net, X)
-    inputs = [X, rec.D[0]]
-    for l in range(2):
-        upd = (rec.G[l].T @ inputs[l]) / X.shape[0]
-        np.testing.assert_allclose(net.layers[l].W, w_before[l] - 0.2 * upd,
+    ska.step(net, X)
+    inputs = [X, net.layers[0].D]
+    for l, layer in enumerate(net.layers):
+        upd = (ska.entropy_gradient(layer.Z, layer.D).T @ inputs[l]) / X.shape[0]
+        np.testing.assert_allclose(layer.W, w_before[l] - 0.2 * upd,
                                    rtol=0, atol=1e-15)
 
 
@@ -440,11 +472,14 @@ def test_run_matches_manual_step_loop():
     ln2 = math.log(2)
     ska.step(net, X)  # seeding step, never recorded
     for i in range(4):
+        prev_D = [l.D.copy() for l in net.layers]
         rec = ska.step(net, X)
-        for l in range(2):
-            h = -float(np.sum(rec.Z[l] * rec.dD[l])) / (ln2 * X.shape[0])
+        assert rec.k == i + 1
+        for l, layer in enumerate(net.layers):
+            h = -float(np.sum(layer.Z * (layer.D - prev_D[l]))) / (ln2 * X.shape[0])
             assert abs(h - trace.entropy_step[i, l]) < 1e-14
-            zn = float(np.linalg.norm(rec.Z[l]))
+            assert rec.entropy_step[l] == trace.entropy_step[i, l]
+            zn = float(np.linalg.norm(layer.Z))
             assert abs(zn - trace.z_norm[i, l]) < 1e-12
 
 

@@ -153,19 +153,26 @@ def test_trace_accumulator_assembles_cumulative_sums():
 def test_trace_accumulator_rejects_seeding_record():
     cfg = NetworkConfig(layer_sizes=(2, 2), dt=0.1, steps=2, seed=0)
     acc = TraceAccumulator(cfg)
-    Z = [np.zeros((1, 2))]
-    seed_rec = StepRecord(k=0, Z=Z, D=Z, G=Z, dZ=None, dD=None)
+    with pytest.raises(ValueError, match="seeding"):
+        acc.add(StepRecord(k=0))
+    seed_rec = ska.step(ska.init_network(cfg), np.ones((1, 2)))
     with pytest.raises(ValueError, match="seeding"):
         acc.add(seed_rec)
+
+
+STEP_METRICS = ("entropy_step", "cosine", "z_norm", "flow_norm", "net_step")
+
+
+def _record(k, n_layers, **values):
+    """A StepRecord with every metric 1.0 in every layer, except values."""
+    return StepRecord(k, **{m: values.get(m, [1.0] * n_layers) for m in STEP_METRICS})
 
 
 def test_trace_accumulator_rejects_out_of_range_step():
     cfg = NetworkConfig(layer_sizes=(2, 2), dt=0.1, steps=2, seed=0)
     acc = TraceAccumulator(cfg)
-    Z = [np.zeros((1, 2))]
-    rec = StepRecord(k=3, Z=Z, D=Z, G=Z, dZ=Z, dD=Z)
     with pytest.raises(ValueError, match="outside 1..2"):
-        acc.add(rec)
+        acc.add(_record(3, 1))
 
 
 def test_trace_accumulator_finish_requires_all_steps():
@@ -175,56 +182,50 @@ def test_trace_accumulator_finish_requires_all_steps():
         acc.finish()
 
 
-def test_add_spends_dD_and_G_and_matches_the_formulas():
-    """add() takes the norms and the cosine before it writes Z * dD over dD
-    and (D - G) * dZ over G, so every column equals the metric functions on
-    copies taken before the call, and the spent buffers hold the products."""
-    cfg = NetworkConfig(layer_sizes=(4, 3, 5, 2), dt=0.1, steps=1, seed=8)
-    net = ska.init_network(cfg)
-    X = np.random.default_rng(9).uniform(0, 1, (6, 4))
-    ska.step(net, X)
-    rec = ska.step(net, X)
-    Z, D, G, dZ, dD = ([a.copy() for a in arrays]
-                       for arrays in (rec.Z, rec.D, rec.G, rec.dZ, rec.dD))
+def test_add_stores_each_metric_in_its_row():
+    """add() files record k's values under row k - 1, whatever order the
+    records come in, and finish() sums entropy and net along the steps."""
+    cfg = NetworkConfig(layer_sizes=(4, 3, 2), dt=0.1, steps=3, seed=0)
     acc = TraceAccumulator(cfg)
-    acc.add(rec)
+    want = {m: np.arange(6.0).reshape(3, 2) + 10 * i for i, m in enumerate(STEP_METRICS)}
+    for k in (3, 1, 2):
+        acc.add(StepRecord(k, **{m: want[m][k - 1].tolist() for m in STEP_METRICS}))
     trace = acc.finish()
-    for l in range(cfg.n_layers):
-        assert trace.entropy_step[0, l] == ska.entropy_step(Z[l], dD[l])
-        assert trace.cosine[0, l] == cosine_alignment(Z[l], dD[l])
-        assert trace.z_norm[0, l] == ska.linalg.frobenius_norm(Z[l])
-        assert trace.flow_norm[0, l] == ska.linalg.frobenius_norm(dZ[l]) / cfg.dt
-        assert trace.net_step[0, l] == ska.net_step(D[l], G[l], dZ[l])
-        np.testing.assert_array_equal(rec.dD[l], Z[l] * dD[l])
-        np.testing.assert_array_equal(rec.G[l], (D[l] - G[l]) * dZ[l])
+    for m in STEP_METRICS:
+        assert trace.column(m).tobytes() == want[m].tobytes(), m
+    np.testing.assert_array_equal(trace.entropy_cum, np.cumsum(want["entropy_step"], axis=0))
+    np.testing.assert_array_equal(trace.net_cum, np.cumsum(want["net_step"], axis=0))
 
 
-# One layer's record where exactly the named metric overflows; D - G = 0 by
-# default, so the net stays finite while dZ grows.
-NON_FINITE = {
-    "entropy_step": {"Z": [[1e10, 0.0]], "dD": [[1e300, 0.0]]},
-    "z_norm": {"Z": [[1e200, 0.0]], "dD": [[0.0, 0.0]]},
-    "flow_norm": {"dZ": [[1e200, 0.0]]},
-    "net_step": {"D": [[1e300, 0.0]], "G": [[-1e300, 0.0]], "dZ": [[1e10, 0.0]]},
-}
+# The non-finite value each case puts into layer 1 of an otherwise finite
+# record.
+NON_FINITE = {"entropy_step": -math.inf, "z_norm": math.inf, "flow_norm": math.inf,
+              "net_step": math.nan}
 
 
 @pytest.mark.parametrize("metric", sorted(NON_FINITE))
-@np.errstate(over="ignore", invalid="ignore")
 def test_add_stops_on_a_non_finite_metric(metric):
     cfg = NetworkConfig(layer_sizes=(2, 2, 2), dt=0.1, steps=2, seed=0)
-    fine = {k: np.ones((1, 2)) for k in ("Z", "D", "G", "dZ", "dD")}
-    bad = dict(fine, **{k: np.array(v) for k, v in NON_FINITE[metric].items()})
-    rec = StepRecord(k=2, **{k: [fine[k].copy(), bad[k]] for k in fine})
-    with pytest.raises(ValueError, match=f"step 2, layer 1: {metric} is -?inf, not finite"):
+    bad = NON_FINITE[metric]
+    rec = _record(2, 2, **{metric: [1.0, bad]})
+    with pytest.raises(ValueError, match=f"^step 2, layer 1: {metric} is {bad}, not finite$"):
         TraceAccumulator(cfg).add(rec)
 
 
 def test_add_leaves_an_undefined_cosine_as_a_gap():
-    acc = TraceAccumulator(NetworkConfig(layer_sizes=(2, 2), dt=0.1, steps=1, seed=0))
-    zero = [np.zeros((1, 2))]
-    acc.add(StepRecord(k=1, Z=zero, D=zero, G=zero, dZ=zero, dD=zero))
-    assert np.isnan(acc.finish().cosine).all()
+    """Zero weights give Z = 0, where the cosine is undefined: the step
+    measures NaN and the trace keeps it as a gap beside finite metrics."""
+    cfg = NetworkConfig(layer_sizes=(2, 2), dt=0.1, steps=1, init_std_scale=0.0, seed=0)
+    net = ska.init_network(cfg)
+    X = np.ones((3, 2))
+    ska.step(net, X)
+    rec = ska.step(net, X)
+    assert math.isnan(rec.cosine[0])
+    acc = TraceAccumulator(cfg)
+    acc.add(rec)
+    trace = acc.finish()
+    assert np.isnan(trace.cosine).all()
+    assert np.isfinite(trace.entropy_step).all() and np.isfinite(trace.net_step).all()
 
 
 # ------------------------------------------------------------ markers ---
