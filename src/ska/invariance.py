@@ -70,6 +70,8 @@ class InvarianceSpec:
             raise InvarianceError("need at least two step sizes to compare")
         if any(e <= 0.0 for e in self.eta_list):
             raise InvarianceError("step sizes must be positive")
+        if len(set(self.eta_list)) != len(self.eta_list):
+            raise InvarianceError("step sizes must be distinct")
         for m in self.metrics:
             if m not in _METRIC_SOURCES:
                 raise InvarianceError(f"unknown comparison metric {m!r}")

@@ -18,11 +18,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ska.cli
 import ska.invariance
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -71,7 +73,7 @@ def test_runs_go_through_the_module_global_run(tmp_path, monkeypatch):
     net = {"layer_sizes": [2, 2]}
     configs = {
         "train": {"network": net, "run": {"dt": 0.1, "steps": 2}, "data": data},
-        "variational-check": {"network": net, "run": {"dt": 0.1, "steps": 2}, "data": data},
+        "variational-check": {"network": net, "run": {"dt": 0.1, "steps": 3}, "data": data},
         "invariance": {"network": net, "data": data,
                        "invariance": {"eta_list": [0.1, 0.05], "total_time": 0.2}},
     }
@@ -83,25 +85,42 @@ def test_runs_go_through_the_module_global_run(tmp_path, monkeypatch):
     assert calls == ["ska.cli"] * 3 + ["ska.invariance"] * 2
 
 
-def test_traced_child_makes_the_calls_the_config_implies(tmp_path):
-    """A miniature glyph-train iteration through child.py --traced, checked
-    as run.py --trace 1 checks it: every count expected_counts derives from
+# A miniature glyph-train config, and the configs/ files of the other two
+# workloads: the same commands on smaller inputs than the frozen configs.
+TRACED_CONFIGS = {
+    "glyph-train": {"seed": 10, "network": {"layer_sizes": [784, 6, 3], "init_std_scale": 0.15},
+                    "run": {"dt": 0.01, "steps": 3},
+                    "data": {"source": "glyphs", "n": 16, "seed": 7}},
+    "family-invariance": json.loads((ROOT / "configs" / "invariance_family.json").read_text()),
+    "unit-variational": json.loads((ROOT / "configs" / "single_unit.json").read_text()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_CONFIGS))
+def test_traced_child_makes_the_calls_the_config_implies(tmp_path, name):
+    """One iteration of each workload through child.py --traced, checked as
+    run.py --trace 1 checks it: every count expected_counts derives from
     the config, and no wrapped call raised."""
-    cfg = {"seed": 10, "network": {"layer_sizes": [784, 6, 3], "init_std_scale": 0.15},
-           "run": {"dt": 0.01, "steps": 3}, "data": {"source": "glyphs", "n": 16, "seed": 7}}
+    cfg = TRACED_CONFIGS[name]
     config, result_path = tmp_path / "config.json", tmp_path / "result.json"
     config.write_text(json.dumps(cfg))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONDONTWRITEBYTECODE="1")
+    out = tmp_path / "out"
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "child.py"), "glyph-train", str(config),
-         str(tmp_path / "out"), str(result_path), "--traced"],
+        [sys.executable, str(PERFBENCH / "child.py"), name, str(config),
+         str(out), str(result_path), "--traced"],
         env=env, capture_output=True, text=True, timeout=120)
     result = json.loads(result_path.read_text())
     assert result["ok"], result.get("error") or proc.stderr
     assert result["errors"] == {}
     with np.load(result_path.with_suffix(".npz")) as spans:
         layers = _load("tracer").layer_metrics(spans, result["work"], result["errors"])
-    expected = _load("workloads").expected_counts("glyph-train", cfg)
+    crossings = 0
+    if name == "unit-variational":
+        # each crossing adds identity calls; run.py counts them off the report
+        report = json.loads((out / "variational_report.json").read_text())
+        crossings = sum(len(u["net_identity_crossings"]) for u in report["units"])
+    expected = _load("workloads").expected_counts(name, cfg, crossings)
     assert {k: layers[k] for k in expected} == expected

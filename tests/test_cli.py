@@ -177,7 +177,12 @@ def test_invariance_family_passes_and_reports(tmp_path, capsys):
         "metric,run,eta,layer,time,value"
     rc2 = main(["report", "--out", str(out)])
     assert rc2 == 0
-    assert "PASS" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    # the one compared run: the worst of its four rows is named before the verdict
+    worst = max(report["rows"], key=lambda r: r["rel_dev"] - r["tolerance"])
+    assert lines[-2] == (f"worst row: {worst['metric']} {worst['run']}, "
+                         f"rel_dev {worst['rel_dev']:.4f} against tol {worst['tolerance']:.4f}")
+    assert lines[-1] == "PASS"
 
 
 def test_invariance_failure_exits_1(tmp_path, capsys):
@@ -188,14 +193,6 @@ def test_invariance_failure_exits_1(tmp_path, capsys):
     rc2 = main(["report", "--out", str(out)])
     assert rc2 == 1
     assert "FAIL" in capsys.readouterr().out
-
-
-def test_invariance_refuses_mixed_seeds(tmp_path, capsys):
-    cfg = dict(INV_CFG, invariance=dict(INV_CFG["invariance"], seed_overrides=[5, 6]))
-    rc, out = _invariance(tmp_path, cfg, out="mixed")
-    assert rc == 2
-    assert "seed_overrides" in capsys.readouterr().err
-    assert json.loads((out / "invariance_report.json").read_text())["incomparable"] is True
 
 
 def test_invariance_requires_full_batch(tmp_path, capsys):
@@ -228,6 +225,20 @@ def test_variational_check_scalar_unit(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_crossings_carry_the_net_action_bound(tmp_path, capsys):
+    cfg = {"seed": 4, "run": {"dt": 0.05, "steps": 120}, "variational": {"dt_halving": False}}
+    path = _write_cfg(tmp_path, cfg)
+    out = tmp_path / "var"
+    assert main(["variational-check", "--config", path, "--out", str(out)]) == 0
+    (unit,) = json.loads((out / "variational_report.json").read_text())["units"]
+    (crossing,) = unit["net_identity_crossings"]
+    # 10 * dt * max|zdot| on the unit's recorded path
+    assert crossing["bound"] == pytest.approx(0.1615, abs=1e-4)
+    assert 0 < crossing["residual"] < crossing["bound"]
+    assert main(["report", "--out", str(out)]) == 0
+    assert f", bound {crossing['bound']:.3g}" in capsys.readouterr().out
+
+
 def test_variational_units_must_be_triples(tmp_path, capsys):
     cfg = {"seed": 0, "run": {"dt": 0.05, "steps": 4},
            "variational": {"units": [[0, 0]]}}
@@ -249,6 +260,10 @@ OVERFLOW_CFG = dict(TRAIN_CFG, network={"layer_sizes": [8, 4, 2]}, run={"dt": 1e
 WIDE_DATA = {"source": "synthetic", "n": 24, "dim": 64, "center_spacing": 0.35, "std": 0.1}
 
 
+def _idx_data(limit):
+    return {"source": "mnist", "images": "images.idx", "labels": "labels.idx", "limit": limit}
+
+
 BAD_INPUTS = {
     "dt-nan": ("train", _with(TRAIN_CFG, "run", dt=float("nan")), "run.dt"),
     "init-std-scale-nan": ("train", _with(TRAIN_CFG, "network", init_std_scale=float("nan")),
@@ -258,6 +273,11 @@ BAD_INPUTS = {
     "batch-exceeds-dataset": ("train", _with(TRAIN_CFG, "data", batch={"size": 100}),
                               "exceeds dataset size"),
     "one-eta": ("invariance", _with(INV_CFG, "invariance", eta_list=[0.02]), "two step sizes"),
+    "repeated-eta": ("invariance", _with(INV_CFG, "invariance", eta_list=[0.01, 0.01]),
+                     "step sizes must be distinct"),
+    # a family has one seed, so there is no per-run seed key
+    "seed-overrides": ("invariance", _with(INV_CFG, "invariance", seed_overrides=[5, 6]),
+                       "unknown config key invariance.seed_overrides"),
     "unknown-metric": ("invariance", _with(INV_CFG, "invariance", metrics=["bogus"]), "bogus"),
     "unit-out-of-range": ("variational-check", {"run": {"dt": 0.05, "steps": 4},
                                                 "variational": {"units": [[0, 5, 0]]}},
@@ -271,6 +291,14 @@ BAD_INPUTS = {
     "metrics-overflow": ("train", OVERFLOW_CFG, "step 1, layer 0: z_norm is inf"),
     "halved-window-over-limit": ("variational-check", {"run": {"dt": 0.001, "steps": 600000}},
                                  "run window at dt/2"),
+    # two samples leave the Euler-Lagrange residual nothing to evaluate
+    "short-variational-run": ("variational-check", {"run": {"dt": 0.05, "steps": 2}},
+                              "run.steps must be at least 3"),
+    # the limit is checked before the IDX files are read
+    "idx-limit-negative": ("train", dict(TRAIN_CFG, data=_idx_data(-15)),
+                           "config key data.limit must be positive"),
+    "idx-limit-zero": ("train", dict(TRAIN_CFG, data=_idx_data(0)),
+                       "config key data.limit must be positive"),
     # 10**15 elements: 7 PiB and more, far past any address space, so the
     # allocation always fails at once
     "dataset-out-of-memory": ("train", dict(TRAIN_CFG, network={"layer_sizes": [64, 4]},

@@ -1,0 +1,84 @@
+"""The README's Configs section: every file in configs/ is listed there, each
+listed command resolves its config, and the cheap ones run end to end and
+report.
+
+The glyph config is the frozen config of the benchmark's glyph-train
+workload, which acceptance 6 and the benchmark already run; here it is only
+resolved and held equal to that workload.
+"""
+
+import importlib.util
+import json
+import shlex
+from pathlib import Path
+
+import pytest
+
+from ska.cli import build_parser, main, resolve_config
+
+ROOT = Path(__file__).resolve().parents[1]
+# listed config -> the benchmark workload whose frozen config it is
+BENCHMARKED = {"configs/glyph_shapes.json": "glyph-train"}
+
+
+def _readme_lines() -> list:
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Configs\n", 1)[1].split("\n## ", 1)[0]
+    return [line for line in section.splitlines() if line.startswith("ska ")]
+
+
+def _option(argv: list, name: str) -> str:
+    return argv[argv.index(name) + 1]
+
+
+def _with_option(argv: list, name: str, value) -> list:
+    i = argv.index(name)
+    return argv[:i + 1] + [str(value)] + argv[i + 2:]
+
+
+LINES = _readme_lines()
+
+
+def test_every_config_is_listed_once():
+    listed = [_option(shlex.split(line), "--config") for line in LINES]
+    on_disk = [p.relative_to(ROOT).as_posix() for p in (ROOT / "configs").glob("*.json")]
+    assert len(set(listed)) == len(listed)
+    assert sorted(listed) == sorted(on_disk)
+
+
+def _workload(name: str) -> dict:
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS[name]
+
+
+@pytest.mark.parametrize("line", LINES,
+                         ids=lambda line: Path(_option(line.split(), "--config")).stem)
+def test_listed_command_runs_and_reports(tmp_path, capsys, line):
+    command, report = (shlex.split(part) for part in line.split(" && "))
+    assert command[0] == "ska" and report[:2] == ["ska", "report"]
+    config, out = _option(command, "--config"), _option(command, "--out")
+    assert report[2:] == ["--out", out]
+    argv = _with_option(_with_option(command[1:], "--config", ROOT / config),
+                        "--out", tmp_path / out)
+
+    resolved = resolve_config(build_parser().parse_args(argv))
+    # every key is spelled out: the file is its own resolved config
+    assert resolved == json.loads((ROOT / config).read_text())
+
+    if config in BENCHMARKED:
+        workload = _workload(BENCHMARKED[config])
+        flags = [a for a in command[1:] if a not in ("--config", config, "--out", out)]
+        assert flags == workload["command"]
+        frozen = tmp_path / "frozen.json"
+        frozen.write_text(json.dumps(workload["config"]))
+        assert resolve_config(build_parser().parse_args(
+            _with_option(argv, "--config", frozen))) == resolved
+        return
+
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(tmp_path / out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"

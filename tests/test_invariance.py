@@ -123,16 +123,12 @@ def test_run_family_shares_seed_and_counts_steps():
     assert abs(runs[0].realized_product - 0.5) < 1e-12
 
 
-def test_duplicate_eta_runs_have_zero_deviation():
+def test_repeated_step_sizes_are_rejected():
+    # a repeated eta would compare a run with its own rerun and always pass
     ds = _toy_dataset(n=16, d=4, seed=3)
-    spec = InvarianceSpec(total_time=0.3, eta_list=(0.05, 0.05),
-                          layer_sizes=(4, 2), seed=5, dataset=ds)
-    aligned = resample_common_grid(run_family(spec))
-    report = compare(aligned)
-    assert report.all_pass
-    for row in report.rows:
-        if row.passed is not None:
-            assert row.sup_dev == 0.0
+    with pytest.raises(InvarianceError, match="distinct"):
+        InvarianceSpec(total_time=0.3, eta_list=(0.05, 0.025, 0.05),
+                       layer_sizes=(4, 2), seed=5, dataset=ds)
 
 
 # -------------------------------------------------------------- compare ---
