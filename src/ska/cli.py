@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -41,6 +43,12 @@ from .variational import (
     extract_unit_trajectories,
     net_action_identity,
 )
+
+# Environment variables that set BLAS thread counts, recorded in the manifest.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Least Euler-Lagrange order under step halving that report passes: the
+# residual of a second-order central difference should fall about 4x.
+EL_ORDER_FLOOR = 1.8
 
 TRACE_HEADER = "step,time,layer,entropy_step,entropy_cum,cosine,z_norm,flow_norm,net_step,net_cum"
 MARKERS_HEADER = "layer,kind,step,value"
@@ -298,8 +306,24 @@ def write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
+def environment(traces) -> dict:
+    """Python, numpy and BLAS of this process, the BLAS thread variables, and
+    the BLAS thread count each of the command's runs used."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no mode="dicts"
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_vars": {var: os.environ.get(var) for var in THREAD_VARS},
+        "blas_threads": [trace.blas_threads for trace in traces],
+    }
+
+
 def write_manifest(out_dir: Path, command: str, config: dict, resolved: dict,
-                   artifacts: list, t0: float) -> dict:
+                   artifacts: list, t0: float, traces) -> dict:
     manifest = {
         "tool": "ska",
         "version": __version__,
@@ -307,6 +331,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, resolved: dict,
         "config": config,
         "resolved": resolved,
         "artifacts": sorted(artifacts),
+        "environment": environment(traces),
         "duration_seconds": round(time.perf_counter() - t0, 3),
     }
     write_json(out_dir / "manifest.json", manifest)
@@ -405,7 +430,7 @@ def cmd_train(args, c: dict, t0: float) -> int:
         "layers": len(c["network"]["layer_sizes"]) - 1,
         "samples": ds.n,
     }
-    write_manifest(out_dir, "train", c, resolved, artifacts, t0)
+    write_manifest(out_dir, "train", c, resolved, artifacts, t0, [trace])
     print(f"train: {trace.n_steps} steps x {trace.n_layers} layers, "
           f"eta*K = {resolved['eta_times_K']:g}, wrote {len(artifacts)} files to {out_dir}")
     return 0
@@ -474,7 +499,8 @@ def cmd_invariance(args, c: dict, t0: float) -> int:
                   "eta_times_K": fr.realized_product} for fr in runs],
         "all_pass": report.all_pass,
     }
-    write_manifest(out_dir, "invariance", c, resolved, artifacts, t0)
+    write_manifest(out_dir, "invariance", c, resolved, artifacts, t0,
+                   [fr.trace for fr in runs])
     verdict = "PASS" if report.all_pass else "FAIL"
     print(f"invariance: {len(runs)} runs, {len(report.rows)} compared rows, {verdict}")
     return 0 if report.all_pass else 1
@@ -486,10 +512,12 @@ def cmd_variational(args, c: dict, t0: float) -> int:
     dt, steps = c["run"]["dt"], c["run"]["steps"]
     units, halving = c["variational"]["units"], c["variational"]["dt_halving"]
     trace = _run(c, ds, dt, steps, units)
+    traces = [trace]
     trajs = extract_unit_trajectories(trace, units)
     trajs_half = None
     if halving:
-        trajs_half = extract_unit_trajectories(_run(c, ds, dt / 2.0, steps * 2, units), units)
+        traces.append(_run(c, ds, dt / 2.0, steps * 2, units))
+        trajs_half = extract_unit_trajectories(traces[1], units)
 
     unit_reports = []
     for i, sel in enumerate(units):
@@ -531,7 +559,7 @@ def cmd_variational(args, c: dict, t0: float) -> int:
     write_json(out_dir / "variational_report.json", payload)
     resolved = {"eta_times_K": dt * steps, "recorded_units": len(units)}
     artifacts = ["variational_report.json", "manifest.json"]
-    write_manifest(out_dir, "variational-check", c, resolved, artifacts, t0)
+    write_manifest(out_dir, "variational-check", c, resolved, artifacts, t0, traces)
     print(f"variational-check: {len(units)} unit(s), "
           f"el_residual_max = {unit_reports[0]['el_residual_max']:.3g}")
     return 0
@@ -542,6 +570,8 @@ def cmd_variational(args, c: dict, t0: float) -> int:
 NUMBER = ((int, float), "a number")
 NUMBER_OR_NULL = ((int, float, type(None)), "a number or null")
 VERDICT = ((bool, type(None)), "true, false or null")
+OBJECT = ((dict,), "an object")
+LIST = ((list,), "a list")
 
 
 def _fields(obj, where: str, keys, kinds=None) -> dict:
@@ -565,11 +595,30 @@ def _items(obj, where: str, keys, kinds=None) -> list:
     return [_fields(item, f"{where}[{i}]", keys, kinds) for i, item in enumerate(obj)]
 
 
+def environment_line(manifest: dict) -> str | None:
+    """The manifest's environment block as one line, or None when it has none."""
+    if "environment" not in manifest:
+        return None
+    env = _fields(manifest["environment"], "manifest.json environment",
+                  ("python", "numpy", "blas", "thread_vars", "blas_threads"),
+                  {"blas": OBJECT, "thread_vars": OBJECT, "blas_threads": LIST})
+    blas = env["blas"]
+    thread_vars = " ".join(f"{k}={'unset' if v is None else v}"
+                           for k, v in env["thread_vars"].items())
+    threads = " ".join("?" if t is None else str(t) for t in env["blas_threads"])
+    return (f"environment: Python {env['python']}, numpy {env['numpy']}, "
+            f"BLAS {blas.get('name')} {blas.get('version')}, {thread_vars}, "
+            f"BLAS threads per run: {threads}")
+
+
 def cmd_report(args) -> int:
     out_dir = args.out
     manifest = load_config(out_dir / "manifest.json")
     command = manifest.get("command", "?")
     print(f"ska {manifest.get('version', '?')} {command} run in {out_dir}")
+    env_line = environment_line(manifest)
+    if env_line is not None:
+        print(env_line)
 
     if command == "train":
         resolved = _fields(manifest.get("resolved"), "manifest.json resolved",
@@ -625,20 +674,29 @@ def cmd_report(args) -> int:
                         "el_residual_max", "net_identity_crossings"),
                        {"action_entropy": NUMBER, "entropy_by_definition": NUMBER,
                         "el_residual_max": NUMBER, "el_order": NUMBER_OR_NULL})
+        # an EL order under the floor, or a crossing residual over its bound, fails
+        passed = True
         for i, unit in enumerate(units):
-            sel = unit["selection"]
+            sel, order = unit["selection"], unit.get("el_order")
+            low = order is not None and order < EL_ORDER_FLOOR
+            passed &= not low
             print(f"unit {sel}: action {unit['action_entropy']:.6g}, "
                   f"entropy {unit['entropy_by_definition']:.6g}, "
                   f"el residual {unit['el_residual_max']:.3g}"
-                  + (f", order {unit['el_order']:.2f}" if unit.get("el_order") is not None else ""))
+                  + (f", order {order:.2f}" if order is not None else "")
+                  + (f" below {EL_ORDER_FLOOR} FAIL" if low else ""))
             crossings = _items(unit["net_identity_crossings"],
                                f"variational_report.json units[{i}].net_identity_crossings",
                                ("time", "residual"),
                                {"time": NUMBER, "residual": NUMBER, "bound": NUMBER})
             for c in crossings:
+                over = "bound" in c and c["residual"] > c["bound"]
+                passed &= not over
                 print(f"  crossing t = {c['time']:.4g}: net identity residual {c['residual']:.3g}"
-                      + (f", bound {c['bound']:.3g}" if "bound" in c else ""))
-        print("PASS")
+                      + (f", bound {c['bound']:.3g}" if "bound" in c else "")
+                      + (" FAIL" if over else ""))
+        print("PASS" if passed else "FAIL")
+        return 0 if passed else 1
     else:
         raise ConfigError(f"unknown command {command!r} in manifest")
     return 0

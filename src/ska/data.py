@@ -146,6 +146,9 @@ class Dataset:
 
 
 def from_idx(image_path, label_path=None, limit: int | None = None) -> Dataset:
+    """The IDX images (and labels), or their first limit rows."""
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
     inputs = load_idx_images(image_path)
     labels = load_idx_labels(label_path) if label_path else None
     if limit is not None:

@@ -43,6 +43,12 @@ MAX_STEPS = 1_000_000
 # allocates a temporary the size of its input.
 SIGMOID_BLOCK = 1 << 14
 
+# Multiply-adds of a run's largest per-step product (batch rows x fan_in x
+# fan_out) below which the run holds BLAS to one thread: there a second
+# thread's wake-up and handoff cost more than it saves, and one thread makes
+# the run's sums, and so its trace, the same at any thread setting.
+SMALL_PRODUCT = 1 << 24
+
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic map, exact in both tails, without branches.
@@ -335,6 +341,10 @@ def run(
     t_k = k * dt for k = 1..K. record_units takes (layer, unit, sample)
     triples; each selected scalar pre-activation is sampled at steps
     0..K-1 (K values, constant dt spacing) and stored on the trace.
+
+    A run whose largest product is below SMALL_PRODUCT multiply-adds runs
+    on one BLAS thread, any other on the caller's count; the trace records
+    the count used (None when no OpenBLAS thread switch is found).
     """
     cfg = net.config
     if net.step_index != 0:
@@ -350,15 +360,19 @@ def run(
             raise ValueError(f"selection sample {sample_i} out of batch range")
     paths = {sel: np.empty(cfg.steps) for sel in selections}
     acc = TraceAccumulator(cfg)
-    for k in range(cfg.steps + 1):
-        X = take_batch(dataset, batch_size, batch_mode, k)
-        rec = step(net, X, cfg.dt)
-        if k < cfg.steps:
-            for sel in selections:
-                layer_i, unit_i, sample_i = sel
-                paths[sel][k] = net.layers[layer_i].Z[sample_i, unit_i]
-        if k >= 1:
-            acc.add(rec)
+    sizes = cfg.layer_sizes
+    largest = probe.shape[0] * max(a * b for a, b in zip(sizes, sizes[1:]))
+    with linalg.blas_threads(1 if largest < SMALL_PRODUCT else None) as threads:
+        for k in range(cfg.steps + 1):
+            X = take_batch(dataset, batch_size, batch_mode, k)
+            rec = step(net, X, cfg.dt)
+            if k < cfg.steps:
+                for sel in selections:
+                    layer_i, unit_i, sample_i = sel
+                    paths[sel][k] = net.layers[layer_i].Z[sample_i, unit_i]
+            if k >= 1:
+                acc.add(rec)
     trace = acc.finish()
     trace.unit_paths = paths
+    trace.blas_threads = threads
     return trace

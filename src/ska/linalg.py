@@ -1,7 +1,8 @@
 """Dense float64 kernels of the Euler step and the metric pass.
 
 matmul, outer_mean, the Frobenius norm and the flattened cosine: the four
-operations the dynamics and the metrics run on every step. The three that
+operations the dynamics and the metrics run on every step. blas_threads caps
+the threads of numpy's OpenBLAS for the length of a run. The three that
 take two operands check their shapes and raise ShapeMismatchError instead
 of letting broadcasting paper over a mistake. Matrices are 2-D float64
 arrays, row-major, one sample per row where a batch is involved. Nothing
@@ -13,9 +14,20 @@ no intermediate array.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 
 import numpy as np
+
+# Thread getter and setter of the OpenBLAS builds numpy ships or links, in
+# the order they are looked for.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 class ShapeMismatchError(ValueError):
@@ -82,3 +94,38 @@ def cosine_flat(a: np.ndarray, b: np.ndarray, *, norm_a: float | None = None) ->
         raise UndefinedCosineError("cosine undefined for zero-norm operand")
     c = float(np.dot(a.ravel(), b.ravel()) / (na * nb))
     return c if math.isnan(c) else min(1.0, max(-1.0, c))
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread functions of the OpenBLAS numpy is linked against,
+    or None. dlsym on numpy's extension module searches its dependencies."""
+    core = getattr(np, "_core", None) or np.core
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get, put in _OPENBLAS_SYMBOLS:
+        if hasattr(lib, get) and hasattr(lib, put):
+            get, put = getattr(lib, get), getattr(lib, put)
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(limit: int | None):
+    """Run the body with numpy's OpenBLAS on at most limit threads (None: the
+    caller's count), restoring the caller's count on exit; yields the count
+    in effect, or None, changing nothing, when no OpenBLAS is found."""
+    switch = _openblas()
+    before = switch[0]() if switch else None
+    if before is None or limit is None or limit >= before:
+        yield before
+        return
+    switch[1](limit)
+    try:
+        yield limit
+    finally:
+        switch[1](before)

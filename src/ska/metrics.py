@@ -71,7 +71,8 @@ class TrajectoryTrace:
     steps holds 1..K and times holds exactly steps * dt. cosine uses NaN
     for gaps. unit_paths maps (layer, unit, sample) selections to length-K
     arrays of recorded pre-activations (steps 0..K-1), when recording was
-    requested.
+    requested. blas_threads is the BLAS thread count the run used, None
+    when unknown.
     """
 
     layer_sizes: tuple
@@ -87,6 +88,7 @@ class TrajectoryTrace:
     net_step: np.ndarray
     net_cum: np.ndarray
     unit_paths: dict = field(default_factory=dict)
+    blas_threads: int | None = None
 
     @property
     def n_layers(self) -> int:

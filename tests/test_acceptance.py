@@ -5,8 +5,10 @@ Each test collects its failures, emits exactly one line of the form
     ACCEPTANCE <n> <name>: PASS|FAIL (<elapsed>s)
 
 (also echoed in the terminal summary), then asserts. Scenario constants
-below are frozen: the documented values were measured once and are
-bit-stable across BLAS threading settings on this platform.
+below are frozen and the documented values were measured once. Runs whose
+largest product is below dynamics.SMALL_PRODUCT (the family, the scalar
+unit) use one BLAS thread, so their values are the same bits at any thread
+setting; the glyph run of criterion 6 is bit-stable at a fixed thread count.
 """
 
 import json

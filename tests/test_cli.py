@@ -5,11 +5,13 @@ asserted directly; one subprocess test covers the module entry point.
 """
 
 import json
+import platform
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ska.cli import MARKERS_HEADER, TRACE_HEADER, main
@@ -239,6 +241,70 @@ def test_crossings_carry_the_net_action_bound(tmp_path, capsys):
     assert f", bound {crossing['bound']:.3g}" in capsys.readouterr().out
 
 
+def _tampered_unit_run(tmp_path, **changes):
+    """A single-unit run whose report's first unit takes changes; a crossing
+    change applies to its first crossing."""
+    cfg = {"seed": 4, "run": {"dt": 0.05, "steps": 120}}
+    out = tmp_path / "var"
+    assert main(["variational-check", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    path = out / "variational_report.json"
+    report = json.loads(path.read_text())
+    unit = report["units"][0]
+    assert unit["el_order"] >= 1.8
+    crossing = unit["net_identity_crossings"][0]
+    assert crossing["residual"] <= crossing["bound"]
+    for key, value in changes.items():
+        (crossing if key in crossing else unit)[key] = value
+    path.write_text(json.dumps(report))
+    return out
+
+
+@pytest.mark.parametrize("changes,needle", [
+    ({}, None),
+    ({"el_order": 1.2}, "order 1.20 below 1.8 FAIL"),
+    ({"residual": 0.5}, "net identity residual 0.5, bound 0.161 FAIL"),
+], ids=["untouched", "low-order", "residual-over-bound"])
+def test_report_verdict_on_variational_runs(tmp_path, capsys, changes, needle):
+    """report fails a variational run whose EL order is under 1.8, or whose
+    net-action residual at a crossing is over its bound."""
+    out = _tampered_unit_run(tmp_path, **changes)
+    capsys.readouterr()
+    rc = main(["report", "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    if needle is None:
+        assert (rc, lines[-1]) == (0, "PASS")
+    else:
+        assert (rc, lines[-1]) == (1, "FAIL")
+        assert any(line.endswith(needle) for line in lines), lines
+
+
+def test_manifest_records_the_environment(tmp_path, capsys, monkeypatch):
+    """Every command's manifest holds the environment block, with the BLAS
+    thread count of each run; report prints it as one line."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    rc, out = _train(tmp_path, TRAIN_CFG, extra=("--no-svg",))
+    assert rc == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["python"] == platform.python_version()
+    assert set(env["blas"]) == {"name", "version"}
+    assert env["thread_vars"]["OPENBLAS_NUM_THREADS"] == "2"
+    assert env["thread_vars"]["OMP_NUM_THREADS"] is None
+    assert len(env["blas_threads"]) == 1
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("environment:")]
+    assert f"numpy {np.__version__}" in line and "OPENBLAS_NUM_THREADS=2" in line
+    assert "OMP_NUM_THREADS=unset" in line
+    assert line.endswith(f"BLAS threads per run: {env['blas_threads'][0]}")
+
+    rc, inv = _invariance(tmp_path, INV_CFG)
+    assert rc == 0
+    assert len(json.loads((inv / "manifest.json").read_text())["environment"]["blas_threads"]) == 2
+
+
 def test_variational_units_must_be_triples(tmp_path, capsys):
     cfg = {"seed": 0, "run": {"dt": 0.05, "steps": 4},
            "variational": {"units": [[0, 0]]}}
@@ -371,6 +437,10 @@ BAD_RUN_DIRS = {
          {"all_pass": True, "rows": [{"metric": "cosine", "run": 1, "rel_dev": None,
                                       "tolerance": 0.02, "passed": "yes"}]}),
         'key passed must be true, false or null, not "yes"'),
+    "train-environment-threads-not-list": (
+        {"command": "train", "environment": {"python": "3", "numpy": "2", "blas": {},
+                                             "thread_vars": {}, "blas_threads": 1}},
+        None, "environment key blas_threads must be a list, not 1"),
     "variational-check-text-time": (
         {"command": "variational-check", "resolved": {"eta_times_K": 0.2}},
         ("variational_report.json",

@@ -9,7 +9,10 @@ resolved and held equal to that workload.
 
 import importlib.util
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +85,28 @@ def test_listed_command_runs_and_reports(tmp_path, capsys, line):
     capsys.readouterr()
     assert main(["report", "--out", str(tmp_path / out)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+
+def test_family_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    """The family's products are below SMALL_PRODUCT, so every run of it
+    uses one BLAS thread: its CSVs and report are the same bytes under any
+    OPENBLAS_NUM_THREADS. Only the manifest, which records the environment
+    and the duration, may differ."""
+    outs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                             os.environ.get("PYTHONPATH")])))
+        out = outs[threads] = tmp_path / f"t{threads}"
+        proc = subprocess.run([sys.executable, "-m", "ska", "invariance", "--config",
+                               str(ROOT / "configs/invariance_family.json"), "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        env_block = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env_block["thread_vars"]["OPENBLAS_NUM_THREADS"] == threads
+        assert env_block["blas_threads"] == [1, 1, 1, 1]
+    names = sorted(p.name for p in outs["1"].iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in outs["2"].iterdir() if p.name != "manifest.json")
+    assert len(names) == 7
+    for name in names:
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name

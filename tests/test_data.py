@@ -147,6 +147,15 @@ def test_from_idx_limit(tmp_path):
     assert ds.source == "mnist-file"
 
 
+@pytest.mark.parametrize("limit", [0, -15])
+def test_from_idx_rejects_a_limit_below_one(tmp_path, limit):
+    """A negative limit would slice rows off the end, zero would leave none."""
+    ip = tmp_path / "i.idx"
+    data.save_idx_images(ip, np.zeros((20, 2, 2), dtype=np.uint8))
+    with pytest.raises(ValueError, match="^limit must be positive$"):
+        data.from_idx(ip, limit=limit)
+
+
 def test_synthetic_blobs_structure():
     ds = data.synthetic_blobs(60, 5, 3, seed=9)
     assert ds.n == 60 and ds.dim == 5

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import ska
-from ska.dynamics import LN2, SIGMOID_BLOCK, NetworkConfig
-from ska.linalg import frobenius_norm
+from ska.dynamics import LN2, SIGMOID_BLOCK, SMALL_PRODUCT, NetworkConfig
+from ska.linalg import blas_threads, frobenius_norm
 from ska.metrics import cosine_alignment
 
 SIG1 = 0.7310585786300049
@@ -519,14 +519,56 @@ def test_run_matches_reference_loop_bitwise():
     """Every trace column equals an allocation-heavy loop over the formulas.
     The 900-unit layer's Z (20 x 900) spans two sigmoid blocks, so the
     blocked sigmoid and gradient and the metric pass that writes over dD
-    and G run against the reference too."""
+    and G run against the reference too. Both nets are below SMALL_PRODUCT,
+    so run holds BLAS to one thread, and the reference loop runs under the
+    same setting: the 20 x 900 layer's dot products are long enough for a
+    threaded BLAS to split them."""
     ds = ska.synthetic_blobs(20, 6, 3, seed=4)
     assert 20 * 900 > SIGMOID_BLOCK
+    assert 20 * 6 * 900 < SMALL_PRODUCT
     for sizes in ((6, 5, 4, 3), (6, 900, 4, 3)):
         cfg = NetworkConfig(layer_sizes=sizes, dt=0.05, steps=8, init_std_scale=2.0, seed=12)
         trace = ska.run(ska.init_network(cfg), ds)
-        for name, want in reference_columns(cfg, ds.inputs).items():
+        with blas_threads(1):
+            columns = reference_columns(cfg, ds.inputs)
+        for name, want in columns.items():
             assert np.array_equal(trace.column(name), want, equal_nan=True), (sizes, name)
+
+
+def test_run_picks_blas_threads_by_its_largest_product(two_blas_threads):
+    """Below SMALL_PRODUCT multiply-adds a run holds BLAS to one thread; at
+    or above it the run keeps the caller's count. Either way the caller's
+    count is back after the run."""
+    small = NetworkConfig(layer_sizes=(64, 32, 16, 4), dt=0.01, steps=2, seed=1)
+    ds = ska.synthetic_blobs(512, 64, 8, seed=2)
+    assert 512 * 64 * 32 < SMALL_PRODUCT
+    assert ska.run(ska.init_network(small), ds).blas_threads == 1
+    assert two_blas_threads() == 2
+    big = NetworkConfig(layer_sizes=(256, 256), dt=0.01, steps=1, seed=1)
+    assert 256 * 256 * 256 == SMALL_PRODUCT
+    trace = ska.run(ska.init_network(big), ska.synthetic_blobs(256, 256, 2, seed=2))
+    assert trace.blas_threads == 2 == two_blas_threads()
+
+
+def test_run_restores_blas_threads_after_a_non_finite_stop(two_blas_threads):
+    cfg = NetworkConfig(layer_sizes=(8, 4, 2), dt=1e300, steps=6, seed=3)
+    ds = ska.synthetic_blobs(24, 8, 3, seed=1)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        ska.run(ska.init_network(cfg), ds)
+    assert two_blas_threads() == 2
+
+
+def test_run_without_openblas_keeps_its_trace(monkeypatch):
+    """A BLAS with no thread switch found leaves the run as it is: same
+    columns, thread count unknown."""
+    cfg = NetworkConfig(layer_sizes=(6, 5, 4, 3), dt=0.05, steps=8, init_std_scale=2.0, seed=12)
+    ds = ska.synthetic_blobs(20, 6, 3, seed=4)
+    want = ska.run(ska.init_network(cfg), ds)
+    monkeypatch.setattr(ska.linalg, "_openblas", lambda: None)
+    got = ska.run(ska.init_network(cfg), ds)
+    assert got.blas_threads is None
+    for name in ("entropy_step", "cosine", "z_norm", "flow_norm", "net_step", "net_cum"):
+        assert np.array_equal(got.column(name), want.column(name), equal_nan=True), name
 
 
 def reference_columns(cfg, X):

@@ -103,3 +103,20 @@ def test_cosine_flat_errors():
         linalg.cosine_flat(np.ones((2, 2)), np.zeros((2, 2)))
     with pytest.raises(linalg.ShapeMismatchError):
         linalg.cosine_flat(np.ones((2, 2)), np.ones((2, 3)))
+
+
+def test_blas_threads_lowers_and_restores(two_blas_threads):
+    with linalg.blas_threads(1) as threads:
+        assert threads == 1 == two_blas_threads()
+    assert two_blas_threads() == 2
+    with pytest.raises(RuntimeError):
+        with linalg.blas_threads(1):
+            raise RuntimeError("stop")
+    assert two_blas_threads() == 2
+
+
+def test_blas_threads_never_raises_the_count(two_blas_threads):
+    for limit in (None, 2, 8):
+        with linalg.blas_threads(limit) as threads:
+            assert threads == 2 == two_blas_threads()
+    assert two_blas_threads() == 2
