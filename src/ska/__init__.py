@@ -14,10 +14,8 @@ from .data import (
     from_idx,
     glyph_dataset,
     load_idx_images,
-    load_idx_labels,
     synthetic_blobs,
     take_batch,
-    write_glyph_idx,
 )
 from .dynamics import (
     Network,
@@ -60,9 +58,7 @@ __all__ = [
     "constant_dataset",
     "from_idx",
     "glyph_dataset",
-    "write_glyph_idx",
     "load_idx_images",
-    "load_idx_labels",
     "synthetic_blobs",
     "take_batch",
     "Network",

@@ -46,8 +46,9 @@ from .variational import (
 
 # Environment variables that set BLAS thread counts, recorded in the manifest.
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# Least Euler-Lagrange order under step halving that report passes: the
-# residual of a second-order central difference should fall about 4x.
+# Least Euler-Lagrange order under step halving that a variational-check
+# passes: the residual of a second-order central difference should fall
+# about 4x.
 EL_ORDER_FLOOR = 1.8
 
 TRACE_HEADER = "step,time,layer,entropy_step,entropy_cum,cosine,z_norm,flow_norm,net_step,net_cum"
@@ -85,7 +86,7 @@ SOURCES = {
                   "center_spacing": (float, 0.45), "std": (float, 0.08)},
     "glyphs": {"n": (int, 4096), "seed": (int, SEED)},
     "constant": {"n": (int, 1), "dim": (int, 1), "value": (float, 1.0)},
-    "mnist": {"images": (str, REQUIRED), "labels": (str, None), "limit": (int, None)},
+    "mnist": {"images": (str, REQUIRED), "limit": (int, None)},
 }
 DATA = {
     "source": (tuple(SOURCES), REQUIRED),
@@ -235,37 +236,35 @@ def build_dataset(spec: dict) -> Dataset:
         return glyph_dataset(spec["n"], spec["seed"])
     if source == "constant":
         return constant_dataset(spec["n"], spec["dim"], spec["value"])
-    return from_idx(spec["images"], spec.get("labels"), limit=spec.get("limit"))
+    return from_idx(spec["images"], limit=spec["limit"])
 
 
 # ------------------------------------------------------------- artifacts ---
 
 
 def _cell(v) -> str:
-    if isinstance(v, float) and math.isnan(v):
-        return ""
+    """A CSV cell: a float as its repr, NaN as an empty cell, else str(v)."""
     if isinstance(v, float):
-        return repr(v)
+        return repr(v) if v == v else ""
     return str(v)
 
 
+def write_csv(path, header: str, rows) -> None:
+    """The header line, then one line of _cell cells per row, streamed so
+    the file's text is never held whole. Rows should hold Python scalars
+    (from .tolist()), not numpy ones."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
 def write_trace_csv(path, trace: TrajectoryTrace) -> None:
-    lines = [TRACE_HEADER]
-    for i, k in enumerate(trace.steps):
-        for l in range(trace.n_layers):
-            lines.append(",".join([
-                str(int(k)),
-                repr(float(trace.times[i])),
-                str(l),
-                repr(float(trace.entropy_step[i, l])),
-                repr(float(trace.entropy_cum[i, l])),
-                _cell(float(trace.cosine[i, l])),
-                repr(float(trace.z_norm[i, l])),
-                repr(float(trace.flow_norm[i, l])),
-                repr(float(trace.net_step[i, l])),
-                repr(float(trace.net_cum[i, l])),
-            ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per (step, layer), steps outer, in TRACE_HEADER's columns."""
+    L = trace.n_layers
+    columns = [np.repeat(trace.steps, L), np.repeat(trace.times, L),
+               np.tile(np.arange(L), trace.n_steps)]
+    columns += [trace.column(name).ravel() for name in TRACE_HEADER.split(",")[3:]]
+    write_csv(path, TRACE_HEADER, zip(*(c.tolist() for c in columns)))
 
 
 def trace_markers(trace: TrajectoryTrace) -> list:
@@ -284,10 +283,7 @@ def trace_markers(trace: TrajectoryTrace) -> list:
 
 
 def write_markers_csv(path, trace: TrajectoryTrace) -> None:
-    lines = [MARKERS_HEADER]
-    for layer, kind, step_v, value in trace_markers(trace):
-        lines.append(f"{layer},{kind},{_cell(step_v)},{_cell(value)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, MARKERS_HEADER, trace_markers(trace))
 
 
 def _jsonable(v):
@@ -323,7 +319,7 @@ def environment(traces) -> dict:
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, resolved: dict,
-                   artifacts: list, t0: float, traces) -> dict:
+                   artifacts: list, t0: float, traces) -> None:
     manifest = {
         "tool": "ska",
         "version": __version__,
@@ -335,7 +331,6 @@ def write_manifest(out_dir: Path, command: str, config: dict, resolved: dict,
         "duration_seconds": round(time.perf_counter() - t0, 3),
     }
     write_json(out_dir / "manifest.json", manifest)
-    return manifest
 
 
 def train_charts(out_dir: Path, trace: TrajectoryTrace) -> list:
@@ -457,23 +452,22 @@ def cmd_invariance(args, c: dict, t0: float) -> int:
         artifacts.append(name)
 
     aligned = resample_common_grid(runs, spec.metrics)
-    lines = ["metric,run,eta,layer,time,value"]
+    grid = aligned.grid.tolist()
+    rows = []
     for lab, eta in zip(aligned.labels, aligned.etas):
         for metric in aligned.metrics:
             vals = aligned.values(lab, metric)
             for l in range(vals.shape[1]):
-                for g, tval in enumerate(aligned.grid):
-                    lines.append(f"{metric},{lab},{_cell(float(eta))},{l},"
-                                 f"{_cell(float(tval))},{_cell(float(vals[g, l]))}")
-    (out_dir / "aligned.csv").write_text("\n".join(lines) + "\n")
+                rows += [(metric, lab, float(eta), l, t, v)
+                         for t, v in zip(grid, vals[:, l].tolist())]
+    write_csv(out_dir / "aligned.csv", "metric,run,eta,layer,time,value", rows)
 
     report = compare(aligned, tolerance=spec.tolerance)
-    lines = ["metric,run,eta,reference_eta,sup_dev,rel_dev,tolerance,passed"]
-    for r in report.rows:
-        word = "incomparable" if r.passed is None else ("pass" if r.passed else "fail")
-        lines.append(f"{r.metric},{r.label},{_cell(r.eta)},{_cell(r.reference_eta)},"
-                     f"{_cell(r.sup_dev)},{_cell(r.rel_dev)},{_cell(r.tolerance)},{word}")
-    (out_dir / "invariance_report.csv").write_text("\n".join(lines) + "\n")
+    words = {None: "incomparable", True: "pass", False: "fail"}
+    write_csv(out_dir / "invariance_report.csv",
+              "metric,run,eta,reference_eta,sup_dev,rel_dev,tolerance,passed",
+              [(r.metric, r.label, r.eta, r.reference_eta, r.sup_dev, r.rel_dev,
+                r.tolerance, words[r.passed]) for r in report.rows])
 
     write_json(out_dir / "invariance_report.json", {
         "reference": report.reference_label,
@@ -504,6 +498,16 @@ def cmd_invariance(args, c: dict, t0: float) -> int:
     verdict = "PASS" if report.all_pass else "FAIL"
     print(f"invariance: {len(runs)} runs, {len(report.rows)} compared rows, {verdict}")
     return 0 if report.all_pass else 1
+
+
+def unit_faults(unit: dict) -> tuple:
+    """The faults of one variational-check unit: "below EL_ORDER_FLOOR" when
+    its measured EL order is under that floor, else "", and for each of its
+    crossings whether the residual is over its bound. Any fault fails."""
+    order = unit.get("el_order")
+    low = f"below {EL_ORDER_FLOOR}" if order is not None and order < EL_ORDER_FLOOR else ""
+    return low, ["bound" in c and c["residual"] > c["bound"]
+                 for c in unit["net_identity_crossings"]]
 
 
 def cmd_variational(args, c: dict, t0: float) -> int:
@@ -560,9 +564,11 @@ def cmd_variational(args, c: dict, t0: float) -> int:
     resolved = {"eta_times_K": dt * steps, "recorded_units": len(units)}
     artifacts = ["variational_report.json", "manifest.json"]
     write_manifest(out_dir, "variational-check", c, resolved, artifacts, t0, traces)
+    passed = not any(low or any(over) for low, over in map(unit_faults, unit_reports))
     print(f"variational-check: {len(units)} unit(s), "
-          f"el_residual_max = {unit_reports[0]['el_residual_max']:.3g}")
-    return 0
+          f"el_residual_max = {unit_reports[0]['el_residual_max']:.3g}, "
+          + ("PASS" if passed else "FAIL"))
+    return 0 if passed else 1
 
 
 # What a value cmd_report formats as a number, or reads as a verdict, must
@@ -674,27 +680,24 @@ def cmd_report(args) -> int:
                         "el_residual_max", "net_identity_crossings"),
                        {"action_entropy": NUMBER, "entropy_by_definition": NUMBER,
                         "el_residual_max": NUMBER, "el_order": NUMBER_OR_NULL})
-        # an EL order under the floor, or a crossing residual over its bound, fails
         passed = True
         for i, unit in enumerate(units):
-            sel, order = unit["selection"], unit.get("el_order")
-            low = order is not None and order < EL_ORDER_FLOOR
-            passed &= not low
-            print(f"unit {sel}: action {unit['action_entropy']:.6g}, "
-                  f"entropy {unit['entropy_by_definition']:.6g}, "
-                  f"el residual {unit['el_residual_max']:.3g}"
-                  + (f", order {order:.2f}" if order is not None else "")
-                  + (f" below {EL_ORDER_FLOOR} FAIL" if low else ""))
             crossings = _items(unit["net_identity_crossings"],
                                f"variational_report.json units[{i}].net_identity_crossings",
                                ("time", "residual"),
                                {"time": NUMBER, "residual": NUMBER, "bound": NUMBER})
-            for c in crossings:
-                over = "bound" in c and c["residual"] > c["bound"]
-                passed &= not over
+            low, over = unit_faults(unit)
+            passed &= not (low or any(over))
+            order = unit.get("el_order")
+            print(f"unit {unit['selection']}: action {unit['action_entropy']:.6g}, "
+                  f"entropy {unit['entropy_by_definition']:.6g}, "
+                  f"el residual {unit['el_residual_max']:.3g}"
+                  + (f", order {order:.2f}" if order is not None else "")
+                  + (f" {low} FAIL" if low else ""))
+            for c, bad in zip(crossings, over):
                 print(f"  crossing t = {c['time']:.4g}: net identity residual {c['residual']:.3g}"
                       + (f", bound {c['bound']:.3g}" if "bound" in c else "")
-                      + (" FAIL" if over else ""))
+                      + (" FAIL" if bad else ""))
         print("PASS" if passed else "FAIL")
         return 0 if passed else 1
     else:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .data import Dataset, take_batch
-from .metrics import LN2, TraceAccumulator, cosine_alignment, entropy_step, net_step
+from .metrics import LN2, TraceAccumulator, entropy_step, net_step
 
 # Most steps one run may take. The trace keeps seven float64 columns of
 # (steps, layers), 56 MB per layer at this bound.
@@ -279,7 +279,7 @@ def forward(net: Network, X: np.ndarray) -> list:
     return out
 
 
-def step(net: Network, X: np.ndarray, dt: float | None = None) -> StepRecord:
+def step(net: Network, X: np.ndarray) -> StepRecord:
     """Forward pass, step metrics, entropy gradients, simultaneous Euler update.
 
     Every layer's gradient and input come from the snapshot the forward pass
@@ -289,16 +289,14 @@ def step(net: Network, X: np.ndarray, dt: float | None = None) -> StepRecord:
 
     A recorded step (k >= 1) works per layer over the retired snapshot:
     it writes the increments dZ and dD over it, takes ||Z||, the cosine of
-    Z and dD, and ||dZ|| / config.dt, writes Z * dD over dD for the
-    entropy, the gradient G over that spent block, applies the update, and
-    writes (D - G) * dZ over the same block for the net. So a step allocates
-    only the new snapshot (Z, D), the update block and the block-sized
+    Z and dD, and ||dZ|| / dt, writes Z * dD over dD for the entropy, the
+    gradient G over that spent block, applies the update, and writes
+    (D - G) * dZ over the same block for the net. So a step allocates only
+    the new snapshot (Z, D), the update block and the block-sized
     temporaries of the sigmoid and gradient passes. The seeding step (k = 0)
-    has no increments and takes its gradient in a transient array. With
-    dt = 0 the weights are left untouched.
+    has no increments and takes its gradient in a transient array.
     """
-    if dt is None:
-        dt = net.config.dt
+    dt = net.config.dt
     k = net.step_index
     forward(net, X)
     inp = np.ascontiguousarray(X, dtype=np.float64)
@@ -312,14 +310,13 @@ def step(net: Network, X: np.ndarray, dt: float | None = None) -> StepRecord:
             dD = np.subtract(D, layer.prev_D, out=layer.prev_D)
             zn = linalg.frobenius_norm(Z)
             rec.z_norm.append(zn)
-            rec.cosine.append(cosine_alignment(Z, dD, zn))
-            rec.flow_norm.append(linalg.frobenius_norm(dZ) / net.config.dt)
+            rec.cosine.append(linalg.cosine_flat(Z, dD, norm_a=zn))
+            rec.flow_norm.append(linalg.frobenius_norm(dZ) / dt)
             rec.entropy_step.append(entropy_step(Z, dD, out=dD))
             G = entropy_gradient(Z, D, out=dD)
-        if dt != 0.0:
-            upd = linalg.outer_mean(G, inp)
-            upd *= dt
-            layer.W -= upd
+        upd = linalg.outer_mean(G, inp)
+        upd *= dt
+        layer.W -= upd
         if k != 0:
             rec.net_step.append(net_step(D, G, dZ, out=G))
         inp = D
@@ -365,7 +362,7 @@ def run(
     with linalg.blas_threads(1 if largest < SMALL_PRODUCT else None) as threads:
         for k in range(cfg.steps + 1):
             X = take_batch(dataset, batch_size, batch_mode, k)
-            rec = step(net, X, cfg.dt)
+            rec = step(net, X)
             if k < cfg.steps:
                 for sel in selections:
                     layer_i, unit_i, sample_i = sel

@@ -4,9 +4,9 @@ measure how far the trajectories drift apart on a shared time grid.
 The product T = eta * K fixes the physical time window. Runs in a family
 share the seed, the initial weights and the full data batch, so each one is
 an explicit-Euler discretization of the same continuous gradient flow and
-their traces should collapse onto each other as eta shrinks. Per-step
-quantities (entropy, net) scale linearly with eta and are divided by eta
-before comparison; cosine, z_norm and cumulative net need no normalization.
+their traces should collapse onto each other as eta shrinks. The per-step
+entropy scales linearly with eta and is divided by eta before comparison;
+cosine, z_norm and cumulative net need no normalization.
 
 Deviations are measured against the smallest-eta run in the family and are
 reported relative to that reference trace's per-layer range. The pass
@@ -26,19 +26,13 @@ from .data import Dataset
 from .dynamics import NetworkConfig, bounded_steps, init_network, run
 from .metrics import TrajectoryTrace
 
-DEFAULT_ETAS = (0.02, 0.01, 0.005, 0.0033, 0.0025, 0.001)
 COMPARE_METRICS = ("entropy_step_normalized", "cosine", "z_norm", "net_cum")
 
 # Metric key -> (trace column, divide by eta first)
 _METRIC_SOURCES = {
     "entropy_step_normalized": ("entropy_step", True),
-    "net_step_normalized": ("net_step", True),
-    "entropy_step": ("entropy_step", False),
-    "net_step": ("net_step", False),
-    "entropy_cum": ("entropy_cum", False),
     "cosine": ("cosine", False),
     "z_norm": ("z_norm", False),
-    "flow_norm": ("flow_norm", False),
     "net_cum": ("net_cum", False),
 }
 

@@ -42,10 +42,6 @@ class ShapeMismatchError(ValueError):
         )
 
 
-class UndefinedCosineError(ValueError):
-    """Cosine requested against a zero-norm operand."""
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
@@ -80,18 +76,17 @@ def frobenius_norm(m: np.ndarray) -> float:
 def cosine_flat(a: np.ndarray, b: np.ndarray, *, norm_a: float | None = None) -> float:
     """Cosine of the angle between two same-shape arrays flattened to vectors.
 
-    Raises UndefinedCosineError when either operand has zero norm; a finite
-    result is clamped to [-1, 1] so downstream acos never sees a rounding
-    excursion, and a NaN (from non-finite operands) is returned as NaN.
-    norm_a, when given, must be frobenius_norm(a), which then is not
-    computed a second time.
+    NaN when either operand has zero norm, where the cosine is undefined,
+    or is not finite; a finite result is clamped to [-1, 1] so downstream
+    acos never sees a rounding excursion. norm_a, when given, must be
+    frobenius_norm(a), which then is not computed a second time.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError("cosine_flat", a.shape, b.shape)
     na = _norm(a) if norm_a is None else norm_a
     nb = _norm(b)
     if na == 0.0 or nb == 0.0:
-        raise UndefinedCosineError("cosine undefined for zero-norm operand")
+        return math.nan
     c = float(np.dot(a.ravel(), b.ravel()) / (na * nb))
     return c if math.isnan(c) else min(1.0, max(-1.0, c))
 

@@ -55,15 +55,6 @@ def net_step(D: np.ndarray, G: np.ndarray, dZ: np.ndarray,
     return float(prod.sum() / D.shape[0])
 
 
-def cosine_alignment(Z: np.ndarray, dD: np.ndarray, norm_z: float | None = None) -> float:
-    """Cosine between flattened Z and dD, NaN when undefined. norm_z, when
-    given, is frobenius_norm(Z), already computed by the caller."""
-    try:
-        return linalg.cosine_flat(Z, dD, norm_a=norm_z)
-    except linalg.UndefinedCosineError:
-        return float("nan")
-
-
 @dataclass
 class TrajectoryTrace:
     """Column-wise record of one run: arrays shaped (K, n_layers).
@@ -97,10 +88,6 @@ class TrajectoryTrace:
     @property
     def n_steps(self) -> int:
         return len(self.steps)
-
-    @property
-    def total_time(self) -> float:
-        return self.dt * self.n_steps
 
     def column(self, name: str) -> np.ndarray:
         if name not in _COLUMNS:

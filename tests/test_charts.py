@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from ska.charts import COLORS, Marker, Series, line_chart
+from ska.charts import COLORS, Marker, Series, _ticks, line_chart
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -81,3 +81,9 @@ def test_degenerate_ranges_still_render():
     empty = Series("empty", np.array([]), np.array([]))
     svg2, root2 = _render([empty])
     assert root2.tag == f"{SVG_NS}svg"
+
+
+def test_ticks_on_an_axis_a_few_ulps_wide():
+    """The ticks stop where a step below half an ulp no longer advances them."""
+    assert _ticks(1.0, 1.0 + 4.4e-16) == [0.9999999999999999, 1.0]
+    assert _ticks(0.0, 1.0) == [0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0]

@@ -108,6 +108,16 @@ def test_undefined_cosine_is_an_empty_cell(tmp_path):
         assert row.split(",")[5] == ""
 
 
+def test_train_on_an_axis_one_ulp_wide(tmp_path):
+    """At dt 3e-16 the z_norm axis of flow_vs_znorm.svg spans one ulp; the
+    chart still gets its ticks."""
+    cfg = {"seed": 1, "network": {"layer_sizes": [4, 3]}, "run": {"dt": 3e-16, "steps": 4},
+           "data": {"source": "synthetic", "n": 8, "dim": 4, "classes": 2, "seed": 1}}
+    rc, out = _train(tmp_path, cfg, out="ulp")
+    assert rc == 0
+    assert len(list(out.glob("*.svg"))) == 6
+
+
 # -------------------------------------------------------------- errors ---
 
 
@@ -279,6 +289,20 @@ def test_report_verdict_on_variational_runs(tmp_path, capsys, changes, needle):
         assert any(line.endswith(needle) for line in lines), lines
 
 
+@pytest.mark.parametrize("floor,rc,verdict", [(1.8, 0, "PASS"), (2.5, 1, "FAIL")])
+def test_variational_check_applies_the_report_verdict(tmp_path, capsys, monkeypatch,
+                                                       floor, rc, verdict):
+    """variational-check and report share one rule: the single-unit config's
+    EL order, 1.99, passes the 1.8 floor and fails one of 2.5."""
+    monkeypatch.setattr("ska.cli.EL_ORDER_FLOOR", floor)
+    out = tmp_path / "var"
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "single_unit.json")
+    assert main(["variational-check", "--config", config, "--out", str(out)]) == rc
+    assert capsys.readouterr().out.rstrip().endswith(verdict)
+    assert main(["report", "--out", str(out)]) == rc
+    assert capsys.readouterr().out.splitlines()[-1] == verdict
+
+
 def test_manifest_records_the_environment(tmp_path, capsys, monkeypatch):
     """Every command's manifest holds the environment block, with the BLAS
     thread count of each run; report prints it as one line."""
@@ -327,7 +351,7 @@ WIDE_DATA = {"source": "synthetic", "n": 24, "dim": 64, "center_spacing": 0.35, 
 
 
 def _idx_data(limit):
-    return {"source": "mnist", "images": "images.idx", "labels": "labels.idx", "limit": limit}
+    return {"source": "mnist", "images": "images.idx", "limit": limit}
 
 
 BAD_INPUTS = {
@@ -365,6 +389,9 @@ BAD_INPUTS = {
                            "config key data.limit must be positive"),
     "idx-limit-zero": ("train", dict(TRAIN_CFG, data=_idx_data(0)),
                        "config key data.limit must be positive"),
+    # a dataset is a design matrix: the dynamics read no labels
+    "idx-labels": ("train", dict(TRAIN_CFG, data=dict(_idx_data(4), labels="labels.idx")),
+                   "unknown config key data.labels"),
     # 10**15 elements: 7 PiB and more, far past any address space, so the
     # allocation always fails at once
     "dataset-out-of-memory": ("train", dict(TRAIN_CFG, network={"layer_sizes": [64, 4]},

@@ -1,6 +1,6 @@
 """The README's Configs section: every file in configs/ is listed there, each
 listed command resolves its config, and the cheap ones run end to end and
-report.
+report. The README's data-source bullets name the keys of the config tables.
 
 The glyph config is the frozen config of the benchmark's glyph-train
 workload, which acceptance 6 and the benchmark already run; here it is only
@@ -10,6 +10,7 @@ resolved and held equal to that workload.
 import importlib.util
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from ska.cli import build_parser, main, resolve_config
+from ska.cli import SOURCES, build_parser, main, resolve_config
 
 ROOT = Path(__file__).resolve().parents[1]
 # listed config -> the benchmark workload whose frozen config it is
@@ -110,3 +111,16 @@ def test_family_artifacts_do_not_depend_on_blas_threads(tmp_path):
     assert len(names) == 7
     for name in names:
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+
+def test_readme_data_sources_list_the_keys_of_their_tables():
+    """Each bullet under "Data source parameters" is a source and its keys,
+    backticked; a key deleted from SOURCES cannot stay documented."""
+    text = (ROOT / "README.md").read_text()
+    bullets = text.split("\nData source parameters, with defaults:\n", 1)[1]
+    bullets = bullets.strip("\n").split("\n\n", 1)[0]
+    documented = {}
+    for bullet in ("\n" + bullets).split("\n- ")[1:]:
+        source, *keys = re.findall(r"`([^`]+)`", bullet)
+        documented[source] = set(keys)
+    assert documented == {source: set(table) for source, table in SOURCES.items()}

@@ -19,10 +19,6 @@ def images_bytes(n, rows, cols, payload=None):
     return struct.pack(">IIII", 2051, n, rows, cols) + payload
 
 
-def labels_bytes(values):
-    return struct.pack(">II", 2049, len(values)) + bytes(values)
-
-
 # ------------------------------------------------------------------ load ---
 
 
@@ -34,12 +30,6 @@ def test_load_images_hand_built_header(tmp_path):
     np.testing.assert_array_equal(out, [[0.0, 1.0, 0.0, 1.0]])
 
 
-def test_load_labels_hand_built_header(tmp_path):
-    p = tmp_path / "lab.idx"
-    p.write_bytes(labels_bytes([7, 0, 9]))
-    np.testing.assert_array_equal(data.load_idx_labels(p), [7, 0, 9])
-
-
 def test_gzip_transparent(tmp_path):
     p = tmp_path / "img.idx.gz"
     with gzip.open(p, "wb") as fh:
@@ -48,20 +38,12 @@ def test_gzip_transparent(tmp_path):
     assert out.shape == (2, 9)
 
 
-def test_label_range_check(tmp_path):
-    p = tmp_path / "lab.idx"
-    p.write_bytes(labels_bytes([3, 12]))
-    with pytest.raises(data.LabelRangeError):
-        data.load_idx_labels(p, classes=10)
-    assert data.load_idx_labels(p, classes=13).tolist() == [3, 12]
-
-
 def test_bad_magic(tmp_path):
     p = tmp_path / "img.idx"
     p.write_bytes(struct.pack(">IIII", 2052, 1, 2, 2) + bytes(4))
     with pytest.raises(data.BadMagicError):
         data.load_idx_images(p)
-    # label magic on an image load is also wrong
+    # the IDX label magic is not an image file's either
     p.write_bytes(struct.pack(">IIII", 2049, 1, 2, 2) + bytes(4))
     with pytest.raises(data.BadMagicError):
         data.load_idx_images(p)
@@ -97,13 +79,10 @@ def test_trailing_bytes_rejected(tmp_path):
 def test_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(21)
     pixels = rng.integers(0, 256, size=(5, 4, 3), dtype=np.uint8)
-    labels = rng.integers(0, 10, size=5, dtype=np.uint8)
-    ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+    ip = tmp_path / "img.idx"
     data.save_idx_images(ip, pixels)
-    data.save_idx_labels(lp, labels)
     back = (data.load_idx_images(ip) * 255.0).round().astype(np.uint8)
     np.testing.assert_array_equal(back.reshape(5, 4, 3), pixels)
-    np.testing.assert_array_equal(data.load_idx_labels(lp), labels)
     # header bytes are exactly the documented big-endian words
     raw = ip.read_bytes()
     assert raw[:16] == struct.pack(">IIII", 2051, 5, 4, 3)
@@ -112,10 +91,6 @@ def test_round_trip_bit_exact(tmp_path):
 def test_save_validations(tmp_path):
     with pytest.raises(ValueError):
         data.save_idx_images(tmp_path / "x.idx", np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        data.save_idx_labels(tmp_path / "x.idx", np.array([[1]]))
-    with pytest.raises(ValueError):
-        data.save_idx_labels(tmp_path / "x.idx", np.array([300]))
 
 
 # --------------------------------------------------------------- Dataset ---
@@ -131,20 +106,15 @@ def test_dataset_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             data.Dataset(np.array([[0.5, bad], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="labels"):
-        data.Dataset(np.zeros((3, 2)), labels=np.array([1, 2]))
 
 
 def test_from_idx_limit(tmp_path):
     pixels = np.arange(6 * 4, dtype=np.uint8).reshape(6, 2, 2)
-    labels = np.arange(6, dtype=np.uint8)
-    ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+    ip = tmp_path / "i.idx"
     data.save_idx_images(ip, pixels)
-    data.save_idx_labels(lp, labels)
-    ds = data.from_idx(ip, lp, limit=4)
+    ds = data.from_idx(ip, limit=4)
     assert ds.n == 4
-    assert ds.labels.tolist() == [0, 1, 2, 3]
-    assert ds.source == "mnist-file"
+    np.testing.assert_array_equal(ds.inputs, pixels[:4].reshape(4, 4) / 255.0)
 
 
 @pytest.mark.parametrize("limit", [0, -15])
@@ -160,9 +130,9 @@ def test_synthetic_blobs_structure():
     ds = data.synthetic_blobs(60, 5, 3, seed=9)
     assert ds.n == 60 and ds.dim == 5
     assert ds.inputs.min() >= 0.0 and ds.inputs.max() <= 1.0
-    assert ds.labels.tolist() == [i % 3 for i in range(60)]
-    # class means sit apart: within-class spread is far below between-class
-    means = np.stack([ds.inputs[ds.labels == c].mean(axis=0) for c in range(3)])
+    # sample i is of class i mod 3, and class means sit apart: within-class
+    # spread is far below between-class
+    means = np.stack([ds.inputs[c::3].mean(axis=0) for c in range(3)])
     for a in range(3):
         for b in range(a + 1, 3):
             assert np.linalg.norm(means[a] - means[b]) > 0.3
@@ -185,24 +155,20 @@ def test_constant_dataset():
 
 
 def test_glyph_images_deterministic_and_bounded():
-    px, lb = data.glyph_images(30, seed=5)
+    px = data.glyph_images(30, seed=5)
     assert px.shape == (30, 28, 28) and px.dtype == np.uint8
-    assert lb.tolist() == [i % 10 for i in range(30)]
-    px2, _ = data.glyph_images(30, seed=5)
-    np.testing.assert_array_equal(px, px2)
-    assert not np.array_equal(px, data.glyph_images(30, seed=6)[0])
+    np.testing.assert_array_equal(px, data.glyph_images(30, seed=5))
+    assert not np.array_equal(px, data.glyph_images(30, seed=6))
     # mostly background, some ink
     ink = float(np.mean(px > 64))
     assert 0.05 < ink < 0.4
 
 
 def test_glyph_idx_files_load_through_parser(tmp_path):
-    ip, lp = tmp_path / "g.idx.gz", tmp_path / "gl.idx.gz"
-    data.write_glyph_idx(ip, lp, 40, seed=3)
-    ds = data.from_idx(ip, lp)
-    ref = data.glyph_dataset(40, seed=3)
-    np.testing.assert_array_equal(ds.inputs, ref.inputs)
-    np.testing.assert_array_equal(ds.labels, ref.labels)
+    ip = tmp_path / "g.idx.gz"
+    data.save_idx_images(ip, data.glyph_images(40, seed=3))
+    ds = data.from_idx(ip)
+    np.testing.assert_array_equal(ds.inputs, data.glyph_dataset(40, seed=3).inputs)
 
 
 # ------------------------------------------------------------ take_batch ---

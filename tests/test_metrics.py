@@ -11,13 +11,8 @@ import pytest
 
 import ska
 from ska.dynamics import NetworkConfig, StepRecord
-from ska.linalg import ShapeMismatchError
-from ska.metrics import (
-    TraceAccumulator,
-    TrajectoryTrace,
-    cosine_alignment,
-    crossing_positions,
-)
+from ska.linalg import ShapeMismatchError, cosine_flat
+from ska.metrics import TraceAccumulator, TrajectoryTrace, crossing_positions
 
 ENTROPY_EXAMPLE = -0.14426950408889634
 
@@ -75,10 +70,10 @@ def test_net_step_shape_mismatch():
 
 def test_cosine_alignment_gap_is_nan():
     Z = np.ones((2, 2))
-    assert math.isnan(cosine_alignment(Z, np.zeros((2, 2))))
-    assert math.isnan(cosine_alignment(np.zeros((2, 2)), Z))
-    assert math.isnan(cosine_alignment(np.array([[np.nan, 1.0]]), np.ones((1, 2))))
-    assert cosine_alignment(Z, 2.5 * Z) == 1.0
+    assert math.isnan(cosine_flat(Z, np.zeros((2, 2))))
+    assert math.isnan(cosine_flat(np.zeros((2, 2)), Z))
+    assert math.isnan(cosine_flat(np.array([[np.nan, 1.0]]), np.ones((1, 2))))
+    assert cosine_flat(Z, 2.5 * Z) == 1.0
 
 
 def test_batch_duplication_leaves_mean_metrics_unchanged():
@@ -91,7 +86,7 @@ def test_batch_duplication_leaves_mean_metrics_unchanged():
     D2, G2 = np.vstack([D, D]), np.vstack([G, G])
     assert abs(ska.entropy_step(Z2, dD2) - ska.entropy_step(Z, dD)) < 1e-12
     assert abs(ska.net_step(D2, G2, dD2) - ska.net_step(D, G, dD)) < 1e-12
-    assert abs(cosine_alignment(Z2, dD2) - cosine_alignment(Z, dD)) < 1e-12
+    assert abs(cosine_flat(Z2, dD2) - cosine_flat(Z, dD)) < 1e-12
 
 
 def test_batch_duplication_run_trace():
