@@ -15,7 +15,6 @@ from .data import (
     glyph_dataset,
     load_idx_images,
     synthetic_blobs,
-    take_batch,
 )
 from .dynamics import (
     Network,
@@ -60,7 +59,6 @@ __all__ = [
     "glyph_dataset",
     "load_idx_images",
     "synthetic_blobs",
-    "take_batch",
     "Network",
     "NetworkConfig",
     "entropy_gradient",

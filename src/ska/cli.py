@@ -70,12 +70,11 @@ SEED = object()  # table default: the run's top-level seed
 # accepted where a float is expected. A null value counts as absent.
 SECTIONS = {
     "network": {"layer_sizes": ([int], REQUIRED), "init_std_scale": (float, 1.0)},
-    "run": {"dt": (float, REQUIRED), "steps": (int, None), "total_time": (float, None)},
+    "run": {"dt": (float, REQUIRED), "steps": (int, REQUIRED)},
     "invariance": {
         "eta_list": ([float], REQUIRED),
         "total_time": (float, REQUIRED),
         "tolerance": (float, 0.02),
-        "metrics": ([str], list(COMPARE_METRICS)),
     },
     "variational": {"units": ([[int]], [[0, 0, 0]]), "dt_halving": (bool, True)},
 }
@@ -88,10 +87,7 @@ SOURCES = {
     "constant": {"n": (int, 1), "dim": (int, 1), "value": (float, 1.0)},
     "mnist": {"images": (str, REQUIRED), "limit": (int, None)},
 }
-DATA = {
-    "source": (tuple(SOURCES), REQUIRED),
-    "batch": ({"mode": (("full", "cyclic"), "full"), "size": (int, None)}, {}),
-}
+DATA = {"source": (tuple(SOURCES), REQUIRED)}
 
 # The sections each command reads, each with its default.
 COMMANDS = {
@@ -169,7 +165,7 @@ def resolve_data(cfg: dict, default_seed: int) -> dict:
 
 
 def _check_rules(c: dict) -> None:
-    """Rules across keys that the tables cannot state; completes the run window."""
+    """Rules across keys that the tables cannot state."""
     sizes = c["network"]["layer_sizes"]
     if len(sizes) < 2 or min(sizes) < 1:
         raise ConfigError("network.layer_sizes must list 2+ positive integers")
@@ -183,21 +179,10 @@ def _check_rules(c: dict) -> None:
         # a negative limit would slice rows off the end of the IDX file
         raise ConfigError("config key data.limit must be positive")
     if "run" in c:
-        run_cfg = c["run"]
-        dt, steps, total = run_cfg["dt"], run_cfg["steps"], run_cfg["total_time"]
-        if dt <= 0:
+        if c["run"]["dt"] <= 0:
             raise ConfigError("run.dt must be positive")
-        if steps is None and total is None:
-            raise ConfigError("run needs steps or total_time")
-        # both allowed only when consistent, so manifests re-load cleanly
-        if None not in (steps, total) and abs(total - dt * steps) > 1e-9 * max(1.0, abs(total)):
-            raise ConfigError("run.steps and run.total_time disagree")
-        steps = bounded_steps(total / dt if steps is None else steps, "run window")
-        if steps < 1:
-            raise ConfigError("run window is shorter than one step")
-        run_cfg.update(steps=steps, total_time=dt * steps)
-    if "invariance" in c and c["data"]["batch"] != {"mode": "full", "size": None}:
-        raise ConfigError("invariance runs compare full-batch trajectories only")
+        if bounded_steps(c["run"]["steps"], "run window") < 1:
+            raise ConfigError("run.steps must be at least 1")
     if "variational" in c:
         if any(len(u) != 3 for u in c["variational"]["units"]):
             raise ConfigError("variational.units entries must be [layer, unit, sample]")
@@ -397,14 +382,12 @@ def train_charts(out_dir: Path, trace: TrajectoryTrace) -> list:
 
 
 def _run(c: dict, ds: Dataset, dt: float, steps: int, record_units=None) -> TrajectoryTrace:
-    """One run of the configured network and batch selection on ds."""
+    """One run of the configured network on ds."""
     config = NetworkConfig(
         layer_sizes=c["network"]["layer_sizes"], dt=dt, steps=steps,
         init_std_scale=c["network"]["init_std_scale"], seed=c["seed"],
     )
-    batch = c["data"]["batch"]
-    return run(init_network(config), ds, batch_size=batch["size"],
-               batch_mode=batch["mode"], record_units=record_units)
+    return run(init_network(config), ds, record_units=record_units)
 
 
 def cmd_train(args, c: dict, t0: float) -> int:
@@ -442,7 +425,6 @@ def cmd_invariance(args, c: dict, t0: float) -> int:
         dataset=build_dataset(c["data"]),
         init_std_scale=c["network"]["init_std_scale"],
         tolerance=inv["tolerance"],
-        metrics=inv["metrics"],
     )
     runs = run_family(spec)
     artifacts = ["aligned.csv", "invariance_report.csv", "invariance_report.json", "manifest.json"]
@@ -451,11 +433,11 @@ def cmd_invariance(args, c: dict, t0: float) -> int:
         write_trace_csv(out_dir / name, fr.trace)
         artifacts.append(name)
 
-    aligned = resample_common_grid(runs, spec.metrics)
+    aligned = resample_common_grid(runs)
     grid = aligned.grid.tolist()
     rows = []
     for lab, eta in zip(aligned.labels, aligned.etas):
-        for metric in aligned.metrics:
+        for metric in COMPARE_METRICS:
             vals = aligned.values(lab, metric)
             for l in range(vals.shape[1]):
                 rows += [(metric, lab, float(eta), l, t, v)

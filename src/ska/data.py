@@ -1,10 +1,11 @@
-"""Input pipeline: IDX image files, synthetic blobs, batch selection.
+"""Input pipeline: IDX image files, synthetic blobs and glyphs.
 
 The dynamics read a design matrix and nothing else, so a dataset carries no
-labels. An IDX image file is a big-endian u32 header, the magic 2051 and
-the sizes n, rows and cols, then a flat unsigned-byte payload. Pixel bytes
-are scaled by 1/255 on load so every model input lives in [0, 1]. Files
-ending in .gz are transparently decompressed.
+labels, and every step forwards the whole matrix. An IDX image file is a
+big-endian u32 header, the magic 2051 and the sizes n, rows and cols, then
+a flat unsigned-byte payload. Pixel bytes are scaled by 1/255 on load so
+every model input lives in [0, 1]. Files ending in .gz are transparently
+decompressed.
 """
 
 from __future__ import annotations
@@ -93,10 +94,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.inputs.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.inputs.shape[1]
 
 
 def from_idx(image_path, limit: int | None = None) -> Dataset:
@@ -200,25 +197,12 @@ def glyph_dataset(n: int, seed: int) -> Dataset:
     return Dataset(glyph_images(n, seed).reshape(n, -1) / 255.0)
 
 
-def take_batch(ds: Dataset, size: int | None = None, mode: str = "full", k: int = 0) -> np.ndarray:
-    """Select the step-k batch.
+def take_batch(ds: Dataset) -> np.ndarray:
+    """The design matrix a step forwards: all of ds, at every step.
 
-    In "full" mode the same leading block is returned at every step, which
-    keeps the weight dynamics autonomous (the update rule sees a fixed
-    right-hand side, so trajectories at different step sizes discretize one
-    well-posed dynamical system). "cyclic" walks blocks of the given size
-    through the dataset in order, wrapping at the end.
+    A fixed matrix keeps the weight dynamics autonomous, so runs at
+    different step sizes discretize one flow. The function stays because
+    the benchmark tracer wraps it and pins its calls, one probe plus one
+    per step of every run.
     """
-    if size is None:
-        size = ds.n
-    if size < 1:
-        raise ValueError("batch size must be positive")
-    if size > ds.n:
-        raise ValueError(f"batch size {size} exceeds dataset size {ds.n}")
-    if mode == "full":
-        return ds.inputs[:size]
-    if mode == "cyclic":
-        start = (k * size) % ds.n
-        idx = (start + np.arange(size)) % ds.n
-        return ds.inputs[idx]
-    raise ValueError(f"unknown batch mode {mode!r}")
+    return ds.inputs

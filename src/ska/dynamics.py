@@ -12,7 +12,7 @@ explicit Euler step:
 
     W(l)  <-  W(l) - dt * outer_mean(G(l), input(l))
 
-where G = dH/dZ = -(1/ln 2) * Z * D * (1 - D), input(1) is the data batch
+where G = dH/dZ = -(1/ln 2) * Z * D * (1 - D), input(1) is the design matrix
 and input(l) is the previous layer's current decisions. All layers update
 simultaneously from the same forward snapshot, so within one step no layer
 sees another layer's update.
@@ -43,7 +43,7 @@ MAX_STEPS = 1_000_000
 # allocates a temporary the size of its input.
 SIGMOID_BLOCK = 1 << 14
 
-# Multiply-adds of a run's largest per-step product (batch rows x fan_in x
+# Multiply-adds of a run's largest per-step product (samples x fan_in x
 # fan_out) below which the run holds BLAS to one thread: there a second
 # thread's wake-up and handoff cost more than it saves, and one thread makes
 # the run's sums, and so its trace, the same at any thread setting.
@@ -191,10 +191,6 @@ class NetworkConfig:
     def n_layers(self) -> int:
         return len(self.layer_sizes) - 1
 
-    @property
-    def total_time(self) -> float:
-        return self.dt * self.steps
-
 
 @dataclass
 class LayerState:
@@ -204,7 +200,7 @@ class LayerState:
     one into prev_Z and prev_D, which a recorded step() reuses: prev_Z takes
     dZ, and prev_D takes dD, then the metric products and G in turn. These
     four are the step's only buffers the size of Z, and the first recorded
-    step fixes the batch shape every later step must keep.
+    step fixes the input shape every later step must keep.
     """
 
     W: np.ndarray
@@ -327,12 +323,11 @@ def step(net: Network, X: np.ndarray) -> StepRecord:
 def run(
     net: Network,
     dataset: Dataset,
-    batch_size: int | None = None,
-    batch_mode: str = "full",
     record_units: list | None = None,
 ):
     """Integrate for K recorded steps and build the trajectory trace.
 
+    Every step forwards the whole design matrix, so the flow is autonomous.
     Performs the seeding step, then K = config.steps recorded steps whose
     metrics are accumulated row by row; the returned trace carries times
     t_k = k * dt for k = 1..K. record_units takes (layer, unit, sample)
@@ -347,21 +342,21 @@ def run(
     if net.step_index != 0:
         raise ValueError("run() expects a freshly initialized network")
     selections = [tuple(int(v) for v in sel) for sel in (record_units or [])]
-    probe = take_batch(dataset, batch_size, batch_mode, 0)
+    probe = take_batch(dataset)
     for layer_i, unit_i, sample_i in selections:
         if not 0 <= layer_i < cfg.n_layers:
             raise ValueError(f"selection layer {layer_i} out of range")
         if not 0 <= unit_i < cfg.layer_sizes[layer_i + 1]:
             raise ValueError(f"selection unit {unit_i} out of range for layer {layer_i}")
         if not 0 <= sample_i < probe.shape[0]:
-            raise ValueError(f"selection sample {sample_i} out of batch range")
+            raise ValueError(f"selection sample {sample_i} out of dataset range")
     paths = {sel: np.empty(cfg.steps) for sel in selections}
     acc = TraceAccumulator(cfg)
     sizes = cfg.layer_sizes
     largest = probe.shape[0] * max(a * b for a, b in zip(sizes, sizes[1:]))
     with linalg.blas_threads(1 if largest < SMALL_PRODUCT else None) as threads:
         for k in range(cfg.steps + 1):
-            X = take_batch(dataset, batch_size, batch_mode, k)
+            X = take_batch(dataset)
             rec = step(net, X)
             if k < cfg.steps:
                 for sel in selections:

@@ -2,7 +2,7 @@
 measure how far the trajectories drift apart on a shared time grid.
 
 The product T = eta * K fixes the physical time window. Runs in a family
-share the seed, the initial weights and the full data batch, so each one is
+share the seed, the initial weights and the design matrix, so each one is
 an explicit-Euler discretization of the same continuous gradient flow and
 their traces should collapse onto each other as eta shrinks. The per-step
 entropy scales linearly with eta and is divided by eta before comparison;
@@ -52,12 +52,10 @@ class InvarianceSpec:
     dataset: Dataset
     init_std_scale: float = 1.0
     tolerance: float = 0.02
-    metrics: tuple = COMPARE_METRICS
 
     def __post_init__(self):
         object.__setattr__(self, "eta_list", tuple(float(e) for e in self.eta_list))
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
-        object.__setattr__(self, "metrics", tuple(self.metrics))
         if self.total_time <= 0.0:
             raise InvarianceError("total_time must be positive")
         if len(self.eta_list) < 2:
@@ -66,9 +64,8 @@ class InvarianceSpec:
             raise InvarianceError("step sizes must be positive")
         if len(set(self.eta_list)) != len(self.eta_list):
             raise InvarianceError("step sizes must be distinct")
-        for m in self.metrics:
-            if m not in _METRIC_SOURCES:
-                raise InvarianceError(f"unknown comparison metric {m!r}")
+        if not self.tolerance > 0.0:
+            raise InvarianceError("tolerance must be positive")
 
 
 @dataclass
@@ -92,7 +89,7 @@ def steps_for(total_time: float, eta: float) -> int:
 
 
 def run_family(spec: InvarianceSpec) -> list:
-    """Run every eta with shared seed, init and full batch selection."""
+    """Run every eta with shared seed, init and design matrix."""
     runs = []
     for i, eta in enumerate(spec.eta_list):
         k = steps_for(spec.total_time, eta)
@@ -104,7 +101,7 @@ def run_family(spec: InvarianceSpec) -> list:
             seed=spec.seed,
         )
         net = init_network(cfg)
-        trace = run(net, spec.dataset, batch_mode="full")
+        trace = run(net, spec.dataset)
         runs.append(
             FamilyRun(
                 label=f"run{i}:eta={eta:g}",
@@ -124,7 +121,6 @@ class AlignedFamily:
     grid: np.ndarray
     labels: list
     etas: list
-    metrics: tuple
     data: dict  # (label, metric) -> array (len(grid), n_layers)
     reference_label: str
 
@@ -147,8 +143,8 @@ def _interp_column(grid, times, values):
     return np.interp(grid, times[good], values[good])
 
 
-def resample_common_grid(runs: list, metrics: tuple = COMPARE_METRICS) -> AlignedFamily:
-    """Resample every run's metrics onto the coarsest run's time grid.
+def resample_common_grid(runs: list) -> AlignedFamily:
+    """Resample every run's COMPARE_METRICS onto the coarsest run's time grid.
 
     Endpoints are clamped, never extrapolated. Errors out when the time
     ranges do not overlap at all. Resampling a run onto its own grid is the
@@ -165,7 +161,7 @@ def resample_common_grid(runs: list, metrics: tuple = COMPARE_METRICS) -> Aligne
     grid = coarsest.trace.times.copy()
     data = {}
     for r in runs:
-        for metric in metrics:
+        for metric in COMPARE_METRICS:
             m = _metric_matrix(r, metric)
             cols = [
                 _interp_column(grid, r.trace.times, m[:, l])
@@ -176,7 +172,6 @@ def resample_common_grid(runs: list, metrics: tuple = COMPARE_METRICS) -> Aligne
         grid=grid,
         labels=[r.label for r in runs],
         etas=[r.eta for r in runs],
-        metrics=tuple(metrics),
         data=data,
         reference_label=reference.label,
     )
@@ -265,5 +260,5 @@ def compare(aligned: AlignedFamily, tolerance: float = 0.02) -> InvarianceReport
         reference_label=ref_label,
         reference_eta=ref_eta,
         tolerance_base=tolerance,
-        rows=[one_row(metric, lab, eta) for metric in aligned.metrics for lab, eta in others],
+        rows=[one_row(metric, lab, eta) for metric in COMPARE_METRICS for lab, eta in others],
     )

@@ -49,22 +49,11 @@ class UnitTrajectory:
         if not np.allclose(gaps, self.dt, rtol=1e-9, atol=1e-12):
             raise ValueError("samples must be spaced by exactly dt")
 
-    def __len__(self) -> int:
-        return len(self.t)
-
     def truncated(self, t_max: float) -> "UnitTrajectory":
         keep = self.t <= t_max
         if keep.sum() < 2:
             raise ValueError(f"truncation at {t_max} leaves fewer than two samples")
         return UnitTrajectory(self.t[keep], self.z[keep], self.dt)
-
-
-def sample_path(f, t0: float, t1: float, dt: float) -> UnitTrajectory:
-    """Sample a scalar function on a uniform grid (both endpoints included
-    when they land on the grid)."""
-    n = int(round((t1 - t0) / dt))
-    t = t0 + dt * np.arange(n + 1)
-    return UnitTrajectory(t, np.asarray([f(x) for x in t], dtype=np.float64), dt)
 
 
 def lagrangian(z, zdot):

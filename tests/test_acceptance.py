@@ -27,6 +27,7 @@ from ska.dynamics import NetworkConfig
 from ska.invariance import InvarianceSpec, compare, resample_common_grid, run_family
 
 from conftest import ACCEPTANCE_LINES
+from test_variational import sample_path
 
 # criterion 2/3 family, frozen
 FAMILY_DATA = dict(n=512, d=64, classes=8, seed=13, center_spacing=0.35, std=0.1)
@@ -103,21 +104,19 @@ def family():
         seed=FAMILY_NET["seed"],
         init_std_scale=FAMILY_NET["init_std_scale"],
         dataset=ds,
-        metrics=("entropy_step_normalized", "cosine"),
     )
-    runs = run_family(spec)
-    return runs, spec, time.perf_counter() - t0
+    return run_family(spec), time.perf_counter() - t0
 
 
 def test_acceptance_2_time_invariance(family):
-    runs, spec, build_time = family
+    runs, build_time = family
     c = Criterion(2, "characteristic-time invariance")
     c.t0 -= build_time  # the shared family build counts against this budget
-    aligned = resample_common_grid(runs, metrics=spec.metrics)
+    aligned = resample_common_grid(runs)
     np.testing.assert_array_equal(aligned.grid, runs[0].trace.times)
     report = compare(aligned, tolerance=0.02)
     rows = {(r.metric, r.eta): r for r in report.rows}
-    for metric in spec.metrics:
+    for metric in ("entropy_step_normalized", "cosine"):
         finest = rows[(metric, 0.005)]
         c.check(finest.passed is True,
                 f"{metric}: eta=0.005 rel dev {finest.rel_dev:.4f} > 2%")
@@ -133,7 +132,7 @@ def test_acceptance_2_time_invariance(family):
 
 
 def test_acceptance_3_entropy_scales_with_eta(family):
-    runs, _, _ = family
+    runs, _ = family
     c = Criterion(3, "raw entropy proportional to eta")
     coarse = runs[1].trace  # eta = 0.01
     fine = runs[2].trace    # eta = 0.005
@@ -150,8 +149,8 @@ def test_acceptance_3_entropy_scales_with_eta(family):
 def test_acceptance_4_euler_lagrange_orders():
     c = Criterion(4, "Euler-Lagrange residual orders")
     for f, name in ((math.sin, "sin"), (math.tanh, "tanh")):
-        r1 = np.abs(ska.el_residual(ska.variational.sample_path(f, 0.0, 3.0, 0.01))).max()
-        r2 = np.abs(ska.el_residual(ska.variational.sample_path(f, 0.0, 3.0, 0.005))).max()
+        r1 = np.abs(ska.el_residual(sample_path(f, 0.0, 3.0, 0.01))).max()
+        r2 = np.abs(ska.el_residual(sample_path(f, 0.0, 3.0, 0.005))).max()
         order = math.log2(r1 / r2)
         c.check(order >= 1.8, f"{name} path: order {order:.3f} < 1.8")
 

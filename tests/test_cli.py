@@ -145,10 +145,12 @@ def test_run_section_needs_a_consistent_window(tmp_path, capsys):
     cfg = dict(TRAIN_CFG, run={"dt": 0.1})
     rc, _ = _train(tmp_path, cfg, out="x")
     assert rc == 2
-    assert "steps or total_time" in capsys.readouterr().err
-    cfg = dict(TRAIN_CFG, run={"dt": 0.1, "steps": 5, "total_time": 2.0})
+    assert "missing config key run.steps" in capsys.readouterr().err
+    # steps is the one window: total_time would state dt * steps again
+    cfg = dict(TRAIN_CFG, run={"dt": 0.1, "steps": 5, "total_time": 0.5})
     rc, _ = _train(tmp_path, cfg, out="y")
     assert rc == 2
+    assert "unknown config key run.total_time" in capsys.readouterr().err
 
 
 def test_report_requires_a_manifest(tmp_path, capsys):
@@ -207,20 +209,13 @@ def test_invariance_failure_exits_1(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_invariance_requires_full_batch(tmp_path, capsys):
-    cfg = dict(INV_CFG, data=dict(INV_CFG["data"], batch={"mode": "cyclic", "size": 4}))
-    rc, _ = _invariance(tmp_path, cfg, out="batched")
-    assert rc == 2
-    assert "full-batch" in capsys.readouterr().err
-
-
 # ----------------------------------------------------------- variational ---
 
 
 def test_variational_check_scalar_unit(tmp_path, capsys):
     cfg = {
         "seed": 0,
-        "run": {"dt": 0.05, "total_time": 1.0},
+        "run": {"dt": 0.05, "steps": 20},
         "variational": {"units": [[0, 0, 0]]},
     }
     path = _write_cfg(tmp_path, cfg)
@@ -360,20 +355,32 @@ BAD_INPUTS = {
                            "network.init_std_scale"),
     "input-width-mismatch": ("train", _with(TRAIN_CFG, "network", layer_sizes=[5, 3]),
                              "incompatible shapes"),
-    "batch-exceeds-dataset": ("train", _with(TRAIN_CFG, "data", batch={"size": 100}),
-                              "exceeds dataset size"),
     "one-eta": ("invariance", _with(INV_CFG, "invariance", eta_list=[0.02]), "two step sizes"),
     "repeated-eta": ("invariance", _with(INV_CFG, "invariance", eta_list=[0.01, 0.01]),
                      "step sizes must be distinct"),
     # a family has one seed, so there is no per-run seed key
     "seed-overrides": ("invariance", _with(INV_CFG, "invariance", seed_overrides=[5, 6]),
                        "unknown config key invariance.seed_overrides"),
-    "unknown-metric": ("invariance", _with(INV_CFG, "invariance", metrics=["bogus"]), "bogus"),
+    # a tolerance of zero or below would run the family only to fail it
+    "tolerance-zero": ("invariance", _with(INV_CFG, "invariance", tolerance=0),
+                       "tolerance must be positive"),
+    "tolerance-negative": ("invariance", _with(INV_CFG, "invariance", tolerance=-1),
+                           "tolerance must be positive"),
+    # keys of deleted options: every step forwards the whole design matrix,
+    # run.steps is the one run window, and a family compares every metric
+    "data-batch": ("train", _with(TRAIN_CFG, "data", batch={"mode": "full"}),
+                   "unknown config key data.batch"),
+    "run-total-time": ("train", _with(TRAIN_CFG, "run", total_time=0.3),
+                       "unknown config key run.total_time"),
+    "invariance-metrics": ("invariance", _with(INV_CFG, "invariance", metrics=["cosine"]),
+                           "unknown config key invariance.metrics"),
     "unit-out-of-range": ("variational-check", {"run": {"dt": 0.05, "steps": 4},
                                                 "variational": {"units": [[0, 5, 0]]}},
                           "unit 5"),
-    "window-overflows": ("train", dict(TRAIN_CFG, run={"dt": 1e-310, "total_time": 1.0}),
+    # a count past int64 stops in bounded_steps, before numpy sees it
+    "window-overflows": ("train", _with(TRAIN_CFG, "run", steps=2**64),
                          "steps exceed the limit"),
+    "steps-zero": ("train", _with(TRAIN_CFG, "run", steps=0), "run.steps must be at least 1"),
     "steps-over-limit": ("train", _with(TRAIN_CFG, "run", steps=10**7), "steps exceed the limit"),
     "eta-window-overflows": ("invariance", _with(INV_CFG, "invariance", eta_list=[1e-310, 0.1]),
                              "steps exceed the limit"),

@@ -1,6 +1,7 @@
 """The README's Configs section: every file in configs/ is listed there, each
 listed command resolves its config, and the cheap ones run end to end and
-report. The README's data-source bullets name the keys of the config tables.
+report. The README's annotated config block and data-source bullets name
+the keys of the config tables.
 
 The glyph config is the frozen config of the benchmark's glyph-train
 workload, which acceptance 6 and the benchmark already run; here it is only
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from ska.cli import SOURCES, build_parser, main, resolve_config
+from ska.cli import DATA, SECTIONS, SOURCES, build_parser, main, resolve_config
 
 ROOT = Path(__file__).resolve().parents[1]
 # listed config -> the benchmark workload whose frozen config it is
@@ -114,9 +115,17 @@ def test_family_artifacts_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_readme_data_sources_list_the_keys_of_their_tables():
-    """Each bullet under "Data source parameters" is a source and its keys,
-    backticked; a key deleted from SOURCES cannot stay documented."""
+    """The annotated block under "Config schema" is JSON once its comments
+    are cut, and holds each section's keys; each bullet under "Data source
+    parameters" is a source and its keys, backticked. A key deleted from
+    SECTIONS, DATA or SOURCES cannot stay documented."""
     text = (ROOT / "README.md").read_text()
+    block = text.split("\n### Config schema\n", 1)[1].split("```jsonc\n", 1)[1]
+    block = json.loads(re.sub(r"//.*", "", block.split("```", 1)[0]))
+    assert set(block) == {"seed", "data", *SECTIONS}
+    assert {name: set(block[name]) for name in SECTIONS} == \
+        {name: set(table) for name, table in SECTIONS.items()}
+    assert set(block["data"]) == set(DATA)
     bullets = text.split("\nData source parameters, with defaults:\n", 1)[1]
     bullets = bullets.strip("\n").split("\n\n", 1)[0]
     documented = {}

@@ -1,4 +1,4 @@
-"""IDX parsing, synthetic datasets, batch selection.
+"""IDX parsing, synthetic datasets and the design matrix a step forwards.
 
 Header layouts are built by hand with struct.pack so the parser is checked
 against the byte format itself, not against the writer.
@@ -98,7 +98,7 @@ def test_save_validations(tmp_path):
 
 def test_dataset_validation():
     ds = data.Dataset(np.array([[0.0, 1.0], [0.5, 0.25]]))
-    assert ds.n == 2 and ds.dim == 2
+    assert ds.inputs.shape == (2, 2)
     with pytest.raises(ValueError, match="2-D"):
         data.Dataset(np.zeros(3))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -128,7 +128,7 @@ def test_from_idx_rejects_a_limit_below_one(tmp_path, limit):
 
 def test_synthetic_blobs_structure():
     ds = data.synthetic_blobs(60, 5, 3, seed=9)
-    assert ds.n == 60 and ds.dim == 5
+    assert ds.inputs.shape == (60, 5)
     assert ds.inputs.min() >= 0.0 and ds.inputs.max() <= 1.0
     # sample i is of class i mod 3, and class means sit apart: within-class
     # spread is far below between-class
@@ -174,33 +174,6 @@ def test_glyph_idx_files_load_through_parser(tmp_path):
 # ------------------------------------------------------------ take_batch ---
 
 
-def test_take_batch_full_is_stable_prefix():
+def test_take_batch_is_the_whole_design_matrix():
     ds = data.Dataset(np.linspace(0, 1, 12).reshape(6, 2))
-    b0 = data.take_batch(ds, None, "full", 0)
-    b9 = data.take_batch(ds, None, "full", 9)
-    np.testing.assert_array_equal(b0, ds.inputs)
-    np.testing.assert_array_equal(b0, b9)
-    np.testing.assert_array_equal(data.take_batch(ds, 2, "full", 5), ds.inputs[:2])
-
-
-def test_take_batch_cyclic_wraps():
-    ds = data.Dataset(np.arange(10).reshape(5, 2) / 10.0)
-    b0 = data.take_batch(ds, 2, "cyclic", 0)
-    b1 = data.take_batch(ds, 2, "cyclic", 1)
-    b2 = data.take_batch(ds, 2, "cyclic", 2)
-    np.testing.assert_array_equal(b0, ds.inputs[[0, 1]])
-    np.testing.assert_array_equal(b1, ds.inputs[[2, 3]])
-    # k=2 starts at row 4 and wraps to row 0
-    np.testing.assert_array_equal(b2, ds.inputs[[4, 0]])
-    # period is n / gcd(size, n) batches; after 5 steps of size 2 it repeats
-    np.testing.assert_array_equal(data.take_batch(ds, 2, "cyclic", 5), b0)
-
-
-def test_take_batch_errors():
-    ds = data.Dataset(np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        data.take_batch(ds, 9, "full", 0)
-    with pytest.raises(ValueError):
-        data.take_batch(ds, 0, "full", 0)
-    with pytest.raises(ValueError):
-        data.take_batch(ds, 2, "shuffled", 0)
+    assert data.take_batch(ds) is ds.inputs

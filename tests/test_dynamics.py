@@ -208,7 +208,6 @@ def test_network_config_validation():
             NetworkConfig(layer_sizes=(4, 2), dt=0.1, steps=1, init_std_scale=bad)
     cfg = NetworkConfig(layer_sizes=[4, 2], dt=0.25, steps=8)
     assert cfg.n_layers == 1
-    assert cfg.total_time == 2.0
 
 
 def test_init_network_statistics_and_determinism():
@@ -474,6 +473,17 @@ def test_run_is_deterministic():
     t2 = ska.run(ska.init_network(cfg), ds)
     np.testing.assert_array_equal(t1.entropy_step, t2.entropy_step)
     np.testing.assert_array_equal(t1.net_cum, t2.net_cum)
+
+
+def test_run_flow_is_a_rate_at_any_dt():
+    """Every step forwards the same design matrix, so dZ is an increment of
+    learning, O(dt), and the flow ||dZ|| / dt stays put as dt shrinks 10^4
+    fold. A step that forwarded a new block of samples would make it scale
+    as 1/dt, since dZ would then compare two blocks."""
+    ds = ska.synthetic_blobs(64, 8, 4, seed=1)
+    flows = [ska.run(ska.init_network(NetworkConfig((8, 6, 3), dt=dt, steps=3, seed=2)),
+                     ds).flow_norm for dt in (1e-2, 1e-6)]
+    np.testing.assert_allclose(flows[0], flows[1], rtol=0.02)
 
 
 def test_run_record_units_validation():

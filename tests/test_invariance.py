@@ -81,8 +81,11 @@ def test_spec_rejects_bad_inputs():
         InvarianceSpec(**{**good, "eta_list": (0.02, -0.01)})
     with pytest.raises(InvarianceError, match="total_time"):
         InvarianceSpec(**{**good, "total_time": 0.0})
-    with pytest.raises(InvarianceError, match="unknown comparison metric"):
-        InvarianceSpec(**{**good, "metrics": ("z_norm", "z_norms")})
+    # a tolerance of zero or below fails every comparable row, so the family
+    # would run only to report FAIL
+    for tolerance in (0.0, -1.0, math.nan):
+        with pytest.raises(InvarianceError, match="^tolerance must be positive$"):
+            InvarianceSpec(**{**good, "tolerance": tolerance})
 
 
 # -------------------------------------------------------- interpolation ---
@@ -137,11 +140,10 @@ def test_repeated_step_sizes_are_rejected():
 def test_compare_euler_family_first_order_drift():
     etas = (0.05, 0.025, 0.0125, 0.00625)
     runs = [_euler_run(f"run{i}", e) for i, e in enumerate(etas)]
-    aligned = resample_common_grid(runs, metrics=("z_norm",))
-    report = compare(aligned, tolerance=0.02)
+    report = compare(resample_common_grid(runs), tolerance=0.02)
     assert report.reference_eta == 0.00625
     assert report.all_pass
-    rows = {r.eta: r for r in report.rows}
+    rows = {r.eta: r for r in report.rows if r.metric == "z_norm"}
     # drift away from the reference is proportional to (eta - eta_ref)
     slopes = [rows[e].sup_dev / (e - 0.00625) for e in (0.05, 0.025, 0.0125)]
     assert max(slopes) / min(slopes) < 1.05
@@ -162,8 +164,8 @@ def test_compare_scales_tolerance_with_step_gap():
         biased("mid", 0.005, 20, 0.001),
         biased("coarse", 0.02, 5, 0.01),
     ]
-    report = compare(resample_common_grid(runs, metrics=("z_norm",)), tolerance=0.02)
-    rows = {r.label: r for r in report.rows}
+    report = compare(resample_common_grid(runs), tolerance=0.02)
+    rows = {r.label: r for r in report.rows if r.metric == "z_norm"}
     assert abs(rows["mid"].sup_dev - 0.001) < 1e-12
     assert abs(rows["coarse"].sup_dev - 0.01) < 1e-12
     # finest gap is 0.005 - 0.001; the coarse run gets (0.019 / 0.004) times
@@ -183,8 +185,8 @@ def test_compare_flags_zero_range_layers_incomparable():
     ]
     for r in runs:
         r.trace.cosine = np.full_like(r.trace.cosine, 0.25)
-    report = compare(resample_common_grid(runs, metrics=("cosine",)))
-    (row,) = report.rows
+    report = compare(resample_common_grid(runs))
+    (row,) = [r for r in report.rows if r.metric == "cosine"]
     assert row.passed is None
     assert math.isnan(row.rel_dev)
     assert report.all_pass  # incomparable never fails a family
@@ -195,9 +197,9 @@ def test_resample_rejects_disjoint_windows():
     b = FamilyRun("b", 0.1, 2, 0.2, _trace(0.1, 2))
     b.trace.times = b.trace.times + 10.0
     with pytest.raises(InvarianceError, match="overlap"):
-        resample_common_grid([a, b], metrics=("z_norm",))
+        resample_common_grid([a, b])
     with pytest.raises(InvarianceError, match="at least two"):
-        resample_common_grid([a], metrics=("z_norm",))
+        resample_common_grid([a])
 
 
 def test_normalized_entropy_collapses_on_real_runs():
@@ -206,7 +208,7 @@ def test_normalized_entropy_collapses_on_real_runs():
     spec = InvarianceSpec(total_time=0.2, eta_list=(0.02, 0.01, 0.005),
                           layer_sizes=(4, 3, 2), seed=7, dataset=ds)
     aligned = resample_common_grid(run_family(spec))
-    assert tuple(aligned.metrics) == COMPARE_METRICS
+    assert set(aligned.data) == {(lab, m) for lab in aligned.labels for m in COMPARE_METRICS}
     report = compare(aligned, tolerance=0.25)
     assert len(report.rows) == 2 * len(COMPARE_METRICS)
     assert report.all_pass

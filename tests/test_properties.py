@@ -1,5 +1,5 @@
 """Property checks: the config round trip through the manifest, zero-crossing
-interpolation and batch selection, each against its documented contract."""
+interpolation, each against its documented contract."""
 
 import json
 import math
@@ -7,12 +7,10 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ska.cli import main
-from ska.data import Dataset, take_batch
 from ska.metrics import crossing_positions
 
 # ------------------------------------------------------- config round trip ---
@@ -34,17 +32,11 @@ def train_configs(draw):
         dim = 784
     if source != "constant" and draw(st.booleans()):
         data["seed"] = draw(st.integers(0, 50))
-    if draw(st.booleans()):
-        data["batch"] = {"mode": draw(st.sampled_from(["full", "cyclic"])),
-                         "size": draw(st.integers(1, n))}
     network = {"layer_sizes": [dim] + draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))}
     if draw(st.booleans()):
         network["init_std_scale"] = draw(st.one_of(st.integers(0, 2), st.floats(0.0, 2.0)))
-    dt = draw(st.sampled_from([0.05, 0.1, 0.025]))
-    steps = draw(st.integers(1, 5))
-    run = draw(st.sampled_from([{"steps": steps}, {"total_time": dt * steps},
-                                {"steps": steps, "total_time": dt * steps}]))
-    cfg = {"network": network, "run": dict(run, dt=dt), "data": data}
+    run = {"dt": draw(st.sampled_from([0.05, 0.1, 0.025])), "steps": draw(st.integers(1, 5))}
+    cfg = {"network": network, "run": run, "data": data}
     if draw(st.booleans()):
         cfg["seed"] = draw(st.integers(0, 100))
     return cfg
@@ -90,19 +82,3 @@ def test_crossing_positions_matches_its_docstring(values):
         a, b = values[i - 1], values[i]
         assert abs(a + (p - (i - 1)) * (b - a)) <= 1e-9 * max(abs(a), abs(b))
 
-
-# ------------------------------------------------------------- take_batch ---
-
-
-@given(st.integers(1, 9), st.integers(1, 12), st.integers(0, 40),
-       st.sampled_from(["full", "cyclic"]))
-def test_take_batch_returns_the_documented_rows(n, size, k, mode):
-    ds = Dataset(np.arange(2 * n).reshape(n, 2) / (2 * n))
-    if size > n:
-        with pytest.raises(ValueError, match="exceeds dataset size"):
-            take_batch(ds, size, mode, k)
-        return
-    rows = range(size) if mode == "full" else [(k * size + j) % n for j in range(size)]
-    np.testing.assert_array_equal(take_batch(ds, size, mode, k), ds.inputs[list(rows)])
-    if mode == "full":
-        np.testing.assert_array_equal(take_batch(ds, None, mode, k), ds.inputs)

