@@ -629,7 +629,7 @@ def cmd_report(args) -> int:
                     else:
                         parts.append(f"flow peak at step {float(step_v):g}")
                 print(f"layer {layer}: " + "; ".join(parts))
-        print("PASS")
+        print("no checks: a train run carries no verdict")
     elif command == "invariance":
         cfg = _fields(manifest.get("config"), "manifest.json config", ("invariance",))
         inv = _fields(cfg["invariance"], "manifest.json config.invariance", ("total_time",))

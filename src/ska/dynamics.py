@@ -13,9 +13,11 @@ explicit Euler step:
     W(l)  <-  W(l) - dt * outer_mean(G(l), input(l))
 
 where G = dH/dZ = -(1/ln 2) * Z * D * (1 - D), input(1) is the design matrix
-and input(l) is the previous layer's current decisions. All layers update
-simultaneously from the same forward snapshot, so within one step no layer
-sees another layer's update.
+and input(l) is the previous layer's current decisions. A step integrates
+each layer as soon as the forward pass has produced it, yet all layers
+update simultaneously from the same forward snapshot: layer l + 1's forward
+reads D(l), never W(l), and the update never writes a snapshot, so within
+one step no layer sees another layer's update.
 
 Step indexing: a run performs one unrecorded seeding step (index 0) so that
 every recorded step k = 1..K has a previous forward snapshot and therefore
@@ -194,20 +196,16 @@ class NetworkConfig:
 
 @dataclass
 class LayerState:
-    """Weights and the step buffers of one layer, each buffer shaped like Z.
+    """Weights and the current forward snapshot of one layer.
 
-    Z and D are the current forward snapshot. forward() rotates the previous
-    one into prev_Z and prev_D, which a recorded step() reuses: prev_Z takes
-    dZ, and prev_D takes dD, then the metric products and G in turn. These
-    four are the step's only buffers the size of Z, and the first recorded
-    step fixes the input shape every later step must keep.
+    Z and D are the snapshot the last forward pass produced, the layer's
+    only blocks the size of Z between steps. The first recorded step fixes
+    the input shape every later step must keep.
     """
 
     W: np.ndarray
     Z: np.ndarray | None = None
     D: np.ndarray | None = None
-    prev_Z: np.ndarray | None = None
-    prev_D: np.ndarray | None = None
 
 
 @dataclass
@@ -252,58 +250,68 @@ def init_network(config: NetworkConfig) -> Network:
     return Network(config=config, layers=layers)
 
 
-def forward(net: Network, X: np.ndarray) -> list:
-    """One forward pass; returns the per-layer (Z, D) list.
+def forward(net: Network, X: np.ndarray):
+    """A lazy forward pass: checks X now and returns an iterator over layers.
 
-    Each layer's previous snapshot is rotated out before being overwritten,
-    so after this call prev_Z/prev_D hold the values of the preceding pass.
+    Each item computes one layer's new snapshot Z = input @ W.T and
+    D = sigmoid(Z), stores it on the layer and yields (layer, (Z_prev,
+    D_prev)), the pair it replaced, which is (None, None) before the first
+    pass. The next layer is computed only when the caller asks for it, from
+    this layer's D, so a caller may update this layer's W in between, and
+    the iterator keeps no reference to a pair it has yielded once asked for
+    the next layer.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.config.layer_sizes[0]:
         raise linalg.ShapeMismatchError(
             "forward", X.shape, (X.shape[0] if X.ndim else 0, net.config.layer_sizes[0])
         )
-    inp = X
-    out = []
-    for layer in net.layers:
-        layer.prev_Z = layer.Z
-        layer.prev_D = layer.D
+    return _forward(net.layers, X)
+
+
+def _forward(layers, inp):
+    for layer in layers:
+        retired = layer.Z, layer.D
         layer.Z = linalg.matmul(inp, layer.W.T)
         layer.D = sigmoid(layer.Z)
-        out.append((layer.Z, layer.D))
         inp = layer.D
-    return out
+        yield layer, retired
 
 
 def step(net: Network, X: np.ndarray) -> StepRecord:
-    """Forward pass, step metrics, entropy gradients, simultaneous Euler update.
+    """Forward pass, step metrics, entropy gradients, simultaneous Euler update,
+    one layer at a time as the forward pass reaches it.
 
-    Every layer's gradient and input come from the snapshot the forward pass
-    just produced, and neither depends on any weight, so updating each layer
-    in place as soon as its gradient is known leaves the step simultaneous:
-    shallower layers are never contaminated by deeper ones.
+    A layer's gradient and input come from the snapshot the forward pass
+    just produced, and the next layer's forward reads only this layer's D,
+    so updating each layer in place before forwarding the next leaves the
+    step simultaneous: no layer's update sees another layer's.
 
-    A recorded step (k >= 1) works per layer over the retired snapshot:
-    it writes the increments dZ and dD over it, takes ||Z||, the cosine of
-    Z and dD, and ||dZ|| / dt, writes Z * dD over dD for the entropy, the
-    gradient G over that spent block, applies the update, and writes
-    (D - G) * dZ over the same block for the net. So a step allocates only
-    the new snapshot (Z, D), the update block and the block-sized
-    temporaries of the sigmoid and gradient passes. The seeding step (k = 0)
-    has no increments and takes its gradient in a transient array.
+    A recorded step (k >= 1) works over the pair the layer's forward
+    retired: it writes the increments dZ and dD over it, takes ||Z||, the
+    cosine of Z and dD, and ||dZ|| / dt, writes Z * dD over dD for the
+    entropy, the gradient G over that spent block, applies the update, and
+    writes (D - G) * dZ over the same block for the net. It then releases
+    the pair before the next layer is forwarded, so between steps each layer
+    holds two blocks the size of Z, and only the layer in flight holds four.
+    A step allocates only the new snapshot (Z, D), the update block and the
+    block-sized temporaries of the sigmoid and gradient passes. The seeding
+    step (k = 0) has no increments and takes its gradient in a transient
+    array.
     """
     dt = net.config.dt
     k = net.step_index
-    forward(net, X)
+    layers = forward(net, X)
     inp = np.ascontiguousarray(X, dtype=np.float64)
     rec = StepRecord(k) if k == 0 else StepRecord(k, [], [], [], [], [])
-    for layer in net.layers:
+    for layer, (dZ, dD) in layers:
         Z, D = layer.Z, layer.D
         if k == 0:
             G = entropy_gradient(Z, D)
         else:
-            dZ = np.subtract(Z, layer.prev_Z, out=layer.prev_Z)
-            dD = np.subtract(D, layer.prev_D, out=layer.prev_D)
+            # the retired pair (Z_prev, D_prev) turns into (dZ, dD) in place
+            np.subtract(Z, dZ, out=dZ)
+            np.subtract(D, dD, out=dD)
             zn = linalg.frobenius_norm(Z)
             rec.z_norm.append(zn)
             rec.cosine.append(linalg.cosine_flat(Z, dD, norm_a=zn))
@@ -316,6 +324,7 @@ def step(net: Network, X: np.ndarray) -> StepRecord:
         if k != 0:
             rec.net_step.append(net_step(D, G, dZ, out=G))
         inp = D
+        del dZ, dD, G, upd
     net.step_index += 1
     return rec
 

@@ -153,6 +153,18 @@ def test_run_section_needs_a_consistent_window(tmp_path, capsys):
     assert "unknown config key run.total_time" in capsys.readouterr().err
 
 
+def test_report_on_a_train_run_says_it_carries_no_checks(tmp_path, capsys):
+    """train computes no verdict, so report must not print one: its last
+    line says the run carries no checks, and it exits 0."""
+    rc, out = _train(tmp_path, TRAIN_CFG, extra=("--no-svg",))
+    assert rc == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "no checks: a train run carries no verdict"
+    assert not {"PASS", "FAIL"} & set(" ".join(lines).split())
+
+
 def test_report_requires_a_manifest(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     rc = main(["report", "--out", str(tmp_path / "empty")])

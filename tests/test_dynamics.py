@@ -9,6 +9,7 @@ h(1)        = -0.16005846201683078
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -243,18 +244,45 @@ def scalar_net(w0: float, dt: float, steps: int = 1):
 
 def test_forward_computes_z_and_d():
     net = scalar_net(1.0, 0.1)
-    out = ska.forward(net, np.array([[1.0]]))
-    assert len(out) == 1
-    assert float(out[0][0][0, 0]) == 1.0
-    assert abs(float(out[0][1][0, 0]) - SIG1) < 1e-16
+    ((layer, retired),) = ska.forward(net, np.array([[1.0]]))
+    assert layer is net.layers[0]
+    assert retired == (None, None)
+    assert float(layer.Z[0, 0]) == 1.0
+    assert abs(float(layer.D[0, 0]) - SIG1) < 1e-16
 
 
 def test_forward_rotates_previous_snapshot():
     net = scalar_net(2.0, 0.1)
-    ska.forward(net, np.array([[0.5]]))
-    z_first = net.layers[0].Z.copy()
-    ska.forward(net, np.array([[0.25]]))
-    np.testing.assert_array_equal(net.layers[0].prev_Z, z_first)
+    list(ska.forward(net, np.array([[0.5]])))
+    first = net.layers[0].Z, net.layers[0].D
+    ((layer, retired),) = ska.forward(net, np.array([[0.25]]))
+    assert retired[0] is first[0] and retired[1] is first[1]
+    assert float(layer.Z[0, 0]) == 0.5
+
+
+def test_forward_is_lazy_and_matches_an_eager_pass_bitwise():
+    """The first item forwards layer 0 alone; the deeper layers keep their
+    snapshot until asked for. A full pass equals an eager pass over the same
+    weights, layer after layer, bit for bit."""
+    cfg = NetworkConfig(layer_sizes=(5, 4, 3, 2), dt=0.1, steps=1, init_std_scale=2.0, seed=6)
+    net = ska.init_network(cfg)
+    X = np.random.default_rng(7).uniform(0, 1, (7, 5))
+    list(ska.forward(net, X))
+    before = [(l.Z, l.D) for l in net.layers]
+    layers = ska.forward(net, X)
+    assert all(l.Z is z and l.D is d for l, (z, d) in zip(net.layers, before))
+    layer, retired = next(layers)
+    assert layer is net.layers[0] and layer.Z is not before[0][0]
+    assert retired[0] is before[0][0] and retired[1] is before[0][1]
+    assert all(l.Z is z and l.D is d for l, (z, d) in zip(net.layers[1:], before[1:]))
+    assert [l for l, _ in layers] == net.layers[1:]
+    inp = X
+    for l, (z, d) in zip(net.layers, before):
+        Z = ska.linalg.matmul(inp, l.W.T)
+        D = ska.sigmoid(Z)
+        assert l.Z.tobytes() == Z.tobytes() == z.tobytes()
+        assert l.D.tobytes() == D.tobytes() == d.tobytes()
+        inp = D
 
 
 def test_forward_rejects_wrong_input_width():
@@ -293,24 +321,20 @@ def test_step_record_shapes_and_seed_semantics():
     # the seeding step has no increments, so it measures nothing
     metrics = ("entropy_step", "cosine", "z_norm", "flow_norm", "net_step")
     assert all(getattr(rec0, m) is None for m in metrics)
-    z0 = net.layers[0].Z.copy()
     rec1 = ska.step(net, X)
     assert rec1.k == 1
     for m in metrics:
         values = getattr(rec1, m)
         assert len(values) == 2 and all(type(v) is float for v in values), m
-    # the retired snapshot now holds dZ, the difference of consecutive
-    # pre-activations
-    np.testing.assert_array_equal(net.layers[0].prev_Z, net.layers[0].Z - z0)
 
 
 @pytest.mark.parametrize("sizes", [(4, 3, 5, 2), (6, 900, 3)])
 def test_step_metrics_match_their_formulas_bitwise(sizes):
     """Each metric a recorded step measures equals its metric function on
-    copies of the two snapshots, the weights move by the gradient the metric
-    pass wrote over the spent dD, and the retired pair ends holding dZ and
-    (D - G) * dZ. The 900-unit layer's Z (20 x 900) spans two blocks, so
-    the gradient written over the spent dD takes the blocked path."""
+    copies of the two snapshots, and the weights move by the gradient the
+    metric pass wrote over the spent dD. The 900-unit layer's Z (20 x 900)
+    spans two blocks, so the gradient written over the spent dD takes the
+    blocked path."""
     cfg = NetworkConfig(layer_sizes=sizes, dt=0.1, steps=1, init_std_scale=2.0, seed=8)
     net = ska.init_network(cfg)
     X = np.random.default_rng(9).uniform(0, 1, (20, sizes[0]))
@@ -328,8 +352,6 @@ def test_step_metrics_match_their_formulas_bitwise(sizes):
         assert rec.flow_norm[l] == frobenius_norm(dZ) / cfg.dt
         assert rec.net_step[l] == ska.net_step(D, G, dZ)
         assert layer.W.tobytes() == (W - ska.linalg.outer_mean(G, inp) * cfg.dt).tobytes()
-        assert layer.prev_Z.tobytes() == dZ.tobytes()
-        assert layer.prev_D.tobytes() == ((D - G) * dZ).tobytes()
         inp = D
 
 
@@ -340,26 +362,29 @@ def test_step_reuses_workspace_and_updates_weights_in_place():
     weights = [l.W for l in net.layers]
     ska.step(net, X)
     for _ in range(3):
-        snapshot = [(l.Z, l.D) for l in net.layers]
+        retired = [weakref.ref(a) for l in net.layers for a in (l.Z, l.D)]
         ska.step(net, X)
-        # the increments and the metric products are written over the
-        # snapshot the step retired, and the weights are updated in place
-        assert all(l.prev_Z is z and l.prev_D is d for l, (z, d) in zip(net.layers, snapshot))
+        # the step frees the snapshot it retired once the increments and the
+        # metric products are spent, and updates the weights in place
+        assert all(r() is None for r in retired)
         assert all(l.W is w for l, w in zip(net.layers, weights))
     # increments need one batch shape throughout
     with pytest.raises(ValueError):
         ska.step(net, X[:2])
 
 
-def test_step_working_set_is_four_blocks_per_layer():
-    """Peak memory a run allocates: the weights, four Z-sized blocks per
-    layer (Z, D and the retired snapshot pair, which holds dZ and a spent
-    block that carries G), and the transients of one layer at a time: the
+@pytest.mark.parametrize("sizes", [(64, 128, 96, 32), (64, 32, 128, 16)],
+                         ids=["largest-first", "largest-second"])
+def test_step_working_set_is_two_blocks_per_layer_plus_the_layer_in_flight(sizes):
+    """Peak memory a run allocates: the weights, two Z-sized blocks per
+    layer (Z and D), and the transients of one layer at a time: the retired
+    snapshot pair the step spends on dZ and on a block that carries G, the
     update block and the sigmoid's block-sized temporaries (a float block
     and a bool mask; the gradient's one float block is no larger). The
-    first two layers' Z span four and three sigmoid blocks, so a pass that
-    allocated a Z-sized temporary there would exceed the bound."""
-    sizes = (64, 128, 96, 32)
+    128-unit layers' Z span four sigmoid blocks, so a pass that allocated a
+    Z-sized temporary there, or a step that kept retired pairs past their
+    layer, would exceed the bound. The second net's largest block is not
+    in its first layer."""
     n = 512
     cfg = NetworkConfig(layer_sizes=sizes, dt=0.05, steps=6, seed=3)
     ds = ska.synthetic_blobs(n, sizes[0], 4, seed=1)
@@ -373,7 +398,7 @@ def test_step_working_set_is_four_blocks_per_layer():
     blocks = [8 * n * s for s in sizes[1:]]
     weights = [8 * a * b for a, b in zip(sizes[:-1], sizes[1:])]
     slack = 64 * 1024  # Python objects and the (steps, layers) trace
-    bound = sum(weights) + 4 * sum(blocks) + max(weights) + 9 * SIGMOID_BLOCK
+    bound = sum(weights) + 2 * sum(blocks) + 2 * max(blocks) + max(weights) + 9 * SIGMOID_BLOCK
     assert peak <= bound + slack
 
 
