@@ -16,6 +16,7 @@ import os
 import platform
 import sys
 import time
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .invariance import (
     run_family,
 )
 from .metrics import (
+    COLUMNS,
     TrajectoryTrace,
     find_entropy_minimum,
     find_flow_peak,
@@ -51,7 +53,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # about 4x.
 EL_ORDER_FLOOR = 1.8
 
-TRACE_HEADER = "step,time,layer,entropy_step,entropy_cum,cosine,z_norm,flow_norm,net_step,net_cum"
+TRACE_HEADER = ",".join(("step", "time", "layer") + COLUMNS)
 MARKERS_HEADER = "layer,kind,step,value"
 
 
@@ -248,7 +250,7 @@ def write_trace_csv(path, trace: TrajectoryTrace) -> None:
     L = trace.n_layers
     columns = [np.repeat(trace.steps, L), np.repeat(trace.times, L),
                np.tile(np.arange(L), trace.n_steps)]
-    columns += [trace.column(name).ravel() for name in TRACE_HEADER.split(",")[3:]]
+    columns += [trace.column(name).ravel() for name in COLUMNS]
     write_csv(path, TRACE_HEADER, zip(*(c.tolist() for c in columns)))
 
 
@@ -434,52 +436,31 @@ def cmd_invariance(args, c: dict, t0: float) -> int:
         artifacts.append(name)
 
     aligned = resample_common_grid(runs)
-    grid = aligned.grid.tolist()
-    rows = []
-    for lab, eta in zip(aligned.labels, aligned.etas):
-        for metric in COMPARE_METRICS:
-            vals = aligned.values(lab, metric)
-            for l in range(vals.shape[1]):
-                rows += [(metric, lab, float(eta), l, t, v)
-                         for t, v in zip(grid, vals[:, l].tolist())]
-    write_csv(out_dir / "aligned.csv", "metric,run,eta,layer,time,value", rows)
+    keys = product([(r.label, r.eta) for r in runs], COMPARE_METRICS,
+                   range(aligned.data.shape[3]), aligned.grid.tolist())
+    values = aligned.data.transpose(0, 1, 3, 2).ravel().tolist()
+    write_csv(out_dir / "aligned.csv", "metric,run,eta,layer,time,value",
+              ((metric, lab, eta, l, t, v) for ((lab, eta), metric, l, t), v in zip(keys, values)))
 
     report = compare(aligned, tolerance=spec.tolerance)
+    write_json(out_dir / "invariance_report.json", report)
+    # the CSV has one column per scalar field of a report row
+    columns = [k for k, v in report["rows"][0].items() if not isinstance(v, dict)]
     words = {None: "incomparable", True: "pass", False: "fail"}
-    write_csv(out_dir / "invariance_report.csv",
-              "metric,run,eta,reference_eta,sup_dev,rel_dev,tolerance,passed",
-              [(r.metric, r.label, r.eta, r.reference_eta, r.sup_dev, r.rel_dev,
-                r.tolerance, words[r.passed]) for r in report.rows])
-
-    write_json(out_dir / "invariance_report.json", {
-        "reference": report.reference_label,
-        "reference_eta": report.reference_eta,
-        "tolerance_base": report.tolerance_base,
-        "all_pass": report.all_pass,
-        "rows": [{
-            "metric": r.metric,
-            "run": r.label,
-            "eta": r.eta,
-            "reference_eta": r.reference_eta,
-            "sup_dev": r.sup_dev,
-            "rel_dev": r.rel_dev,
-            "tolerance": r.tolerance,
-            "passed": r.passed,
-            "per_layer": {str(l): {"dev": d, "rel": rel, "range": rng}
-                          for l, (d, rel, rng) in r.per_layer.items()},
-        } for r in report.rows],
-    })
+    write_csv(out_dir / "invariance_report.csv", ",".join(columns),
+              ([words[row[k]] if k == "passed" else row[k] for k in columns]
+               for row in report["rows"]))
 
     resolved = {
-        "runs": [{"label": fr.label, "eta": fr.eta, "steps": fr.steps,
-                  "eta_times_K": fr.realized_product} for fr in runs],
-        "all_pass": report.all_pass,
+        "runs": [{"label": fr.label, "eta": fr.eta, "steps": fr.trace.n_steps,
+                  "eta_times_K": fr.eta * fr.trace.n_steps} for fr in runs],
+        "all_pass": report["all_pass"],
     }
     write_manifest(out_dir, "invariance", c, resolved, artifacts, t0,
                    [fr.trace for fr in runs])
-    verdict = "PASS" if report.all_pass else "FAIL"
-    print(f"invariance: {len(runs)} runs, {len(report.rows)} compared rows, {verdict}")
-    return 0 if report.all_pass else 1
+    verdict = "PASS" if report["all_pass"] else "FAIL"
+    print(f"invariance: {len(runs)} runs, {len(report['rows'])} compared rows, {verdict}")
+    return 0 if report["all_pass"] else 1
 
 
 def unit_faults(unit: dict) -> tuple:

@@ -18,7 +18,7 @@ proportionally more drift. With the default 0.02 the finest pair is held to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,15 +26,8 @@ from .data import Dataset
 from .dynamics import NetworkConfig, bounded_steps, init_network, run
 from .metrics import TrajectoryTrace
 
+# Metrics compared across a family: trace columns, the per-step entropy divided by dt.
 COMPARE_METRICS = ("entropy_step_normalized", "cosine", "z_norm", "net_cum")
-
-# Metric key -> (trace column, divide by eta first)
-_METRIC_SOURCES = {
-    "entropy_step_normalized": ("entropy_step", True),
-    "cosine": ("cosine", False),
-    "z_norm": ("z_norm", False),
-    "net_cum": ("net_cum", False),
-}
 
 
 class InvarianceError(ValueError):
@@ -56,12 +49,12 @@ class InvarianceSpec:
     def __post_init__(self):
         object.__setattr__(self, "eta_list", tuple(float(e) for e in self.eta_list))
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
-        if self.total_time <= 0.0:
-            raise InvarianceError("total_time must be positive")
+        if not (self.total_time > 0.0 and np.isfinite(self.total_time)):
+            raise InvarianceError("total_time must be positive and finite")
         if len(self.eta_list) < 2:
             raise InvarianceError("need at least two step sizes to compare")
-        if any(e <= 0.0 for e in self.eta_list):
-            raise InvarianceError("step sizes must be positive")
+        if not all(e > 0.0 and np.isfinite(e) for e in self.eta_list):
+            raise InvarianceError("step sizes must be positive and finite")
         if len(set(self.eta_list)) != len(self.eta_list):
             raise InvarianceError("step sizes must be distinct")
         if not self.tolerance > 0.0:
@@ -70,10 +63,10 @@ class InvarianceSpec:
 
 @dataclass
 class FamilyRun:
+    """One run of a family; its step count is trace.n_steps."""
+
     label: str
     eta: float
-    steps: int
-    realized_product: float
     trace: TrajectoryTrace
 
 
@@ -82,9 +75,8 @@ def steps_for(total_time: float, eta: float) -> int:
     slightly from total_time (the mismatch is logged, never hidden)."""
     k = bounded_steps(total_time / eta, f"eta {eta} over T = {total_time}")
     if k < 2:
-        raise InvarianceError(
-            f"eta {eta} gives only {k} steps over T = {total_time}; need at least 2"
-        )
+        raise InvarianceError(f"eta {eta} gives only {k} steps over T = {total_time}; "
+                              "need at least 2")
     return k
 
 
@@ -92,25 +84,10 @@ def run_family(spec: InvarianceSpec) -> list:
     """Run every eta with shared seed, init and design matrix."""
     runs = []
     for i, eta in enumerate(spec.eta_list):
-        k = steps_for(spec.total_time, eta)
-        cfg = NetworkConfig(
-            layer_sizes=spec.layer_sizes,
-            dt=eta,
-            steps=k,
-            init_std_scale=spec.init_std_scale,
-            seed=spec.seed,
-        )
-        net = init_network(cfg)
-        trace = run(net, spec.dataset)
-        runs.append(
-            FamilyRun(
-                label=f"run{i}:eta={eta:g}",
-                eta=eta,
-                steps=k,
-                realized_product=eta * k,
-                trace=trace,
-            )
-        )
+        cfg = NetworkConfig(layer_sizes=spec.layer_sizes, dt=eta,
+                            steps=steps_for(spec.total_time, eta),
+                            init_std_scale=spec.init_std_scale, seed=spec.seed)
+        runs.append(FamilyRun(f"run{i}:eta={eta:g}", eta, run(init_network(cfg), spec.dataset)))
     return runs
 
 
@@ -119,19 +96,9 @@ class AlignedFamily:
     """Family metrics linearly resampled onto the coarsest run's time grid."""
 
     grid: np.ndarray
-    labels: list
-    etas: list
-    data: dict  # (label, metric) -> array (len(grid), n_layers)
-    reference_label: str
-
-    def values(self, label: str, metric: str) -> np.ndarray:
-        return self.data[(label, metric)]
-
-
-def _metric_matrix(run_: FamilyRun, metric: str) -> np.ndarray:
-    column, divide = _METRIC_SOURCES[metric]
-    m = run_.trace.column(column)
-    return m / run_.eta if divide else m
+    runs: list
+    reference: int  # index in runs of the smallest-eta run
+    data: np.ndarray  # (run, metric in COMPARE_METRICS order, grid time, layer)
 
 
 def _interp_column(grid, times, values):
@@ -156,109 +123,69 @@ def resample_common_grid(runs: list) -> AlignedFamily:
     end = min(r.trace.times[-1] for r in runs)
     if start > end:
         raise InvarianceError("trace time ranges do not overlap")
-    coarsest = max(runs, key=lambda r: r.eta)
-    reference = min(runs, key=lambda r: r.eta)
-    grid = coarsest.trace.times.copy()
-    data = {}
-    for r in runs:
-        for metric in COMPARE_METRICS:
-            m = _metric_matrix(r, metric)
-            cols = [
-                _interp_column(grid, r.trace.times, m[:, l])
-                for l in range(r.trace.n_layers)
-            ]
-            data[(r.label, metric)] = np.column_stack(cols)
-    return AlignedFamily(
-        grid=grid,
-        labels=[r.label for r in runs],
-        etas=[r.eta for r in runs],
-        data=data,
-        reference_label=reference.label,
-    )
+    if len({r.trace.n_layers for r in runs}) > 1:
+        raise InvarianceError("runs of a family must have the same number of layers")
+    grid = max(runs, key=lambda r: r.eta).trace.times.copy()
+    data = np.empty((len(runs), len(COMPARE_METRICS), len(grid), runs[0].trace.n_layers))
+    for i, r in enumerate(runs):
+        for m, metric in enumerate(COMPARE_METRICS):
+            column = (r.trace.entropy_step / r.trace.dt if metric == "entropy_step_normalized"
+                      else r.trace.column(metric))
+            for l in range(column.shape[1]):
+                data[i, m, :, l] = _interp_column(grid, r.trace.times, column[:, l])
+    reference = min(range(len(runs)), key=lambda i: runs[i].eta)
+    return AlignedFamily(grid, runs, reference, data)
 
 
-@dataclass
-class ReportRow:
-    metric: str
-    label: str
-    eta: float
-    reference_eta: float
-    sup_dev: float
-    rel_dev: float
-    tolerance: float
-    passed: bool | None  # None when every layer was incomparable
-    per_layer: dict = field(default_factory=dict)  # layer -> (dev, rel, range)
-
-
-@dataclass
-class InvarianceReport:
-    reference_label: str
-    reference_eta: float
-    tolerance_base: float
-    rows: list
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed is not False for r in self.rows)
-
-
-def compare(aligned: AlignedFamily, tolerance: float = 0.02) -> InvarianceReport:
-    """Sup-norm deviations from the smallest-eta reference on the shared grid.
+def compare(aligned: AlignedFamily, tolerance: float = 0.02) -> dict:
+    """Sup-norm deviations from the smallest-eta reference on the shared
+    grid, as the invariance_report.json payload.
 
     Per layer: dev = max_t |trace - reference|, rel = dev / (reference range
-    over the grid). A zero-range reference layer is incomparable and never
-    counts as pass or fail. A row passes when its worst layer's rel is
-    within the eta-scaled tolerance.
+    over the grid). A reference layer whose range is zero, or whose values
+    are all NaN, is incomparable: its rel is NaN and it never counts as
+    pass or fail. A row passes when its worst layer's rel is within the
+    eta-scaled tolerance, and is None when no layer is comparable.
     """
-    ref_label = aligned.reference_label
-    ref_eta = aligned.etas[aligned.labels.index(ref_label)]
-    others = [
-        (lab, eta)
-        for lab, eta in zip(aligned.labels, aligned.etas)
-        if lab != ref_label
-    ]
-    finest_gap = min((eta - ref_eta for _, eta in others if eta > ref_eta), default=0.0)
+    runs, ref = aligned.runs, aligned.reference
+    ref_eta = runs[ref].eta
+    others = [(i, r) for i, r in enumerate(runs) if i != ref]
+    finest_gap = min((r.eta - ref_eta for _, r in others if r.eta > ref_eta), default=0.0)
+    # fmax and fmin skip NaN, and give NaN for an all-NaN column without a warning
+    base = aligned.data[ref]
+    ranges = np.fmax.reduce(base, axis=1) - np.fmin.reduce(base, axis=1)
+    ranges[np.isnan(ranges)] = 0.0
 
-    def one_row(metric, lab, eta):
-        mine = aligned.values(lab, metric)
-        base = aligned.values(ref_label, metric)
-        per_layer = {}
-        worst_rel = 0.0
-        worst_dev = 0.0
-        any_comparable = False
-        for l in range(mine.shape[1]):
-            diff = np.abs(mine[:, l] - base[:, l])
-            dev = float(np.nanmax(diff)) if not np.all(np.isnan(diff)) else float("nan")
-            col = base[:, l]
-            rng = float(np.nanmax(col) - np.nanmin(col)) if not np.all(np.isnan(col)) else 0.0
-            if rng == 0.0 or np.isnan(dev):
-                per_layer[l] = (dev, float("nan"), rng)
-                continue
-            rel = dev / rng
-            per_layer[l] = (dev, rel, rng)
-            any_comparable = True
-            worst_rel = max(worst_rel, rel)
-            worst_dev = max(worst_dev, dev)
+    def one_row(m, metric, i, r):
+        dev = np.fmax.reduce(np.abs(aligned.data[i, m] - base[m]), axis=0)
+        rng = ranges[m]
+        comparable = (rng != 0.0) & ~np.isnan(dev)
+        rel = np.full(len(dev), np.nan)
+        rel[comparable] = dev[comparable] / rng[comparable]
         if finest_gap > 0.0:
-            scaled_tol = tolerance * max(1.0, (eta - ref_eta) / finest_gap)
+            scaled_tol = tolerance * max(1.0, (r.eta - ref_eta) / finest_gap)
         else:
             scaled_tol = tolerance
-        passed = (worst_rel <= scaled_tol) if any_comparable else None
-        return ReportRow(
-            metric=metric,
-            label=lab,
-            eta=eta,
-            reference_eta=ref_eta,
-            sup_dev=worst_dev if any_comparable else float("nan"),
-            rel_dev=worst_rel if any_comparable else float("nan"),
-            tolerance=scaled_tol,
-            passed=passed,
-            per_layer=per_layer,
-        )
+        rel_dev = float(np.fmax.reduce(rel))
+        return {
+            "metric": metric,
+            "run": r.label,
+            "eta": r.eta,
+            "reference_eta": ref_eta,
+            "sup_dev": float(np.fmax.reduce(np.where(comparable, dev, np.nan))),
+            "rel_dev": rel_dev,
+            "tolerance": scaled_tol,
+            "passed": rel_dev <= scaled_tol if comparable.any() else None,
+            "per_layer": {str(l): {"dev": d, "rel": q, "range": g} for l, (d, q, g)
+                          in enumerate(zip(dev.tolist(), rel.tolist(), rng.tolist()))},
+        }
 
-    return InvarianceReport(
-        reference_label=ref_label,
-        reference_eta=ref_eta,
-        tolerance_base=tolerance,
-        rows=[one_row(metric, lab, eta) for metric in COMPARE_METRICS for lab, eta in others],
-    )
+    rows = [one_row(m, metric, i, r)
+            for m, metric in enumerate(COMPARE_METRICS) for i, r in others]
+    return {
+        "reference": runs[ref].label,
+        "reference_eta": ref_eta,
+        "tolerance_base": tolerance,
+        "all_pass": all(row["passed"] is not False for row in rows),
+        "rows": rows,
+    }

@@ -90,12 +90,13 @@ class TrajectoryTrace:
         return len(self.steps)
 
     def column(self, name: str) -> np.ndarray:
-        if name not in _COLUMNS:
+        if name not in COLUMNS:
             raise KeyError(f"unknown trace column {name!r}")
         return getattr(self, name)
 
 
-_COLUMNS = (
+# The metric columns of a trace, in the order trace.csv writes them.
+COLUMNS = (
     "entropy_step",
     "entropy_cum",
     "cosine",

@@ -115,16 +115,17 @@ def test_acceptance_2_time_invariance(family):
     aligned = resample_common_grid(runs)
     np.testing.assert_array_equal(aligned.grid, runs[0].trace.times)
     report = compare(aligned, tolerance=0.02)
-    rows = {(r.metric, r.eta): r for r in report.rows}
+    rows = {(r["metric"], r["eta"]): r for r in report["rows"]}
     for metric in ("entropy_step_normalized", "cosine"):
         finest = rows[(metric, 0.005)]
-        c.check(finest.passed is True,
-                f"{metric}: eta=0.005 rel dev {finest.rel_dev:.4f} > 2%")
-        for layer, (_, rel, rng) in finest.per_layer.items():
-            c.check(rel <= 0.02,
-                    f"{metric} layer {layer}: rel dev {rel:.4f} over range {rng:.3g}")
+        c.check(finest["passed"] is True,
+                f"{metric}: eta=0.005 rel dev {finest['rel_dev']:.4f} > 2%")
+        for layer, entry in finest["per_layer"].items():
+            c.check(entry["rel"] <= 0.02,
+                    f"{metric} layer {layer}: rel dev {entry['rel']:.4f} "
+                    f"over range {entry['range']:.3g}")
         for big, small in ((0.02, 0.01), (0.01, 0.005)):
-            ratio = rows[(metric, big)].sup_dev / rows[(metric, small)].sup_dev
+            ratio = rows[(metric, big)]["sup_dev"] / rows[(metric, small)]["sup_dev"]
             c.check(1.6 <= ratio <= 2.4,
                     f"{metric}: dev({big})/dev({small}) = {ratio:.3f}")
     c.check(time.perf_counter() - c.t0 < 120.0, "runtime >= 2 min")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ska.cli import MARKERS_HEADER, TRACE_HEADER, main
+from ska.cli import MARKERS_HEADER, main
 
 TRAIN_CFG = {
     "seed": 3,
@@ -43,7 +43,8 @@ def test_train_artifacts_and_headers(tmp_path):
     rc, out = _train(tmp_path, TRAIN_CFG)
     assert rc == 0
     lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0] == TRACE_HEADER
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert lines[0] == readme.split("The trace header is exactly:\n\n```\n")[1].split("\n")[0]
     # 6 steps x 2 layers
     assert len(lines) == 1 + 12
     assert (out / "markers.csv").read_text().splitlines()[0] == MARKERS_HEADER
@@ -209,6 +210,38 @@ def test_invariance_family_passes_and_reports(tmp_path, capsys):
     assert lines[-2] == (f"worst row: {worst['metric']} {worst['run']}, "
                          f"rel_dev {worst['rel_dev']:.4f} against tol {worst['tolerance']:.4f}")
     assert lines[-1] == "PASS"
+
+
+def test_invariance_report_csv_cells_match_the_json_rows(tmp_path):
+    # a one-weight net on a constant input: its cosine is constant, so those
+    # rows are incomparable, and at this tolerance the entropy rows fail
+    cfg = {"seed": 4, "network": {"layer_sizes": [1, 1]}, "data": {"source": "constant"},
+           "invariance": {"eta_list": [0.02, 0.01, 0.005], "total_time": 0.2,
+                          "tolerance": 0.01}}
+    rc, out = _invariance(tmp_path, cfg)
+    assert rc == 1
+    header, *lines = (out / "invariance_report.csv").read_text().splitlines()
+    report = json.loads((out / "invariance_report.json").read_text())
+    rows = {(r["metric"], r["run"]): r for r in report["rows"]}
+    assert len(lines) == len(rows) == 8
+    columns = header.split(",")
+    assert columns == ["metric", "run", "eta", "reference_eta", "sup_dev", "rel_dev",
+                       "tolerance", "passed"]
+    words = {True: "pass", False: "fail", None: "incomparable"}
+    for line in lines:
+        cells = dict(zip(columns, line.split(",")))
+        row = rows[(cells["metric"], cells["run"])]
+        assert set(row) == set(columns) | {"per_layer"}
+        assert cells.pop("passed") == words[row["passed"]]
+        for key, cell in cells.items():
+            if row[key] is None:  # a NaN: null in the JSON, an empty cell in the CSV
+                assert cell == ""
+            elif isinstance(row[key], str):
+                assert cell == row[key]
+            else:
+                assert float(cell) == row[key]
+    assert {words[r["passed"]] for r in rows.values()} == {"pass", "fail", "incomparable"}
+    assert any(r["rel_dev"] is None for r in rows.values())
 
 
 def test_invariance_failure_exits_1(tmp_path, capsys):

@@ -53,9 +53,7 @@ def _trace(eta, K, columns=None, n_layers=1):
 def _euler_run(label, eta, total_time=1.0):
     K = int(round(total_time / eta))
     z = (1.0 - eta) ** np.arange(1, K + 1, dtype=np.float64)
-    trace = _trace(eta, K, {"z_norm": z})
-    return FamilyRun(label=label, eta=eta, steps=K,
-                     realized_product=eta * K, trace=trace)
+    return FamilyRun(label=label, eta=eta, trace=_trace(eta, K, {"z_norm": z}))
 
 
 # -------------------------------------------------------- spec checks ---
@@ -81,6 +79,14 @@ def test_spec_rejects_bad_inputs():
         InvarianceSpec(**{**good, "eta_list": (0.02, -0.01)})
     with pytest.raises(InvarianceError, match="total_time"):
         InvarianceSpec(**{**good, "total_time": 0.0})
+    # a non-finite window or step would fail later, in the step count, under
+    # a message naming neither
+    for total_time in (math.nan, math.inf):
+        with pytest.raises(InvarianceError, match="^total_time must be positive and finite$"):
+            InvarianceSpec(**{**good, "total_time": total_time})
+    for eta in (math.nan, math.inf):
+        with pytest.raises(InvarianceError, match="^step sizes must be positive and finite$"):
+            InvarianceSpec(**{**good, "eta_list": (0.02, eta)})
     # a tolerance of zero or below fails every comparable row, so the family
     # would run only to report FAIL
     for tolerance in (0.0, -1.0, math.nan):
@@ -120,10 +126,10 @@ def test_run_family_shares_seed_and_counts_steps():
     spec = InvarianceSpec(total_time=0.5, eta_list=(0.1, 0.05),
                           layer_sizes=(4, 3), seed=11, dataset=ds)
     runs = run_family(spec)
-    assert [r.steps for r in runs] == [5, 10]
+    assert [r.trace.n_steps for r in runs] == [5, 10]
     assert [r.label for r in runs] == ["run0:eta=0.1", "run1:eta=0.05"]
     assert all(r.trace.seed == 11 for r in runs)
-    assert abs(runs[0].realized_product - 0.5) < 1e-12
+    assert abs(runs[0].eta * runs[0].trace.n_steps - 0.5) < 1e-12
 
 
 def test_repeated_step_sizes_are_rejected():
@@ -141,13 +147,13 @@ def test_compare_euler_family_first_order_drift():
     etas = (0.05, 0.025, 0.0125, 0.00625)
     runs = [_euler_run(f"run{i}", e) for i, e in enumerate(etas)]
     report = compare(resample_common_grid(runs), tolerance=0.02)
-    assert report.reference_eta == 0.00625
-    assert report.all_pass
-    rows = {r.eta: r for r in report.rows if r.metric == "z_norm"}
+    assert report["reference_eta"] == 0.00625
+    assert report["all_pass"]
+    rows = {r["eta"]: r for r in report["rows"] if r["metric"] == "z_norm"}
     # drift away from the reference is proportional to (eta - eta_ref)
-    slopes = [rows[e].sup_dev / (e - 0.00625) for e in (0.05, 0.025, 0.0125)]
+    slopes = [rows[e]["sup_dev"] / (e - 0.00625) for e in (0.05, 0.025, 0.0125)]
     assert max(slopes) / min(slopes) < 1.05
-    assert rows[0.0125].rel_dev < 0.01
+    assert rows[0.0125]["rel_dev"] < 0.01
 
 
 def test_compare_scales_tolerance_with_step_gap():
@@ -155,9 +161,7 @@ def test_compare_scales_tolerance_with_step_gap():
     # offsets are recovered as the sup deviations
     def biased(label, eta, K, offset):
         t = np.arange(1, K + 1) * eta
-        return FamilyRun(label=label, eta=eta, steps=K,
-                         realized_product=eta * K,
-                         trace=_trace(eta, K, {"z_norm": t + offset}))
+        return FamilyRun(label=label, eta=eta, trace=_trace(eta, K, {"z_norm": t + offset}))
 
     runs = [
         biased("ref", 0.001, 100, 0.0),
@@ -165,17 +169,17 @@ def test_compare_scales_tolerance_with_step_gap():
         biased("coarse", 0.02, 5, 0.01),
     ]
     report = compare(resample_common_grid(runs), tolerance=0.02)
-    rows = {r.label: r for r in report.rows if r.metric == "z_norm"}
-    assert abs(rows["mid"].sup_dev - 0.001) < 1e-12
-    assert abs(rows["coarse"].sup_dev - 0.01) < 1e-12
+    rows = {r["run"]: r for r in report["rows"] if r["metric"] == "z_norm"}
+    assert abs(rows["mid"]["sup_dev"] - 0.001) < 1e-12
+    assert abs(rows["coarse"]["sup_dev"] - 0.01) < 1e-12
     # finest gap is 0.005 - 0.001; the coarse run gets (0.019 / 0.004) times
     # the base tolerance while the finest pair keeps the base
-    assert abs(rows["mid"].tolerance - 0.02) < 1e-12
-    assert abs(rows["coarse"].tolerance - 0.02 * (0.019 / 0.004)) < 1e-12
+    assert abs(rows["mid"]["tolerance"] - 0.02) < 1e-12
+    assert abs(rows["coarse"]["tolerance"] - 0.02 * (0.019 / 0.004)) < 1e-12
     # grid range is 0.08, so rel devs are 0.0125 and 0.125
-    assert rows["mid"].passed is True
-    assert rows["coarse"].passed is False
-    assert not report.all_pass
+    assert rows["mid"]["passed"] is True
+    assert rows["coarse"]["passed"] is False
+    assert not report["all_pass"]
 
 
 def test_compare_flags_zero_range_layers_incomparable():
@@ -186,20 +190,28 @@ def test_compare_flags_zero_range_layers_incomparable():
     for r in runs:
         r.trace.cosine = np.full_like(r.trace.cosine, 0.25)
     report = compare(resample_common_grid(runs))
-    (row,) = [r for r in report.rows if r.metric == "cosine"]
-    assert row.passed is None
-    assert math.isnan(row.rel_dev)
-    assert report.all_pass  # incomparable never fails a family
+    (row,) = [r for r in report["rows"] if r["metric"] == "cosine"]
+    assert row["passed"] is None
+    assert math.isnan(row["rel_dev"])
+    assert report["all_pass"]  # incomparable never fails a family
 
 
 def test_resample_rejects_disjoint_windows():
-    a = FamilyRun("a", 0.1, 2, 0.2, _trace(0.1, 2))
-    b = FamilyRun("b", 0.1, 2, 0.2, _trace(0.1, 2))
+    a = FamilyRun("a", 0.1, _trace(0.1, 2))
+    b = FamilyRun("b", 0.1, _trace(0.1, 2))
     b.trace.times = b.trace.times + 10.0
     with pytest.raises(InvarianceError, match="overlap"):
         resample_common_grid([a, b])
     with pytest.raises(InvarianceError, match="at least two"):
         resample_common_grid([a])
+
+
+def test_resample_rejects_runs_of_different_depth():
+    # the family's array has one layer axis, so a shallower run would leave
+    # the deeper layers unset
+    deep = FamilyRun("deep", 0.1, _trace(0.1, 2, n_layers=2))
+    with pytest.raises(InvarianceError, match="same number of layers"):
+        resample_common_grid([deep, FamilyRun("shallow", 0.05, _trace(0.05, 4))])
 
 
 def test_normalized_entropy_collapses_on_real_runs():
@@ -208,7 +220,7 @@ def test_normalized_entropy_collapses_on_real_runs():
     spec = InvarianceSpec(total_time=0.2, eta_list=(0.02, 0.01, 0.005),
                           layer_sizes=(4, 3, 2), seed=7, dataset=ds)
     aligned = resample_common_grid(run_family(spec))
-    assert set(aligned.data) == {(lab, m) for lab in aligned.labels for m in COMPARE_METRICS}
+    assert aligned.data.shape == (3, len(COMPARE_METRICS), len(aligned.grid), 2)
     report = compare(aligned, tolerance=0.25)
-    assert len(report.rows) == 2 * len(COMPARE_METRICS)
-    assert report.all_pass
+    assert len(report["rows"]) == 2 * len(COMPARE_METRICS)
+    assert report["all_pass"]
