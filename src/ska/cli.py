@@ -247,11 +247,10 @@ def write_csv(path, header: str, rows) -> None:
 
 def write_trace_csv(path, trace: TrajectoryTrace) -> None:
     """One row per (step, layer), steps outer, in TRACE_HEADER's columns."""
-    L = trace.n_layers
-    columns = [np.repeat(trace.steps, L), np.repeat(trace.times, L),
-               np.tile(np.arange(L), trace.n_steps)]
-    columns += [trace.column(name).ravel() for name in COLUMNS]
-    write_csv(path, TRACE_HEADER, zip(*(c.tolist() for c in columns)))
+    keys = product(zip(trace.steps.tolist(), trace.times.tolist()), range(trace.n_layers))
+    rows = trace.values.reshape(-1, len(COLUMNS))
+    write_csv(path, TRACE_HEADER,
+              ((k, t, l, *row.tolist()) for ((k, t), l), row in zip(keys, rows)))
 
 
 def trace_markers(trace: TrajectoryTrace) -> list:
@@ -259,11 +258,12 @@ def trace_markers(trace: TrajectoryTrace) -> list:
     step, zero crossings carry the crossing time."""
     rows = []
     first = int(trace.steps[0])
+    entropy, flow = trace.column("entropy_step"), trace.column("flow_norm")
     for l in range(trace.n_layers):
         k_min = find_entropy_minimum(trace, l)
-        rows.append((l, "entropy_min", float(k_min), float(trace.entropy_step[k_min - first, l])))
+        rows.append((l, "entropy_min", float(k_min), float(entropy[k_min - first, l])))
         k_pk = find_flow_peak(trace, l)
-        rows.append((l, "flow_peak", float(k_pk), float(trace.flow_norm[k_pk - first, l])))
+        rows.append((l, "flow_peak", float(k_pk), float(flow[k_pk - first, l])))
         for pos in find_zero_crossings(trace, l):
             rows.append((l, "net_zero_crossing", float(pos), float(pos * trace.dt)))
     return rows
@@ -324,6 +324,7 @@ def train_charts(out_dir: Path, trace: TrajectoryTrace) -> list:
     steps = trace.steps.astype(float)
     L = trace.n_layers
     col = lambda name, l: trace.column(name)[:, l]
+    color = lambda l: charts.COLORS[l % len(charts.COLORS)]
     written = []
 
     def chart(name, title, x_label, y_label, series, markers=()):
@@ -333,50 +334,40 @@ def train_charts(out_dir: Path, trace: TrajectoryTrace) -> list:
         written.append(name)
 
     def layer_series(xname, yname):
-        out = []
+        return [charts.Series(f"layer {l}", steps if xname == "step" else col(xname, l),
+                              col(yname, l), color(l)) for l in range(L)]
+
+    def extremum_marks(find, yname, label):
+        # one marker per layer at the step find picks, on the yname curve
+        marks = []
         for l in range(L):
-            x = steps if xname == "step" else col(xname, l)
-            out.append(charts.Series(f"layer {l}", x, col(yname, l),
-                                     charts.COLORS[l % len(charts.COLORS)]))
-        return out
+            k = find(trace, l)
+            marks.append(charts.Marker(float(k), float(col(yname, l)[k - 1]), color(l),
+                                       f"{label} L{l}"))
+        return marks
 
-    ent_marks = []
-    for l in range(L):
-        k = find_entropy_minimum(trace, l)
-        ent_marks.append(charts.Marker(float(k), float(trace.entropy_step[k - 1, l]),
-                                       charts.COLORS[l % len(charts.COLORS)], f"min L{l}"))
+    def crossing_marks(xname):
+        # the net's zero crossings, placed on the xname axis
+        marks = []
+        for l in range(L):
+            for pos in find_zero_crossings(trace, l):
+                x = pos if xname == "step" else np.interp(pos, steps, col(xname, l))
+                marks.append(charts.Marker(float(x), 0.0, color(l), ""))
+        return marks
+
     chart("entropy_vs_step.svg", "Per-step entropy", "step", "entropy",
-          layer_series("step", "entropy_step"), ent_marks)
-
+          layer_series("step", "entropy_step"),
+          extremum_marks(find_entropy_minimum, "entropy_step", "min"))
     chart("cosine_vs_step.svg", "Knowledge and decision-shift alignment", "step",
           "cosine", layer_series("step", "cosine"))
-
-    flow_marks = []
-    for l in range(L):
-        k = find_flow_peak(trace, l)
-        flow_marks.append(charts.Marker(float(k), float(trace.flow_norm[k - 1, l]),
-                                        charts.COLORS[l % len(charts.COLORS)], f"peak L{l}"))
     chart("flow_vs_step.svg", "Knowledge flow", "step", "flow norm",
-          layer_series("step", "flow_norm"), flow_marks)
-
+          layer_series("step", "flow_norm"), extremum_marks(find_flow_peak, "flow_norm", "peak"))
     chart("flow_vs_znorm.svg", "Knowledge flow against knowledge norm",
           "knowledge norm", "flow norm", layer_series("z_norm", "flow_norm"))
-
-    cross_marks = []
-    for l in range(L):
-        for pos in find_zero_crossings(trace, l):
-            cross_marks.append(charts.Marker(float(pos), 0.0,
-                                             charts.COLORS[l % len(charts.COLORS)], ""))
     chart("net_vs_step.svg", "Cumulative net", "step", "net",
-          layer_series("step", "net_cum"), cross_marks)
-
-    zn_marks = []
-    for l in range(L):
-        for pos in find_zero_crossings(trace, l):
-            zx = float(np.interp(pos, steps, col("z_norm", l)))
-            zn_marks.append(charts.Marker(zx, 0.0, charts.COLORS[l % len(charts.COLORS)], ""))
+          layer_series("step", "net_cum"), crossing_marks("step"))
     chart("net_vs_znorm.svg", "Cumulative net against knowledge norm",
-          "knowledge norm", "net", layer_series("z_norm", "net_cum"), zn_marks)
+          "knowledge norm", "net", layer_series("z_norm", "net_cum"), crossing_marks("z_norm"))
     return written
 
 

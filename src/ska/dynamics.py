@@ -106,20 +106,22 @@ def entropy_gradient(z: np.ndarray, d: np.ndarray, out: np.ndarray | None = None
 
     Closed form -(1/ln 2) * z * sigmoid'(z) with sigmoid'(z) = d * (1 - d),
     evaluated as ((z * d) * (1 - d)) / -ln 2. When given, out receives the
-    result. Above SIGMOID_BLOCK elements z, d and out must share one shape,
-    out must be contiguous, and 1 - d is formed one block at a time, so the
-    only temporary is block-sized (z and d are copied flat only when laid
-    out unlike out).
+    result. z, d and out must share one shape, or ShapeMismatchError is
+    raised; nothing broadcasts. Above SIGMOID_BLOCK elements out must be
+    contiguous, and 1 - d is formed one block at a time, so the only
+    temporary is block-sized (z and d are copied flat only when laid out
+    unlike out).
     """
+    shape = np.shape(z)
+    for other in (d, out):
+        if other is not None and np.shape(other) != shape:
+            raise linalg.ShapeMismatchError("entropy_gradient", shape, np.shape(other))
     # Python scalars have no size and take the whole-array form, as arrays
     # of one block or less do.
     if getattr(z, "size", 0) <= SIGMOID_BLOCK:
         return _gradient(z, d, out, None)
     if out is None:
         out = np.empty(z.shape, order=_order(z))
-    for other in (d, out):
-        if other.shape != z.shape:
-            raise linalg.ShapeMismatchError("entropy_gradient", z.shape, other.shape)
     if not (out.flags.c_contiguous or out.flags.f_contiguous):
         raise ValueError("entropy_gradient: out must be contiguous")
     order = _order(out)
@@ -217,23 +219,6 @@ class Network:
     step_index: int = 0
 
 
-@dataclass
-class StepRecord:
-    """The metrics one step measured, one float per layer in each list.
-
-    The five lists are None at the seeding step (k = 0), which has no
-    previous forward snapshot to take increments against. cosine is NaN
-    where it is undefined.
-    """
-
-    k: int
-    entropy_step: list | None = None
-    cosine: list | None = None
-    z_norm: list | None = None
-    flow_norm: list | None = None
-    net_step: list | None = None
-
-
 def init_network(config: NetworkConfig) -> Network:
     """Gaussian weights with per-layer std init_std_scale / sqrt(fan_in).
 
@@ -278,7 +263,7 @@ def _forward(layers, inp):
         yield layer, retired
 
 
-def step(net: Network, X: np.ndarray) -> StepRecord:
+def step(net: Network, X: np.ndarray) -> list | None:
     """Forward pass, step metrics, entropy gradients, simultaneous Euler update,
     one layer at a time as the forward pass reaches it.
 
@@ -298,12 +283,16 @@ def step(net: Network, X: np.ndarray) -> StepRecord:
     block-sized temporaries of the sigmoid and gradient passes. The seeding
     step (k = 0) has no increments and takes its gradient in a transient
     array.
+
+    Returns the step's record: None at the seeding step, else one
+    (entropy_step, cosine, z_norm, flow_norm, net_step) tuple of floats per
+    layer, with cosine NaN where it is undefined.
     """
     dt = net.config.dt
     k = net.step_index
     layers = forward(net, X)
     inp = np.ascontiguousarray(X, dtype=np.float64)
-    rec = StepRecord(k) if k == 0 else StepRecord(k, [], [], [], [], [])
+    record = None if k == 0 else []
     for layer, (dZ, dD) in layers:
         Z, D = layer.Z, layer.D
         if k == 0:
@@ -313,20 +302,19 @@ def step(net: Network, X: np.ndarray) -> StepRecord:
             np.subtract(Z, dZ, out=dZ)
             np.subtract(D, dD, out=dD)
             zn = linalg.frobenius_norm(Z)
-            rec.z_norm.append(zn)
-            rec.cosine.append(linalg.cosine_flat(Z, dD, norm_a=zn))
-            rec.flow_norm.append(linalg.frobenius_norm(dZ) / dt)
-            rec.entropy_step.append(entropy_step(Z, dD, out=dD))
+            cos = linalg.cosine_flat(Z, dD, norm_a=zn)
+            fn = linalg.frobenius_norm(dZ) / dt
+            es = entropy_step(Z, dD, out=dD)
             G = entropy_gradient(Z, D, out=dD)
         upd = linalg.outer_mean(G, inp)
         upd *= dt
         layer.W -= upd
         if k != 0:
-            rec.net_step.append(net_step(D, G, dZ, out=G))
+            record.append((es, cos, zn, fn, net_step(D, G, dZ, out=G)))
         inp = D
         del dZ, dD, G, upd
     net.step_index += 1
-    return rec
+    return record
 
 
 def run(
@@ -366,13 +354,13 @@ def run(
     with linalg.blas_threads(1 if largest < SMALL_PRODUCT else None) as threads:
         for k in range(cfg.steps + 1):
             X = take_batch(dataset)
-            rec = step(net, X)
+            record = step(net, X)
             if k < cfg.steps:
                 for sel in selections:
                     layer_i, unit_i, sample_i = sel
                     paths[sel][k] = net.layers[layer_i].Z[sample_i, unit_i]
             if k >= 1:
-                acc.add(rec)
+                acc.add(k, record)
     trace = acc.finish()
     trace.unit_paths = paths
     trace.blas_threads = threads

@@ -57,8 +57,8 @@ class InvarianceSpec:
             raise InvarianceError("step sizes must be positive and finite")
         if len(set(self.eta_list)) != len(self.eta_list):
             raise InvarianceError("step sizes must be distinct")
-        if not self.tolerance > 0.0:
-            raise InvarianceError("tolerance must be positive")
+        if not (self.tolerance > 0.0 and np.isfinite(self.tolerance)):
+            raise InvarianceError("tolerance must be positive and finite")
 
 
 @dataclass
@@ -129,8 +129,8 @@ def resample_common_grid(runs: list) -> AlignedFamily:
     data = np.empty((len(runs), len(COMPARE_METRICS), len(grid), runs[0].trace.n_layers))
     for i, r in enumerate(runs):
         for m, metric in enumerate(COMPARE_METRICS):
-            column = (r.trace.entropy_step / r.trace.dt if metric == "entropy_step_normalized"
-                      else r.trace.column(metric))
+            column = (r.trace.column("entropy_step") / r.trace.dt
+                      if metric == "entropy_step_normalized" else r.trace.column(metric))
             for l in range(column.shape[1]):
                 data[i, m, :, l] = _interp_column(grid, r.trace.times, column[:, l])
     reference = min(range(len(runs)), key=lambda i: runs[i].eta)

@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 
 if TYPE_CHECKING:
-    from .dynamics import NetworkConfig, StepRecord
+    from .dynamics import NetworkConfig
 
 LN2 = float(np.log(2.0))
 
@@ -55,46 +55,6 @@ def net_step(D: np.ndarray, G: np.ndarray, dZ: np.ndarray,
     return float(prod.sum() / D.shape[0])
 
 
-@dataclass
-class TrajectoryTrace:
-    """Column-wise record of one run: arrays shaped (K, n_layers).
-
-    steps holds 1..K and times holds exactly steps * dt. cosine uses NaN
-    for gaps. unit_paths maps (layer, unit, sample) selections to length-K
-    arrays of recorded pre-activations (steps 0..K-1), when recording was
-    requested. blas_threads is the BLAS thread count the run used, None
-    when unknown.
-    """
-
-    layer_sizes: tuple
-    dt: float
-    seed: int
-    steps: np.ndarray
-    times: np.ndarray
-    entropy_step: np.ndarray
-    entropy_cum: np.ndarray
-    cosine: np.ndarray
-    z_norm: np.ndarray
-    flow_norm: np.ndarray
-    net_step: np.ndarray
-    net_cum: np.ndarray
-    unit_paths: dict = field(default_factory=dict)
-    blas_threads: int | None = None
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_sizes) - 1
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.steps)
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in COLUMNS:
-            raise KeyError(f"unknown trace column {name!r}")
-        return getattr(self, name)
-
-
 # The metric columns of a trace, in the order trace.csv writes them.
 COLUMNS = (
     "entropy_step",
@@ -107,61 +67,84 @@ COLUMNS = (
 )
 
 
-class TraceAccumulator:
-    """Consumes StepRecords k = 1..K and assembles the trace arrays.
+@dataclass
+class TrajectoryTrace:
+    """One run's metrics as values, a float64 array shaped (K, n_layers,
+    len(COLUMNS)) with its last axis in COLUMNS order.
 
-    add() stores the record's metric values in row k - 1. A non-finite
+    steps holds 1..K and times holds exactly steps * dt. cosine uses NaN
+    for gaps. unit_paths maps (layer, unit, sample) selections to length-K
+    arrays of recorded pre-activations (steps 0..K-1), when recording was
+    requested. blas_threads is the BLAS thread count the run used, None
+    when unknown.
+    """
+
+    layer_sizes: tuple
+    dt: float
+    steps: np.ndarray
+    times: np.ndarray
+    values: np.ndarray
+    unit_paths: dict = field(default_factory=dict)
+    blas_threads: int | None = None
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.layer_sizes) - 1
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.steps)
+
+    def column(self, name: str) -> np.ndarray:
+        """The (K, n_layers) view of values holding metric name."""
+        if name not in COLUMNS:
+            raise KeyError(f"unknown trace column {name!r}")
+        return self.values[:, :, COLUMNS.index(name)]
+
+
+class TraceAccumulator:
+    """Consumes the records of steps k = 1..K and fills the trace's values.
+
+    A record holds one (entropy_step, cosine, z_norm, flow_norm, net_step)
+    tuple of floats per layer; add() stores it in row k - 1. A non-finite
     entropy, norm, flow or net raises ValueError naming the step and the
     layer; a cosine that is undefined or not finite stays a NaN gap.
     """
 
     def __init__(self, config: NetworkConfig):
         self.config = config
-        K, L = config.steps, config.n_layers
-        self._es = np.full((K, L), np.nan)
-        self._cos = np.full((K, L), np.nan)
-        self._zn = np.full((K, L), np.nan)
-        self._fn = np.full((K, L), np.nan)
-        self._ns = np.full((K, L), np.nan)
+        self.values = np.full((config.steps, config.n_layers, len(COLUMNS)), np.nan)
         self._seen = 0
 
-    def add(self, rec: StepRecord) -> None:
-        if rec.entropy_step is None:
+    def add(self, k: int, record: list | None) -> None:
+        if record is None:
             raise ValueError("record has no increments; seeding step is not accumulated")
-        if not 1 <= rec.k <= self.config.steps:
-            raise ValueError(f"step index {rec.k} outside 1..{self.config.steps}")
-        row = rec.k - 1
-        values = zip(rec.entropy_step, rec.cosine, rec.z_norm, rec.flow_norm, rec.net_step)
-        for l, (es, cos, zn, fn, ns) in enumerate(values):
+        if not 1 <= k <= self.config.steps:
+            raise ValueError(f"step index {k} outside 1..{self.config.steps}")
+        # a record fills COLUMNS 0 and 2 to 5; finish() sums 0 into 1 and 5 into 6
+        v, row = self.values, k - 1
+        for l, (es, cos, zn, fn, ns) in enumerate(record):
             if not (isfinite(es) and isfinite(zn) and isfinite(fn) and isfinite(ns)):
-                _raise_not_finite(rec.k, l, entropy_step=es, z_norm=zn, flow_norm=fn,
+                _raise_not_finite(k, l, entropy_step=es, z_norm=zn, flow_norm=fn,
                                   net_step=ns)
-            self._es[row, l] = es
-            self._cos[row, l] = cos
-            self._zn[row, l] = zn
-            self._fn[row, l] = fn
-            self._ns[row, l] = ns
+            v[row, l, 0] = es
+            v[row, l, 2] = cos
+            v[row, l, 3] = zn
+            v[row, l, 4] = fn
+            v[row, l, 5] = ns
         self._seen += 1
 
     def finish(self) -> TrajectoryTrace:
+        """The trace over this accumulator's values, with the two running
+        sums filled in; the array is handed over, not copied."""
         if self._seen != self.config.steps:
             raise ValueError(f"accumulated {self._seen} of {self.config.steps} steps")
-        K = self.config.steps
-        steps = np.arange(1, K + 1, dtype=np.int64)
-        return TrajectoryTrace(
-            layer_sizes=self.config.layer_sizes,
-            dt=self.config.dt,
-            seed=self.config.seed,
-            steps=steps,
-            times=steps * self.config.dt,
-            entropy_step=self._es,
-            entropy_cum=np.cumsum(self._es, axis=0),
-            cosine=self._cos,
-            z_norm=self._zn,
-            flow_norm=self._fn,
-            net_step=self._ns,
-            net_cum=np.cumsum(self._ns, axis=0),
-        )
+        v = self.values
+        np.cumsum(v[:, :, 0], axis=0, out=v[:, :, 1])
+        np.cumsum(v[:, :, 5], axis=0, out=v[:, :, 6])
+        steps = np.arange(1, self.config.steps + 1, dtype=np.int64)
+        return TrajectoryTrace(layer_sizes=self.config.layer_sizes, dt=self.config.dt,
+                               steps=steps, times=steps * self.config.dt, values=v)
 
 
 def _raise_not_finite(k: int, layer: int, **values) -> None:
@@ -191,19 +174,19 @@ def find_zero_crossings(trace: TrajectoryTrace, layer: int) -> list:
     """Crossings of the cumulative net, in fractional step coordinates."""
     _check_layer(trace, layer)
     first = float(trace.steps[0])
-    return [first + p for p in crossing_positions(trace.net_cum[:, layer])]
+    return [first + p for p in crossing_positions(trace.column("net_cum")[:, layer])]
 
 
 def find_entropy_minimum(trace: TrajectoryTrace, layer: int) -> int:
     """Step with the smallest per-step entropy; ties go to the earliest."""
     _check_layer(trace, layer)
-    return int(trace.steps[np.argmin(trace.entropy_step[:, layer])])
+    return int(trace.steps[np.argmin(trace.column("entropy_step")[:, layer])])
 
 
 def find_flow_peak(trace: TrajectoryTrace, layer: int) -> int:
     """Step with the largest flow norm; ties go to the earliest."""
     _check_layer(trace, layer)
-    return int(trace.steps[np.argmax(trace.flow_norm[:, layer])])
+    return int(trace.steps[np.argmax(trace.column("flow_norm")[:, layer])])
 
 
 def _check_layer(trace: TrajectoryTrace, layer: int) -> None:

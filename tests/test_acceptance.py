@@ -138,7 +138,7 @@ def test_acceptance_3_entropy_scales_with_eta(family):
     coarse = runs[1].trace  # eta = 0.01
     fine = runs[2].trace    # eta = 0.005
     ks = np.arange(17, 34)  # mid-trajectory window of the 50-step run
-    ratio = coarse.entropy_step[ks - 1, :] / fine.entropy_step[2 * ks - 1, :]
+    ratio = coarse.column("entropy_step")[ks - 1, :] / fine.column("entropy_step")[2 * ks - 1, :]
     mean = float(ratio.mean())
     c.check(1.85 <= mean <= 2.15, f"layer-averaged ratio {mean:.4f} outside 2.0 +/- 0.15")
     c.finish()
@@ -220,12 +220,12 @@ def test_acceptance_6_trajectory_shapes():
     out = trace.n_layers - 1
 
     for l in range(trace.n_layers):
-        drops = np.diff(trace.z_norm[4:, l])
+        drops = np.diff(trace.column("z_norm")[4:, l])
         c.check(bool(np.all(drops >= -1e-12)),
                 f"layer {l}: z_norm decreases after step 5 (min diff {drops.min():.2e})")
     crossed = [l for l in hidden if ska.find_zero_crossings(trace, l)]
     c.check(bool(crossed), "no hidden layer has a net zero-crossing")
-    frac = float(np.mean(trace.net_cum[:, out] <= 0.0))
+    frac = float(np.mean(trace.column("net_cum")[:, out] <= 0.0))
     c.check(frac > 0.70, f"output net_cum <= 0 on only {frac:.2f} of steps")
     for l in hidden:
         peak = ska.find_flow_peak(trace, l)

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ska.cli import MARKERS_HEADER, main
+import ska
+from ska.cli import MARKERS_HEADER, TRACE_HEADER, main, write_trace_csv
 
 TRAIN_CFG = {
     "seed": 3,
@@ -107,6 +108,27 @@ def test_undefined_cosine_is_an_empty_cell(tmp_path):
     # zero weights stay zero: dD = 0 makes the cosine undefined, not 0
     for row in rows:
         assert row.split(",")[5] == ""
+
+
+def test_trace_csv_round_trips_the_trace_values_bitwise(tmp_path):
+    """trace.csv holds every metric of trace.values at full precision, a NaN
+    cosine as an empty cell, beside the step, time and layer keys. Layer 1
+    starts at zero weights and stays there, so its cosine is a NaN gap."""
+    cfg = ska.NetworkConfig(layer_sizes=(4, 3, 3, 2), dt=0.05, steps=5, seed=2)
+    net = ska.init_network(cfg)
+    net.layers[1].W[:] = 0.0
+    trace = ska.run(net, ska.synthetic_blobs(12, 4, 2, seed=1))
+    assert np.isnan(trace.column("cosine")[:, 1]).all()
+    assert np.shares_memory(trace.column("net_cum"), trace.values)
+    write_trace_csv(tmp_path / "trace.csv", trace)
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert lines[0] == TRACE_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    keys = [(int(k), float(t), int(l)) for k, t, l, *_ in rows]
+    assert keys == [(k, t, l) for k, t in zip(trace.steps.tolist(), trace.times.tolist())
+                    for l in range(3)]
+    got = np.array([[float(c) if c else np.nan for c in row[3:]] for row in rows])
+    assert got.reshape(trace.values.shape).tobytes() == trace.values.tobytes()
 
 
 def test_train_on_an_axis_one_ulp_wide(tmp_path):

@@ -144,6 +144,18 @@ def test_blocked_passes_match_whole_array_forms_bitwise():
         ska.entropy_gradient(big, big, out=np.empty(2 * big.size)[::2])
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (200, 300)], ids=["one-block", "many-blocks"])
+def test_entropy_gradient_rejects_mismatched_shapes_at_every_size(shape):
+    """d and out must have z's shape: a row of d never broadcasts over z,
+    whether z fits in one block or spans many."""
+    z = np.ones(shape)
+    with pytest.raises(ska.linalg.ShapeMismatchError):
+        ska.entropy_gradient(z, np.ones(shape[1]))
+    with pytest.raises(ska.linalg.ShapeMismatchError):
+        ska.entropy_gradient(z, z, out=np.empty(shape[::-1]))
+    assert ska.entropy_gradient(z, z).shape == shape
+
+
 # ---------------------------------------------------------- gradient ---
 
 
@@ -317,14 +329,15 @@ def test_step_record_shapes_and_seed_semantics():
     net = ska.init_network(cfg)
     X = np.random.default_rng(2).uniform(0, 1, (5, 4))
     rec0 = ska.step(net, X)
-    assert rec0.k == 0
+    assert net.step_index == 1
     # the seeding step has no increments, so it measures nothing
-    metrics = ("entropy_step", "cosine", "z_norm", "flow_norm", "net_step")
-    assert all(getattr(rec0, m) is None for m in metrics)
+    assert rec0 is None
     rec1 = ska.step(net, X)
-    assert rec1.k == 1
-    for m in metrics:
-        values = getattr(rec1, m)
+    assert net.step_index == 2
+    # one (entropy_step, cosine, z_norm, flow_norm, net_step) tuple per layer
+    assert len(rec1) == 2
+    for m in range(5):
+        values = [layer[m] for layer in rec1]
         assert len(values) == 2 and all(type(v) is float for v in values), m
 
 
@@ -346,11 +359,12 @@ def test_step_metrics_match_their_formulas_bitwise(sizes):
         Z, D = layer.Z.copy(), layer.D.copy()
         dZ, dD = Z - Zp, D - Dp
         G = ska.entropy_gradient(Z, D)
-        assert rec.entropy_step[l] == ska.entropy_step(Z, dD)
-        assert rec.cosine[l] == cosine_flat(Z, dD)
-        assert rec.z_norm[l] == frobenius_norm(Z)
-        assert rec.flow_norm[l] == frobenius_norm(dZ) / cfg.dt
-        assert rec.net_step[l] == ska.net_step(D, G, dZ)
+        entropy, cos, z_norm, flow, net_step = rec[l]
+        assert entropy == ska.entropy_step(Z, dD)
+        assert cos == cosine_flat(Z, dD)
+        assert z_norm == frobenius_norm(Z)
+        assert flow == frobenius_norm(dZ) / cfg.dt
+        assert net_step == ska.net_step(D, G, dZ)
         assert layer.W.tobytes() == (W - ska.linalg.outer_mean(G, inp) * cfg.dt).tobytes()
         inp = D
 
@@ -449,7 +463,7 @@ def test_run_trace_shape_and_times():
     assert trace.n_layers == 2
     np.testing.assert_array_equal(trace.steps, np.arange(1, 8))
     np.testing.assert_allclose(trace.times, 0.05 * np.arange(1, 8), rtol=1e-15)
-    assert trace.entropy_step.shape == (7, 2)
+    assert trace.column("entropy_step").shape == (7, 2)
 
 
 def test_run_single_step_has_one_row():
@@ -482,13 +496,14 @@ def test_run_matches_manual_step_loop():
     for i in range(4):
         prev_D = [l.D.copy() for l in net.layers]
         rec = ska.step(net, X)
-        assert rec.k == i + 1
+        assert net.step_index == i + 2
+        entropy, z_norm = trace.column("entropy_step"), trace.column("z_norm")
         for l, layer in enumerate(net.layers):
             h = -float(np.sum(layer.Z * (layer.D - prev_D[l]))) / (ln2 * X.shape[0])
-            assert abs(h - trace.entropy_step[i, l]) < 1e-14
-            assert rec.entropy_step[l] == trace.entropy_step[i, l]
+            assert abs(h - entropy[i, l]) < 1e-14
+            assert rec[l][0] == entropy[i, l]
             zn = float(np.linalg.norm(layer.Z))
-            assert abs(zn - trace.z_norm[i, l]) < 1e-12
+            assert abs(zn - z_norm[i, l]) < 1e-12
 
 
 def test_run_is_deterministic():
@@ -496,8 +511,8 @@ def test_run_is_deterministic():
     ds = ska.synthetic_blobs(8, 5, 2, seed=3)
     t1 = ska.run(ska.init_network(cfg), ds)
     t2 = ska.run(ska.init_network(cfg), ds)
-    np.testing.assert_array_equal(t1.entropy_step, t2.entropy_step)
-    np.testing.assert_array_equal(t1.net_cum, t2.net_cum)
+    np.testing.assert_array_equal(t1.column("entropy_step"), t2.column("entropy_step"))
+    np.testing.assert_array_equal(t1.column("net_cum"), t2.column("net_cum"))
 
 
 def test_run_flow_is_a_rate_at_any_dt():
@@ -507,7 +522,7 @@ def test_run_flow_is_a_rate_at_any_dt():
     as 1/dt, since dZ would then compare two blocks."""
     ds = ska.synthetic_blobs(64, 8, 4, seed=1)
     flows = [ska.run(ska.init_network(NetworkConfig((8, 6, 3), dt=dt, steps=3, seed=2)),
-                     ds).flow_norm for dt in (1e-2, 1e-6)]
+                     ds).column("flow_norm") for dt in (1e-2, 1e-6)]
     np.testing.assert_allclose(flows[0], flows[1], rtol=0.02)
 
 

@@ -24,7 +24,7 @@ from ska.invariance import (
     run_family,
     steps_for,
 )
-from ska.metrics import TrajectoryTrace
+from ska.metrics import COLUMNS, TrajectoryTrace
 
 
 def _toy_dataset(n=8, d=3, seed=0):
@@ -34,20 +34,11 @@ def _toy_dataset(n=8, d=3, seed=0):
 
 def _trace(eta, K, columns=None, n_layers=1):
     steps = np.arange(1, K + 1, dtype=np.int64)
-    base = {name: np.zeros((K, n_layers)) for name in (
-        "entropy_step", "entropy_cum", "cosine", "z_norm",
-        "flow_norm", "net_step", "net_cum")}
-    if columns:
-        for name, arr in columns.items():
-            base[name] = np.asarray(arr, dtype=np.float64).reshape(K, n_layers)
-    return TrajectoryTrace(
-        layer_sizes=tuple([2] * (n_layers + 1)),
-        dt=eta,
-        seed=0,
-        steps=steps,
-        times=steps * eta,
-        **base,
-    )
+    values = np.zeros((K, n_layers, len(COLUMNS)))
+    for name, arr in (columns or {}).items():
+        values[:, :, COLUMNS.index(name)] = np.reshape(arr, (K, n_layers))
+    return TrajectoryTrace(layer_sizes=tuple([2] * (n_layers + 1)), dt=eta, steps=steps,
+                           times=steps * eta, values=values)
 
 
 def _euler_run(label, eta, total_time=1.0):
@@ -89,8 +80,9 @@ def test_spec_rejects_bad_inputs():
             InvarianceSpec(**{**good, "eta_list": (0.02, eta)})
     # a tolerance of zero or below fails every comparable row, so the family
     # would run only to report FAIL
-    for tolerance in (0.0, -1.0, math.nan):
-        with pytest.raises(InvarianceError, match="^tolerance must be positive$"):
+    # and an infinite one passes every row
+    for tolerance in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvarianceError, match="^tolerance must be positive and finite$"):
             InvarianceSpec(**{**good, "tolerance": tolerance})
 
 
@@ -128,7 +120,10 @@ def test_run_family_shares_seed_and_counts_steps():
     runs = run_family(spec)
     assert [r.trace.n_steps for r in runs] == [5, 10]
     assert [r.label for r in runs] == ["run0:eta=0.1", "run1:eta=0.05"]
-    assert all(r.trace.seed == 11 for r in runs)
+    # every run is the seed-11 network at its own step size
+    for r in runs:
+        cfg = NetworkConfig((4, 3), dt=r.eta, steps=r.trace.n_steps, seed=11)
+        assert np.array_equal(r.trace.values, ska.run(ska.init_network(cfg), ds).values)
     assert abs(runs[0].eta * runs[0].trace.n_steps - 0.5) < 1e-12
 
 
@@ -188,7 +183,7 @@ def test_compare_flags_zero_range_layers_incomparable():
         _euler_run("b", 0.025),
     ]
     for r in runs:
-        r.trace.cosine = np.full_like(r.trace.cosine, 0.25)
+        r.trace.column("cosine")[:] = 0.25
     report = compare(resample_common_grid(runs))
     (row,) = [r for r in report["rows"] if r["metric"] == "cosine"]
     assert row["passed"] is None

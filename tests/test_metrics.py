@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import ska
-from ska.dynamics import NetworkConfig, StepRecord
+from ska.dynamics import NetworkConfig
 from ska.linalg import ShapeMismatchError, cosine_flat
-from ska.metrics import TraceAccumulator, TrajectoryTrace, crossing_positions
+from ska.metrics import COLUMNS, TraceAccumulator, TrajectoryTrace, crossing_positions
 
 ENTROPY_EXAMPLE = -0.14426950408889634
 
@@ -99,7 +99,8 @@ def test_batch_duplication_run_trace():
     for name in ("entropy_step", "net_step", "cosine"):
         np.testing.assert_allclose(two.column(name), one.column(name), rtol=0, atol=1e-12)
     # norm columns are not means; they grow by sqrt(2)
-    np.testing.assert_allclose(two.z_norm, math.sqrt(2) * one.z_norm, rtol=1e-12)
+    np.testing.assert_allclose(two.column("z_norm"), math.sqrt(2) * one.column("z_norm"),
+                               rtol=1e-12)
 
 
 # -------------------------------------------------------------- trace ---
@@ -108,22 +109,10 @@ def test_batch_duplication_run_trace():
 def _toy_trace(net_cum_col):
     K = len(net_cum_col)
     steps = np.arange(1, K + 1, dtype=np.int64)
-    zeros = np.zeros((K, 1))
-    col = np.asarray(net_cum_col, dtype=np.float64).reshape(K, 1)
-    return TrajectoryTrace(
-        layer_sizes=(1, 1),
-        dt=0.1,
-        seed=0,
-        steps=steps,
-        times=steps * 0.1,
-        entropy_step=zeros.copy(),
-        entropy_cum=zeros.copy(),
-        cosine=zeros.copy(),
-        z_norm=zeros.copy(),
-        flow_norm=zeros.copy(),
-        net_step=zeros.copy(),
-        net_cum=col,
-    )
+    values = np.zeros((K, 1, len(COLUMNS)))
+    values[:, 0, COLUMNS.index("net_cum")] = net_cum_col
+    return TrajectoryTrace(layer_sizes=(1, 1), dt=0.1, steps=steps, times=steps * 0.1,
+                           values=values)
 
 
 def test_trace_column_lookup():
@@ -138,36 +127,38 @@ def test_trace_accumulator_assembles_cumulative_sums():
     X = rng.uniform(0, 1, size=(16, 5))
     cfg = NetworkConfig(layer_sizes=(5, 4, 3), dt=0.02, steps=9, seed=4)
     trace = ska.run(ska.init_network(cfg), ska.Dataset(X))
-    np.testing.assert_array_equal(trace.entropy_cum, np.cumsum(trace.entropy_step, axis=0))
-    np.testing.assert_array_equal(trace.net_cum, np.cumsum(trace.net_step, axis=0))
+    col = trace.column
+    np.testing.assert_array_equal(col("entropy_cum"), np.cumsum(col("entropy_step"), axis=0))
+    np.testing.assert_array_equal(col("net_cum"), np.cumsum(col("net_step"), axis=0))
     np.testing.assert_array_equal(trace.steps, np.arange(1, 10))
     np.testing.assert_array_equal(trace.times, trace.steps * 0.02)
-    assert np.all(trace.z_norm >= 0) and np.all(trace.flow_norm >= 0)
+    assert np.all(col("z_norm") >= 0) and np.all(col("flow_norm") >= 0)
 
 
 def test_trace_accumulator_rejects_seeding_record():
     cfg = NetworkConfig(layer_sizes=(2, 2), dt=0.1, steps=2, seed=0)
     acc = TraceAccumulator(cfg)
     with pytest.raises(ValueError, match="seeding"):
-        acc.add(StepRecord(k=0))
+        acc.add(0, None)
     seed_rec = ska.step(ska.init_network(cfg), np.ones((1, 2)))
     with pytest.raises(ValueError, match="seeding"):
-        acc.add(seed_rec)
+        acc.add(0, seed_rec)
 
 
 STEP_METRICS = ("entropy_step", "cosine", "z_norm", "flow_norm", "net_step")
 
 
-def _record(k, n_layers, **values):
-    """A StepRecord with every metric 1.0 in every layer, except values."""
-    return StepRecord(k, **{m: values.get(m, [1.0] * n_layers) for m in STEP_METRICS})
+def _record(n_layers, **values):
+    """A step record with every metric 1.0 in every layer, except values,
+    which map a metric to its per-layer list."""
+    return list(zip(*(values.get(m, [1.0] * n_layers) for m in STEP_METRICS)))
 
 
 def test_trace_accumulator_rejects_out_of_range_step():
     cfg = NetworkConfig(layer_sizes=(2, 2), dt=0.1, steps=2, seed=0)
     acc = TraceAccumulator(cfg)
     with pytest.raises(ValueError, match="outside 1..2"):
-        acc.add(_record(3, 1))
+        acc.add(3, _record(1))
 
 
 def test_trace_accumulator_finish_requires_all_steps():
@@ -184,12 +175,13 @@ def test_add_stores_each_metric_in_its_row():
     acc = TraceAccumulator(cfg)
     want = {m: np.arange(6.0).reshape(3, 2) + 10 * i for i, m in enumerate(STEP_METRICS)}
     for k in (3, 1, 2):
-        acc.add(StepRecord(k, **{m: want[m][k - 1].tolist() for m in STEP_METRICS}))
+        acc.add(k, _record(2, **{m: want[m][k - 1].tolist() for m in STEP_METRICS}))
     trace = acc.finish()
     for m in STEP_METRICS:
         assert trace.column(m).tobytes() == want[m].tobytes(), m
-    np.testing.assert_array_equal(trace.entropy_cum, np.cumsum(want["entropy_step"], axis=0))
-    np.testing.assert_array_equal(trace.net_cum, np.cumsum(want["net_step"], axis=0))
+    np.testing.assert_array_equal(trace.column("entropy_cum"),
+                                  np.cumsum(want["entropy_step"], axis=0))
+    np.testing.assert_array_equal(trace.column("net_cum"), np.cumsum(want["net_step"], axis=0))
 
 
 # The non-finite value each case puts into layer 1 of an otherwise finite
@@ -202,9 +194,9 @@ NON_FINITE = {"entropy_step": -math.inf, "z_norm": math.inf, "flow_norm": math.i
 def test_add_stops_on_a_non_finite_metric(metric):
     cfg = NetworkConfig(layer_sizes=(2, 2, 2), dt=0.1, steps=2, seed=0)
     bad = NON_FINITE[metric]
-    rec = _record(2, 2, **{metric: [1.0, bad]})
+    rec = _record(2, **{metric: [1.0, bad]})
     with pytest.raises(ValueError, match=f"^step 2, layer 1: {metric} is {bad}, not finite$"):
-        TraceAccumulator(cfg).add(rec)
+        TraceAccumulator(cfg).add(2, rec)
 
 
 def test_add_leaves_an_undefined_cosine_as_a_gap():
@@ -215,12 +207,13 @@ def test_add_leaves_an_undefined_cosine_as_a_gap():
     X = np.ones((3, 2))
     ska.step(net, X)
     rec = ska.step(net, X)
-    assert math.isnan(rec.cosine[0])
+    assert math.isnan(rec[0][STEP_METRICS.index("cosine")])
     acc = TraceAccumulator(cfg)
-    acc.add(rec)
+    acc.add(1, rec)
     trace = acc.finish()
-    assert np.isnan(trace.cosine).all()
-    assert np.isfinite(trace.entropy_step).all() and np.isfinite(trace.net_step).all()
+    assert np.isnan(trace.column("cosine")).all()
+    assert np.isfinite(trace.column("entropy_step")).all()
+    assert np.isfinite(trace.column("net_step")).all()
 
 
 # ------------------------------------------------------------ markers ---
@@ -254,8 +247,8 @@ def test_find_zero_crossings_reports_step_coordinates():
 
 def test_marker_ties_go_to_earliest_step():
     trace = _toy_trace([0.0, 0.0, 0.0])
-    trace.entropy_step = np.array([[0.5], [-1.0], [-1.0]])
-    trace.flow_norm = np.array([[3.0], [3.0], [1.0]])
+    trace.column("entropy_step")[:] = [[0.5], [-1.0], [-1.0]]
+    trace.column("flow_norm")[:] = [[3.0], [3.0], [1.0]]
     assert ska.find_entropy_minimum(trace, 0) == 2
     assert ska.find_flow_peak(trace, 0) == 1
     assert isinstance(ska.find_entropy_minimum(trace, 0), int)
