@@ -13,7 +13,6 @@ from .data import (
     constant_dataset,
     from_idx,
     glyph_dataset,
-    load_idx_images,
     synthetic_blobs,
 )
 from .dynamics import (
@@ -57,7 +56,6 @@ __all__ = [
     "constant_dataset",
     "from_idx",
     "glyph_dataset",
-    "load_idx_images",
     "synthetic_blobs",
     "Network",
     "NetworkConfig",

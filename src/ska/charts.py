@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+WIDTH, HEIGHT = 760, 420  # canvas size in pixels
+
 COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
@@ -27,7 +29,6 @@ class Marker:
     x: float
     y: float
     color: str = "#d62728"
-    label: str = ""
 
 
 def _escape(text: str) -> str:
@@ -74,12 +75,10 @@ def line_chart(
     x_label: str = "",
     y_label: str = "",
     markers: list = (),
-    width: int = 760,
-    height: int = 420,
 ) -> str:
     """Render series to an SVG string."""
     ml, mr, mt, mb = 64, 16, 40, 46
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
     xs, ys = [], []
     for s in series:
@@ -111,13 +110,13 @@ def line_chart(
 
     el = []
     el.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
-    el.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    el.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     if title:
         el.append(
-            f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
+            f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15" fill="#222">{_escape(title)}</text>'
         )
     # frame and ticks
@@ -148,7 +147,7 @@ def line_chart(
         )
     if x_label:
         el.append(
-            f'<text x="{ml + pw / 2:.1f}" y="{height - 8}" text-anchor="middle" '
+            f'<text x="{ml + pw / 2:.1f}" y="{HEIGHT - 8}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" fill="#222">{_escape(x_label)}</text>'
         )
     if y_label:

@@ -337,13 +337,12 @@ def train_charts(out_dir: Path, trace: TrajectoryTrace) -> list:
         return [charts.Series(f"layer {l}", steps if xname == "step" else col(xname, l),
                               col(yname, l), color(l)) for l in range(L)]
 
-    def extremum_marks(find, yname, label):
+    def extremum_marks(find, yname):
         # one marker per layer at the step find picks, on the yname curve
         marks = []
         for l in range(L):
             k = find(trace, l)
-            marks.append(charts.Marker(float(k), float(col(yname, l)[k - 1]), color(l),
-                                       f"{label} L{l}"))
+            marks.append(charts.Marker(float(k), float(col(yname, l)[k - 1]), color(l)))
         return marks
 
     def crossing_marks(xname):
@@ -352,16 +351,16 @@ def train_charts(out_dir: Path, trace: TrajectoryTrace) -> list:
         for l in range(L):
             for pos in find_zero_crossings(trace, l):
                 x = pos if xname == "step" else np.interp(pos, steps, col(xname, l))
-                marks.append(charts.Marker(float(x), 0.0, color(l), ""))
+                marks.append(charts.Marker(float(x), 0.0, color(l)))
         return marks
 
     chart("entropy_vs_step.svg", "Per-step entropy", "step", "entropy",
           layer_series("step", "entropy_step"),
-          extremum_marks(find_entropy_minimum, "entropy_step", "min"))
+          extremum_marks(find_entropy_minimum, "entropy_step"))
     chart("cosine_vs_step.svg", "Knowledge and decision-shift alignment", "step",
           "cosine", layer_series("step", "cosine"))
     chart("flow_vs_step.svg", "Knowledge flow", "step", "flow norm",
-          layer_series("step", "flow_norm"), extremum_marks(find_flow_peak, "flow_norm", "peak"))
+          layer_series("step", "flow_norm"), extremum_marks(find_flow_peak, "flow_norm"))
     chart("flow_vs_znorm.svg", "Knowledge flow against knowledge norm",
           "knowledge norm", "flow norm", layer_series("z_norm", "flow_norm"))
     chart("net_vs_step.svg", "Cumulative net", "step", "net",

@@ -45,27 +45,6 @@ def _open(path, mode: str):
     return (gzip.open if str(path).endswith(".gz") else open)(path, mode)
 
 
-def load_idx_images(path) -> np.ndarray:
-    """Read an IDX image file into an (n, rows*cols) float64 array in [0, 1]."""
-    with _open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise TruncatedFileError(f"{path}: file shorter than {_HEADER.size}-byte header")
-    magic, n, rows, cols = _HEADER.unpack_from(raw)
-    if magic != IMAGE_MAGIC:
-        raise BadMagicError(f"{path}: magic {magic}, expected {IMAGE_MAGIC}")
-    count = n * rows * cols
-    if count > _MAX_PAYLOAD:
-        raise DimensionOverflowError(f"{path}: declared sizes {(n, rows, cols)} overflow")
-    payload = len(raw) - _HEADER.size
-    if payload < count:
-        raise TruncatedFileError(f"{path}: payload has {payload} bytes, header declares {count}")
-    if payload > count:
-        raise IdxFormatError(f"{path}: {payload - count} trailing bytes after payload")
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size).reshape(n, rows * cols)
-    return pixels.astype(np.float64) / 255.0
-
-
 def save_idx_images(path, pixels: np.ndarray) -> None:
     """Write an (n, rows, cols) uint8 array as an IDX image file."""
     pixels = np.asarray(pixels, dtype=np.uint8)
@@ -97,10 +76,29 @@ class Dataset:
 
 
 def from_idx(image_path, limit: int | None = None) -> Dataset:
-    """The IDX images, or their first limit rows."""
+    """The IDX images, or their first limit rows, scaled into [0, 1]. The
+    whole file is validated whatever the limit; only kept rows are converted."""
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
-    return Dataset(load_idx_images(image_path)[:limit])
+    with _open(image_path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise TruncatedFileError(f"{image_path}: file shorter than {_HEADER.size}-byte header")
+    magic, n, rows, cols = _HEADER.unpack_from(raw)
+    if magic != IMAGE_MAGIC:
+        raise BadMagicError(f"{image_path}: magic {magic}, expected {IMAGE_MAGIC}")
+    count = n * rows * cols
+    if count > _MAX_PAYLOAD:
+        raise DimensionOverflowError(f"{image_path}: declared sizes {(n, rows, cols)} overflow")
+    payload = len(raw) - _HEADER.size
+    if payload < count:
+        raise TruncatedFileError(
+            f"{image_path}: payload has {payload} bytes, header declares {count}"
+        )
+    if payload > count:
+        raise IdxFormatError(f"{image_path}: {payload - count} trailing bytes after payload")
+    pixels = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size).reshape(n, rows * cols)
+    return Dataset(pixels[:limit] / 255.0)
 
 
 def synthetic_blobs(

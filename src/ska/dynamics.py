@@ -280,9 +280,10 @@ def step(net: Network, X: np.ndarray) -> list | None:
     the pair before the next layer is forwarded, so between steps each layer
     holds two blocks the size of Z, and only the layer in flight holds four.
     A step allocates only the new snapshot (Z, D), the update block and the
-    block-sized temporaries of the sigmoid and gradient passes. The seeding
-    step (k = 0) has no increments and takes its gradient in a transient
-    array.
+    block-sized temporaries of the sigmoid and gradient passes, plus, when X
+    is not C-contiguous float64, one copy of it that the forward pass and
+    layer 0's update share. The seeding step (k = 0) has no increments and
+    takes its gradient in a transient array.
 
     Returns the step's record: None at the seeding step, else one
     (entropy_step, cosine, z_norm, flow_norm, net_step) tuple of floats per
@@ -290,8 +291,8 @@ def step(net: Network, X: np.ndarray) -> list | None:
     """
     dt = net.config.dt
     k = net.step_index
-    layers = forward(net, X)
     inp = np.ascontiguousarray(X, dtype=np.float64)
+    layers = forward(net, inp)
     record = None if k == 0 else []
     for layer, (dZ, dD) in layers:
         Z, D = layer.Z, layer.D

@@ -106,9 +106,10 @@ class TraceAccumulator:
     """Consumes the records of steps k = 1..K and fills the trace's values.
 
     A record holds one (entropy_step, cosine, z_norm, flow_norm, net_step)
-    tuple of floats per layer; add() stores it in row k - 1. A non-finite
-    entropy, norm, flow or net raises ValueError naming the step and the
-    layer; a cosine that is undefined or not finite stays a NaN gap.
+    tuple of floats per layer; add() stores step k in row k - 1 and takes
+    steps in order. A repeated or skipped k, or a non-finite entropy, norm,
+    flow or net, raises ValueError naming the step (and the layer); a
+    cosine that is undefined or not finite stays a NaN gap.
     """
 
     def __init__(self, config: NetworkConfig):
@@ -121,6 +122,8 @@ class TraceAccumulator:
             raise ValueError("record has no increments; seeding step is not accumulated")
         if not 1 <= k <= self.config.steps:
             raise ValueError(f"step index {k} outside 1..{self.config.steps}")
+        if k != self._seen + 1:
+            raise ValueError(f"step {k} added out of order, expected step {self._seen + 1}")
         # a record fills COLUMNS 0 and 2 to 5; finish() sums 0 into 1 and 5 into 6
         v, row = self.values, k - 1
         for l, (es, cos, zn, fn, ns) in enumerate(record):

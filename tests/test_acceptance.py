@@ -311,7 +311,7 @@ def test_acceptance_8_idx_robustness(tmp_path):
         bad_path = tmp_path / f"bad{i}.idx"
         bad_path.write_bytes(bytes(blob))
         try:
-            ska_data.load_idx_images(bad_path)
+            ska_data.from_idx(bad_path)
         except ska_data.IdxFormatError:
             rejected += 1
         except Exception as exc:  # noqa: BLE001 - a crash is the failure mode
@@ -319,7 +319,7 @@ def test_acceptance_8_idx_robustness(tmp_path):
     c.check(rejected == 50, f"only {rejected}/50 corrupt headers rejected")
 
     # the loader hands out [0,1] floats; recover bytes and re-encode
-    loaded = ska_data.load_idx_images(good_path)
+    loaded = ska_data.from_idx(good_path).inputs
     back = (loaded * 255.0).round().astype(np.uint8).reshape(pixels.shape)
     c.check(bool(np.array_equal(back, pixels)), "pixel values drifted in the round trip")
     again = tmp_path / "again.idx"

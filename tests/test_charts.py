@@ -62,7 +62,7 @@ def test_legend_labels_and_colors_cycle():
 
 def test_markers_are_drawn_and_escape_is_applied():
     s = Series("a<b", np.arange(3.0), np.arange(3.0))
-    svg, root = _render([s], title='x "& y', markers=[Marker(1.0, 1.0, label="m")])
+    svg, root = _render([s], title='x "& y', markers=[Marker(1.0, 1.0)])
     assert "a&lt;b" in svg and "&quot;&amp;" in svg
     circles = list(root.iter(f"{SVG_NS}circle"))
     assert any(c.get("r") == "3.5" for c in circles)

@@ -26,7 +26,7 @@ def test_load_images_hand_built_header(tmp_path):
     raw = struct.pack(">IIII", 2051, 1, 2, 2) + bytes([0, 255, 0, 255])
     p = tmp_path / "img.idx"
     p.write_bytes(raw)
-    out = data.load_idx_images(p)
+    out = data.from_idx(p).inputs
     np.testing.assert_array_equal(out, [[0.0, 1.0, 0.0, 1.0]])
 
 
@@ -34,7 +34,7 @@ def test_gzip_transparent(tmp_path):
     p = tmp_path / "img.idx.gz"
     with gzip.open(p, "wb") as fh:
         fh.write(images_bytes(2, 3, 3))
-    out = data.load_idx_images(p)
+    out = data.from_idx(p).inputs
     assert out.shape == (2, 9)
 
 
@@ -42,35 +42,38 @@ def test_bad_magic(tmp_path):
     p = tmp_path / "img.idx"
     p.write_bytes(struct.pack(">IIII", 2052, 1, 2, 2) + bytes(4))
     with pytest.raises(data.BadMagicError):
-        data.load_idx_images(p)
+        data.from_idx(p)
     # the IDX label magic is not an image file's either
     p.write_bytes(struct.pack(">IIII", 2049, 1, 2, 2) + bytes(4))
     with pytest.raises(data.BadMagicError):
-        data.load_idx_images(p)
+        data.from_idx(p)
 
 
 def test_truncated_header_and_payload(tmp_path):
     p = tmp_path / "img.idx"
     p.write_bytes(struct.pack(">II", 2051, 1))
     with pytest.raises(data.TruncatedFileError):
-        data.load_idx_images(p)
+        data.from_idx(p)
     p.write_bytes(struct.pack(">IIII", 2051, 2, 2, 2) + bytes(5))
     with pytest.raises(data.TruncatedFileError):
-        data.load_idx_images(p)
+        data.from_idx(p)
+    # the first row is whole, yet the file is checked past the rows it keeps
+    with pytest.raises(data.TruncatedFileError):
+        data.from_idx(p, limit=1)
 
 
 def test_dimension_overflow(tmp_path):
     p = tmp_path / "img.idx"
     p.write_bytes(struct.pack(">IIII", 2051, 2**31, 2**20, 2**20))
     with pytest.raises(data.DimensionOverflowError):
-        data.load_idx_images(p)
+        data.from_idx(p)
 
 
 def test_trailing_bytes_rejected(tmp_path):
     p = tmp_path / "img.idx"
     p.write_bytes(images_bytes(1, 2, 2) + b"\x00")
     with pytest.raises(data.IdxFormatError):
-        data.load_idx_images(p)
+        data.from_idx(p)
 
 
 # ----------------------------------------------------------------- write ---
@@ -81,7 +84,7 @@ def test_round_trip_bit_exact(tmp_path):
     pixels = rng.integers(0, 256, size=(5, 4, 3), dtype=np.uint8)
     ip = tmp_path / "img.idx"
     data.save_idx_images(ip, pixels)
-    back = (data.load_idx_images(ip) * 255.0).round().astype(np.uint8)
+    back = (data.from_idx(ip).inputs * 255.0).round().astype(np.uint8)
     np.testing.assert_array_equal(back.reshape(5, 4, 3), pixels)
     # header bytes are exactly the documented big-endian words
     raw = ip.read_bytes()
@@ -115,6 +118,9 @@ def test_from_idx_limit(tmp_path):
     ds = data.from_idx(ip, limit=4)
     assert ds.n == 4
     np.testing.assert_array_equal(ds.inputs, pixels[:4].reshape(4, 4) / 255.0)
+    # the kept rows own their memory, not a view of the whole file's array
+    assert ds.inputs.flags.owndata
+    assert ds.inputs.tobytes() == data.from_idx(ip).inputs[:4].tobytes()
 
 
 @pytest.mark.parametrize("limit", [0, -15])

@@ -416,6 +416,29 @@ def test_step_working_set_is_two_blocks_per_layer_plus_the_layer_in_flight(sizes
     assert peak <= bound + slack
 
 
+def test_step_converts_its_input_once():
+    """An F-ordered float32 X steps the net exactly as its C-contiguous
+    float64 conversion does, and the step holds one converted copy of X,
+    not one for the forward pass and another for layer 0's update."""
+    cfg = NetworkConfig(layer_sizes=(784, 8, 4), dt=0.05, steps=2, seed=4)
+    X = np.asfortranarray(np.random.default_rng(5).random((4096, 784), dtype=np.float32))
+    X64 = np.ascontiguousarray(X, dtype=np.float64)
+    given, converted = ska.init_network(cfg), ska.init_network(cfg)
+    ska.step(given, X)  # lazy imports and caches, outside the count
+    tracemalloc.start()
+    try:
+        records = [ska.step(given, X) for _ in range(2)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ska.step(converted, X64)
+    want = [ska.step(converted, X64) for _ in range(2)]
+    assert np.array(records).tobytes() == np.array(want).tobytes()
+    for a, b in zip(given.layers, converted.layers):
+        assert a.W.tobytes() == b.W.tobytes()
+    assert peak < 1.5 * X64.nbytes
+
+
 def test_update_uses_simultaneous_snapshot():
     """Layer 0's update must not see layer 1's new weights, and vice versa."""
     cfg = NetworkConfig(layer_sizes=(3, 2, 2), dt=0.2, steps=1, seed=3)

@@ -161,6 +161,22 @@ def test_trace_accumulator_rejects_out_of_range_step():
         acc.add(3, _record(1))
 
 
+def test_trace_accumulator_takes_steps_in_order():
+    """A repeated or a skipped step is refused, not left as a NaN row."""
+    cfg = NetworkConfig(layer_sizes=(2, 2), dt=0.1, steps=3, seed=0)
+    acc = TraceAccumulator(cfg)
+    acc.add(1, _record(1))
+    with pytest.raises(ValueError, match="^step 1 added out of order, expected step 2$"):
+        acc.add(1, _record(1))
+    with pytest.raises(ValueError, match="^step 3 added out of order, expected step 2$"):
+        acc.add(3, _record(1))
+    with pytest.raises(ValueError, match="1 of 3"):
+        acc.finish()
+    acc.add(2, _record(1))
+    acc.add(3, _record(1))
+    assert not np.isnan(acc.finish().values).any()
+
+
 def test_trace_accumulator_finish_requires_all_steps():
     cfg = NetworkConfig(layer_sizes=(2, 2), dt=0.1, steps=3, seed=0)
     acc = TraceAccumulator(cfg)
@@ -169,12 +185,12 @@ def test_trace_accumulator_finish_requires_all_steps():
 
 
 def test_add_stores_each_metric_in_its_row():
-    """add() files record k's values under row k - 1, whatever order the
-    records come in, and finish() sums entropy and net along the steps."""
+    """add() files record k's values under row k - 1, and finish() sums
+    entropy and net along the steps."""
     cfg = NetworkConfig(layer_sizes=(4, 3, 2), dt=0.1, steps=3, seed=0)
     acc = TraceAccumulator(cfg)
     want = {m: np.arange(6.0).reshape(3, 2) + 10 * i for i, m in enumerate(STEP_METRICS)}
-    for k in (3, 1, 2):
+    for k in (1, 2, 3):
         acc.add(k, _record(2, **{m: want[m][k - 1].tolist() for m in STEP_METRICS}))
     trace = acc.finish()
     for m in STEP_METRICS:
@@ -195,8 +211,10 @@ def test_add_stops_on_a_non_finite_metric(metric):
     cfg = NetworkConfig(layer_sizes=(2, 2, 2), dt=0.1, steps=2, seed=0)
     bad = NON_FINITE[metric]
     rec = _record(2, **{metric: [1.0, bad]})
+    acc = TraceAccumulator(cfg)
+    acc.add(1, _record(2))
     with pytest.raises(ValueError, match=f"^step 2, layer 1: {metric} is {bad}, not finite$"):
-        TraceAccumulator(cfg).add(2, rec)
+        acc.add(2, rec)
 
 
 def test_add_leaves_an_undefined_cosine_as_a_gap():
