@@ -19,7 +19,6 @@ from .dynamics import (
     Network,
     NetworkConfig,
     entropy_gradient,
-    entropy_primitive,
     forward,
     init_network,
     run,
@@ -60,7 +59,6 @@ __all__ = [
     "Network",
     "NetworkConfig",
     "entropy_gradient",
-    "entropy_primitive",
     "forward",
     "init_network",
     "run",

@@ -53,7 +53,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list:
     first = np.ceil(lo / step) * step
     ticks = []
     v = first
-    while v <= hi + 1e-12 * max(abs(hi), 1.0):
+    while v <= hi + 1e-12 * max(abs(hi), step):
         ticks.append(0.0 if abs(v) < step * 1e-9 else float(v))
         if v + step == v:  # an axis a few ulps wide: step is under half an ulp of v
             break

@@ -186,6 +186,8 @@ def _check_rules(c: dict) -> None:
         if bounded_steps(c["run"]["steps"], "run window") < 1:
             raise ConfigError("run.steps must be at least 1")
     if "variational" in c:
+        if not c["variational"]["units"]:
+            raise ConfigError("variational.units must list at least one [layer, unit, sample]")
         if any(len(u) != 3 for u in c["variational"]["units"]):
             raise ConfigError("variational.units entries must be [layer, unit, sample]")
         if c["run"]["steps"] < 3:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,13 @@ def from_idx(image_path, limit: int | None = None) -> Dataset:
     whole file is validated whatever the limit; only kept rows are converted."""
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
-    with _open(image_path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with _open(image_path, "rb") as fh:
+            raw = fh.read()
+    except EOFError as exc:
+        raise TruncatedFileError(f"{image_path}: compressed stream ends early") from exc
+    except (zlib.error, gzip.BadGzipFile) as exc:
+        raise IdxFormatError(f"{image_path}: damaged compressed stream: {exc}") from exc
     if len(raw) < _HEADER.size:
         raise TruncatedFileError(f"{image_path}: file shorter than {_HEADER.size}-byte header")
     magic, n, rows, cols = _HEADER.unpack_from(raw)

@@ -40,9 +40,7 @@ from .metrics import LN2, TraceAccumulator, entropy_step, net_step
 # (steps, layers), 56 MB per layer at this bound.
 MAX_STEPS = 1_000_000
 
-# Elements per block of the blocked sigmoid and gradient passes: one float64
-# block is 128 KiB, so a block's temporaries stay in cache, and neither pass
-# allocates a temporary the size of its input.
+# Elements per block of the elementwise passes: 128 KiB of float64, so a block stays in cache.
 SIGMOID_BLOCK = 1 << 14
 
 # Multiply-adds of a run's largest per-step product (samples x fan_in x
@@ -61,97 +59,64 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     array serves both signs and equals the sign-split form bit for bit. For
     |z| < 36 the result stays strictly inside (0, 1) in float64.
 
-    An array larger than SIGMOID_BLOCK is walked flat in blocks of that
-    many elements, so the pass allocates the output plus one block-sized
-    float temporary and one bool mask (and a flat copy of z when z is
-    neither C- nor F-contiguous).
+    z is read as C-ordered float64; the result is a new C-contiguous array.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.size <= SIGMOID_BLOCK:
-        return _logistic(z, np.empty_like(z), np.empty_like(z), None)
-    order = _order(z)
-    out = np.empty(z.shape, order=order)
-    e = np.empty(SIGMOID_BLOCK)
-    mask = np.empty(SIGMOID_BLOCK, dtype=bool)
-    zf, of = z.ravel(order), out.ravel(order)
-    for blk in _blocks(zf.size):
-        o = of[blk]
-        _logistic(zf[blk], o, e[:o.size], mask[:o.size])
-    return out
-
-
-def _logistic(z, out, e, mask):
-    # The branch-free chain of sigmoid() over one block; e and mask are
-    # temporaries shaped like z (mask None allocates one).
-    np.abs(z, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.maximum(np.greater_equal(z, 0.0, mask), e, out=out)
-    e += 1.0
-    return np.divide(out, e, out=out)
-
-
-def _order(a: np.ndarray) -> str:
-    """The order, C or F, in which a flattens to a view if it is contiguous."""
-    return "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
-
-
-def _blocks(n: int):
-    """Slices covering 0..n in runs of SIGMOID_BLOCK elements."""
-    return (slice(i, i + SIGMOID_BLOCK) for i in range(0, n, SIGMOID_BLOCK))
+    z = np.asarray(z, dtype=np.float64, order="C")
+    return _elementwise(_logistic, np.empty_like(z), z)
 
 
 def entropy_gradient(z: np.ndarray, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the layer entropy with respect to pre-activations.
 
     Closed form -(1/ln 2) * z * sigmoid'(z) with sigmoid'(z) = d * (1 - d),
-    evaluated as ((z * d) * (1 - d)) / -ln 2. When given, out receives the
-    result. z, d and out must share one shape, or ShapeMismatchError is
-    raised; nothing broadcasts. Above SIGMOID_BLOCK elements out must be
-    contiguous, and 1 - d is formed one block at a time, so the only
-    temporary is block-sized (z and d are copied flat only when laid out
-    unlike out).
+    evaluated as ((z * d) * (1 - d)) / -ln 2 into out, or a new C-contiguous
+    array. z and d are read as C-ordered float64. z, d and out must share one
+    shape, or ShapeMismatchError is raised (nothing broadcasts), and an out
+    that is not C-contiguous raises ValueError.
     """
-    shape = np.shape(z)
+    z = np.asarray(z, dtype=np.float64, order="C")
+    d = np.asarray(d, dtype=np.float64, order="C")
     for other in (d, out):
-        if other is not None and np.shape(other) != shape:
-            raise linalg.ShapeMismatchError("entropy_gradient", shape, np.shape(other))
-    # Python scalars have no size and take the whole-array form, as arrays
-    # of one block or less do.
-    if getattr(z, "size", 0) <= SIGMOID_BLOCK:
-        return _gradient(z, d, out, None)
+        if other is not None and other.shape != z.shape:
+            raise linalg.ShapeMismatchError("entropy_gradient", z.shape, other.shape)
     if out is None:
-        out = np.empty(z.shape, order=_order(z))
-    if not (out.flags.c_contiguous or out.flags.f_contiguous):
-        raise ValueError("entropy_gradient: out must be contiguous")
-    order = _order(out)
-    zf, df, of = z.ravel(order), d.ravel(order), out.ravel(order)
+        out = np.empty_like(z)
+    elif not out.flags.c_contiguous:
+        raise ValueError("entropy_gradient: out must be C-contiguous")
+    return _elementwise(_gradient, out, z, d)
+
+
+def _elementwise(chain, out, *operands):
+    """Fill out with chain(*operands, out, t) and return it; the arrays are
+    C-contiguous and of one shape. At or below SIGMOID_BLOCK elements the
+    chain runs once on the whole arrays with t None, for it to allocate;
+    above, on each block of their flat views in turn with one block-sized
+    t, so no temporary is the size of the input."""
+    if out.size <= SIGMOID_BLOCK:
+        return chain(*operands, out, None)
     t = np.empty(SIGMOID_BLOCK)
-    for blk in _blocks(of.size):
-        o = of[blk]
-        _gradient(zf[blk], df[blk], o, t[:o.size])
+    flat = [a.ravel() for a in (*operands, out)]
+    for i in range(0, out.size, SIGMOID_BLOCK):
+        *blocks, o = [a[i:i + SIGMOID_BLOCK] for a in flat]
+        chain(*blocks, o, t[:o.size])
     return out
+
+
+def _logistic(z, out, t):
+    # sigmoid()'s chain: out holds e = exp(-|z|) until the numerator replaces it; t = 1 + e.
+    np.abs(z, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    t = np.add(out, 1.0, out=t)
+    np.maximum(np.greater_equal(z, 0.0), out, out=out)
+    return np.divide(out, t, out=out)
 
 
 def _gradient(z, d, out, t):
-    # The chain of entropy_gradient() over one block; t is a temporary
-    # shaped like z for 1 - d (None allocates one), out may be None.
-    out = np.multiply(z, d, out=out)
+    np.multiply(z, d, out=out)
     out *= np.subtract(1.0, d, out=t)
     out /= -LN2
     return out
-
-
-def entropy_primitive(z) -> np.ndarray:
-    """Antiderivative h(z) of the scalar entropy gradient, h(0) = 0.
-
-    h(z) = -(1/ln 2) * (z * sigmoid(z) - ln(1 + e^z) + ln 2). Its derivative
-    is entropy_gradient restricted to a scalar, which gives an independent
-    finite-difference check on the gradient's closed form. The softplus term
-    is evaluated as logaddexp(0, z) so large |z| cannot overflow.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    return -(z * sigmoid(z) - np.logaddexp(0.0, z) + LN2) / LN2
 
 
 def bounded_steps(k, what: str) -> int:

@@ -87,3 +87,14 @@ def test_ticks_on_an_axis_a_few_ulps_wide():
     """The ticks stop where a step below half an ulp no longer advances them."""
     assert _ticks(1.0, 1.0 + 4.4e-16) == [0.9999999999999999, 1.0]
     assert _ticks(0.0, 1.0) == [0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0]
+
+
+def test_ticks_on_a_narrow_or_subnormal_axis():
+    """The slack past hi scales with the tick step, so a narrow axis gets its
+    usual handful of ticks and a subnormal one ends."""
+    assert _ticks(0.0, 1e-14) == [0.0, 2e-15, 4e-15, 6.0000000000000005e-15, 8e-15,
+                                  1.0000000000000002e-14]
+    assert len(_ticks(0.0, 1e-16)) == 6
+    for lo, hi in ((0.0, 1e-310), (-1e-310, 0.0), (-8.8e-311, -1.9e-311)):
+        ticks = _ticks(lo, hi)
+        assert 4 <= len(ticks) <= 6 and lo <= ticks[0] and ticks[-1] <= hi

@@ -478,12 +478,22 @@ BAD_INPUTS = {
     "negative-seed-variational": ("variational-check",
                                   {"seed": -1, "run": {"dt": 0.05, "steps": 4}},
                                   "config key seed must be non-negative"),
+    "variational-no-units": ("variational-check", {"run": {"dt": 0.05, "steps": 4},
+                                                   "variational": {"units": []}},
+                             "variational.units must list at least one [layer, unit, sample]"),
+    # cut.idx.gz is written cut at half its length into the working directory
+    "idx-gzip-cut": ("train", dict(TRAIN_CFG, data={"source": "mnist", "images": "cut.idx.gz"}),
+                     "cut.idx.gz: compressed stream ends early"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case):
     command, cfg, needle = BAD_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    ska.data.save_idx_images("cut.idx.gz", ska.data.glyph_images(50, 0))
+    whole = Path("cut.idx.gz").read_bytes()
+    Path("cut.idx.gz").write_bytes(whole[: len(whole) // 2])
     path = _write_cfg(tmp_path, cfg)
     rc = main([command, "--config", path, "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -568,6 +578,54 @@ def test_data_keys_of_another_source_are_rejected(tmp_path, capsys):
     rc, _ = _train(tmp_path, _with(TRAIN_CFG, "data", value=0.5))
     assert rc == 2
     assert "data.value" in capsys.readouterr().err
+
+
+# One small config per command; the boundary sweep varies each in turn.
+BOUNDARY_CFGS = {
+    "train": TRAIN_CFG,
+    "invariance": INV_CFG,
+    "variational-check": {"seed": 0, "run": {"dt": 0.05, "steps": 4},
+                          "variational": {"units": [[0, 0, 0]]}},
+}
+BOUNDARY_VALUES = (0, -1, 1e-308, 1e308)
+
+
+def _boundary_variants(value, where=""):
+    """(where, variant) pairs: value with one of its numbers set to each of
+    BOUNDARY_VALUES, or one of its lists emptied, where naming the key."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        yield where, []
+        items = enumerate(value)
+    else:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield from ((f"{where}={v:g}", v) for v in BOUNDARY_VALUES)
+        return
+    for key, sub in items:
+        for name, variant in _boundary_variants(sub, f"{where}[{key}]"):
+            copy = dict(value) if isinstance(value, dict) else list(value)
+            copy[key] = variant
+            yield name, copy
+
+
+def test_boundary_values_end_in_a_documented_outcome(tmp_path, capsys):
+    """Each number of each command's config set to 0, -1, 1e-308 and 1e308 in
+    turn, and each list emptied: every run exits 0, 1 or 2 without raising,
+    with at most one error line (train draws its SVGs)."""
+    failures = []
+    for command, base in BOUNDARY_CFGS.items():
+        for i, (where, cfg) in enumerate(_boundary_variants(base)):
+            out = tmp_path / f"{command}-{i}"
+            try:
+                rc = main([command, "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+            except Exception as exc:
+                failures.append(f"{command} {where}: raised {exc!r}")
+                continue
+            err = capsys.readouterr().err
+            if rc not in (0, 1, 2) or err.count("error:") > 1:
+                failures.append(f"{command} {where}: exit {rc}, stderr {err!r}")
+    assert not failures, failures
 
 
 # ------------------------------------------------------------ entry point ---

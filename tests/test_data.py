@@ -76,6 +76,27 @@ def test_trailing_bytes_rejected(tmp_path):
         data.from_idx(p)
 
 
+def test_damaged_gzip_stream_names_the_file(tmp_path):
+    """A .gz file cut short, with undecodable deflate data or with a wrong
+    checksum fails as an IDX file naming its path, not as an EOF, zlib or
+    gzip error."""
+    p = tmp_path / "img.idx.gz"
+    data.save_idx_images(p, data.glyph_images(50, 0))
+    good = p.read_bytes()
+    p.write_bytes(good[: len(good) // 2])
+    with pytest.raises(data.TruncatedFileError, match="img.idx.gz: compressed stream ends early"):
+        data.from_idx(p)
+    # a gzip header without a name field, then a deflate block of the
+    # reserved type 3
+    p.write_bytes(gzip.compress(b"")[:10] + b"\xff" * 8)
+    with pytest.raises(data.IdxFormatError, match="img.idx.gz: damaged compressed stream"):
+        data.from_idx(p)
+    # the CRC-32 of the payload, the trailer's first word, flipped
+    p.write_bytes(good[:-8] + bytes([good[-8] ^ 0xFF]) + good[-7:])
+    with pytest.raises(data.IdxFormatError, match="img.idx.gz: damaged compressed stream"):
+        data.from_idx(p)
+
+
 # ----------------------------------------------------------------- write ---
 
 

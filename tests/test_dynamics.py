@@ -18,6 +18,8 @@ import ska
 from ska.dynamics import LN2, SIGMOID_BLOCK, SMALL_PRODUCT, NetworkConfig
 from ska.linalg import blas_threads, cosine_flat, frobenius_norm
 
+from test_variational import entropy_primitive
+
 SIG1 = 0.7310585786300049
 GRAD1 = -0.2836510610670778
 H1 = -0.16005846201683078
@@ -128,13 +130,15 @@ def test_blocked_passes_match_whole_array_forms_bitwise():
         s = ska.sigmoid(z)
         assert s.shape == z.shape
         assert s.tobytes() == sigmoid_whole_array(z).tobytes(), z.shape
-        if z.ndim == 2 and z.flags.f_contiguous:
-            assert s.flags.f_contiguous
+        # every layout gives a C-contiguous result, the same bits as on a C copy
+        assert s.flags.c_contiguous
+        assert s.tobytes() == ska.sigmoid(np.ascontiguousarray(z)).tobytes(), z.shape
         d = sigmoid_whole_array(z)
         # divided by -ln 2 rather than negated, so NaN signs match too
         want = (z * d) * (1.0 - d) / -LN2
-        assert _same_bits(ska.entropy_gradient(z, d), want), z.shape
-        out = np.empty_like(z)
+        g = ska.entropy_gradient(z, d)
+        assert g.flags.c_contiguous and _same_bits(g, want), z.shape
+        out = np.empty(z.shape)
         assert ska.entropy_gradient(z, d, out=out) is out
         assert _same_bits(out, want), z.shape
     big = np.zeros(SIGMOID_BLOCK + 1)
@@ -142,6 +146,13 @@ def test_blocked_passes_match_whole_array_forms_bitwise():
         ska.entropy_gradient(big, big, out=np.empty(SIGMOID_BLOCK + 2))
     with pytest.raises(ValueError, match="contiguous"):
         ska.entropy_gradient(big, big, out=np.empty(2 * big.size)[::2])
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (200, 300)], ids=["one-block", "many-blocks"])
+def test_entropy_gradient_rejects_an_f_ordered_out_at_every_size(shape):
+    z = np.ones(shape)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        ska.entropy_gradient(z, z, out=np.empty(shape, order="F"))
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (200, 300)], ids=["one-block", "many-blocks"])
@@ -175,8 +186,8 @@ def test_entropy_gradient_odd_and_zero():
 
 
 def test_entropy_primitive_frozen_value_and_origin():
-    assert float(ska.entropy_primitive(0.0)) == 0.0
-    assert abs(float(ska.entropy_primitive(1.0)) - H1) < 1e-15
+    assert float(entropy_primitive(0.0)) == 0.0
+    assert abs(float(entropy_primitive(1.0)) - H1) < 1e-15
 
 
 def test_gradient_is_derivative_of_primitive():
@@ -184,7 +195,7 @@ def test_gradient_is_derivative_of_primitive():
     zs = np.concatenate([np.arange(-10, 0, 0.5), np.arange(0.5, 10.5, 0.5)])
     # step balances truncation against cancellation in h ~ O(1)
     e = 1e-4
-    fd = (ska.entropy_primitive(zs + e) - ska.entropy_primitive(zs - e)) / (2 * e)
+    fd = (entropy_primitive(zs + e) - entropy_primitive(zs - e)) / (2 * e)
     g = ska.entropy_gradient(zs, ska.sigmoid(zs))
     rel = np.abs(fd - g) / np.abs(g)
     assert rel.max() < 1e-6
@@ -199,7 +210,7 @@ def test_primitive_matches_series_quadrature():
         f = -(u * s * (1 - s)) / math.log(2)
         h = (z_end - 0.0) / (2 * n)
         integral = (h / 3) * (f[0] + f[-1] + 4 * f[1::2].sum() + 2 * f[2:-1:2].sum())
-        assert abs(float(ska.entropy_primitive(z_end)) - integral) < 1e-9
+        assert abs(float(entropy_primitive(z_end)) - integral) < 1e-9
 
 
 # ------------------------------------------------------------ config ---

@@ -31,6 +31,18 @@ def sample_path(f, t0: float, t1: float, dt: float) -> UnitTrajectory:
     return UnitTrajectory(t, np.asarray([f(x) for x in t], dtype=np.float64), dt)
 
 
+def entropy_primitive(z) -> np.ndarray:
+    """Antiderivative h(z) of the scalar entropy gradient, h(0) = 0.
+
+    h(z) = -(1/ln 2) * (z * sigmoid(z) - ln(1 + e^z) + ln 2). Its derivative
+    is entropy_gradient restricted to a scalar, which gives an independent
+    finite-difference check on the gradient's closed form. The softplus term
+    is evaluated as logaddexp(0, z) so large |z| cannot overflow.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    return -(z * sigmoid(z) - np.logaddexp(0.0, z) + LN2) / LN2
+
+
 def test_sample_path_includes_both_endpoints():
     tr = sample_path(lambda t: t**2, 0.0, 1.0, 0.25)
     np.testing.assert_array_equal(tr.t, [0.0, 0.25, 0.5, 0.75, 1.0])
