@@ -45,11 +45,11 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list:
     if hi <= lo:
         return [lo]
     raw = (hi - lo) / n
-    mag = 10.0 ** np.floor(np.log10(raw))
-    for m in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= m * mag:
-            step = m * mag
-            break
+    mag = 10.0 ** np.floor(np.log10(raw)) if raw > 0.0 else 0.0
+    steps = [m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if 0.0 < raw <= m * mag]
+    if not steps:  # an axis a few subnormals wide: raw or its decade underflows to 0
+        return [lo, hi]
+    step = steps[0]
     first = np.ceil(lo / step) * step
     ticks = []
     v = first

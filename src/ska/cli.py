@@ -52,6 +52,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # passes: the residual of a second-order central difference should fall
 # about 4x.
 EL_ORDER_FLOOR = 1.8
+NO_CROSSING = "no net zero crossing in the window: net-action identity not checked"
 
 TRACE_HEADER = ",".join(("step", "time", "layer") + COLUMNS)
 MARKERS_HEADER = "layer,kind,step,value"
@@ -507,6 +508,8 @@ def cmd_variational(args, c: dict, t0: float) -> int:
                     "bound": bound,
                 })
         entry["net_identity_crossings"] = crossings
+        if not crossings:
+            print(f"unit {sel}: {NO_CROSSING}")
         unit_reports.append(entry)
 
     payload = {
@@ -653,6 +656,8 @@ def cmd_report(args) -> int:
                 print(f"  crossing t = {c['time']:.4g}: net identity residual {c['residual']:.3g}"
                       + (f", bound {c['bound']:.3g}" if "bound" in c else "")
                       + (" FAIL" if bad else ""))
+            if not crossings:
+                print(f"  {NO_CROSSING}")
         print("PASS" if passed else "FAIL")
         return 0 if passed else 1
     else:

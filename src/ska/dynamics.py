@@ -62,7 +62,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     z is read as C-ordered float64; the result is a new C-contiguous array.
     """
     z = np.asarray(z, dtype=np.float64, order="C")
-    return _elementwise(_logistic, np.empty_like(z), z)
+    return _elementwise(_logistic, _logistic1, np.empty_like(z), z)
 
 
 def entropy_gradient(z: np.ndarray, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -83,15 +83,19 @@ def entropy_gradient(z: np.ndarray, d: np.ndarray, out: np.ndarray | None = None
         out = np.empty_like(z)
     elif not out.flags.c_contiguous:
         raise ValueError("entropy_gradient: out must be C-contiguous")
-    return _elementwise(_gradient, out, z, d)
+    return _elementwise(_gradient, _gradient1, out, z, d)
 
 
-def _elementwise(chain, out, *operands):
+def _elementwise(chain, one, out, *operands):
     """Fill out with chain(*operands, out, t) and return it; the arrays are
-    C-contiguous and of one shape. At or below SIGMOID_BLOCK elements the
-    chain runs once on the whole arrays with t None, for it to allocate;
-    above, on each block of their flat views in turn with one block-sized
-    t, so no temporary is the size of the input."""
+    C-contiguous and of one shape. One element takes one(*operands) on Python
+    floats. At or below SIGMOID_BLOCK elements the chain runs once on the
+    whole arrays with t None, for it to allocate; above, on each block of
+    their flat views in turn with one block-sized t, so no temporary is the
+    size of the input."""
+    if out.size == 1:
+        out.flat[0] = one(*[a.item() for a in operands])
+        return out
     if out.size <= SIGMOID_BLOCK:
         return chain(*operands, out, None)
     t = np.empty(SIGMOID_BLOCK)
@@ -112,11 +116,21 @@ def _logistic(z, out, t):
     return np.divide(out, t, out=out)
 
 
+def _logistic1(z):
+    # max(z >= 0, e) is 1 or e; np.exp, since math.exp rounds some z differently
+    e = float(np.exp(-abs(z)))
+    return (1.0 if z >= 0.0 else e) / (e + 1.0)
+
+
 def _gradient(z, d, out, t):
     np.multiply(z, d, out=out)
     out *= np.subtract(1.0, d, out=t)
     out /= -LN2
     return out
+
+
+def _gradient1(z, d):
+    return z * d * (1.0 - d) / -LN2
 
 
 def bounded_steps(k, what: str) -> int:
@@ -264,17 +278,23 @@ def step(net: Network, X: np.ndarray) -> list | None:
         if k == 0:
             G = entropy_gradient(Z, D)
         else:
-            # the retired pair (Z_prev, D_prev) turns into (dZ, dD) in place
-            np.subtract(Z, dZ, out=dZ)
-            np.subtract(D, dD, out=dD)
+            # the retired pair turns into (dZ, dD) in place, in Python floats on one element
+            if Z.size == 1:
+                dZ.flat[0], dD.flat[0] = Z.item() - dZ.item(), D.item() - dD.item()
+            else:
+                np.subtract(Z, dZ, out=dZ)
+                np.subtract(D, dD, out=dD)
             zn = linalg.frobenius_norm(Z)
             cos = linalg.cosine_flat(Z, dD, norm_a=zn)
             fn = linalg.frobenius_norm(dZ) / dt
             es = entropy_step(Z, dD, out=dD)
             G = entropy_gradient(Z, D, out=dD)
         upd = linalg.outer_mean(G, inp)
-        upd *= dt
-        layer.W -= upd
+        if upd.size == 1:
+            layer.W.flat[0] = layer.W.item() - upd.item() * dt
+        else:
+            upd *= dt
+            layer.W -= upd
         if k != 0:
             record.append((es, cos, zn, fn, net_step(D, G, dZ, out=G)))
         inp = D

@@ -7,9 +7,9 @@ take two operands check their shapes and raise ShapeMismatchError instead
 of letting broadcasting paper over a mistake. Matrices are 2-D float64
 arrays, row-major, one sample per row where a batch is involved. Nothing
 mutates its inputs. matmul and outer_mean return a fresh array; outer_mean scales
-its product in place rather than allocating a second one. The norm and
-cosine reduce to Python floats through one dot product per operand, with
-no intermediate array.
+its product in place rather than allocating a second one. The norm and cosine
+reduce to Python floats through one dot product per operand, with no
+intermediate array: on one element, a product of Python floats.
 """
 
 from __future__ import annotations
@@ -65,6 +65,9 @@ def outer_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _norm(m: np.ndarray) -> float:
     # What np.linalg.norm(m) computes for real input, without its dispatch.
+    if m.size == 1:
+        v = m.item()
+        return math.sqrt(v * v)
     v = m.ravel(order="K")
     return math.sqrt(v.dot(v))
 
@@ -87,7 +90,9 @@ def cosine_flat(a: np.ndarray, b: np.ndarray, *, norm_a: float | None = None) ->
     nb = _norm(b)
     if na == 0.0 or nb == 0.0:
         return math.nan
-    c = float(np.dot(a.ravel(), b.ravel()) / (na * nb))
+    # one element: na, nb >= 2**-537, so na * nb > 0 and the float division cannot raise
+    dot = a.item() * b.item() if a.size == 1 else np.dot(a.ravel(), b.ravel())
+    c = float(dot / (na * nb))
     return c if math.isnan(c) else min(1.0, max(-1.0, c))
 
 

@@ -34,7 +34,8 @@ def entropy_step(Z: np.ndarray, dD: np.ndarray, out: np.ndarray | None = None) -
     """
     if Z.shape != dD.shape:
         raise linalg.ShapeMismatchError("entropy_step", Z.shape, dD.shape)
-    return float(-np.multiply(Z, dD, out=out).sum() / (LN2 * Z.shape[0]))
+    total = _sum1(Z.item() * dD.item(), out) if Z.size == 1 else np.multiply(Z, dD, out=out).sum()
+    return float(-total / (LN2 * Z.shape[0]))
 
 
 def net_step(D: np.ndarray, G: np.ndarray, dZ: np.ndarray,
@@ -50,9 +51,18 @@ def net_step(D: np.ndarray, G: np.ndarray, dZ: np.ndarray,
     """
     if not (D.shape == G.shape == dZ.shape):
         raise linalg.ShapeMismatchError("net_step", D.shape, dZ.shape)
+    if D.size == 1:
+        return float(_sum1((D.item() - G.item()) * dZ.item(), out) / D.shape[0])
     prod = np.subtract(D, G, out=out)
     prod *= dZ
     return float(prod.sum() / D.shape[0])
+
+
+def _sum1(prod: float, out: np.ndarray | None) -> float:
+    # numpy's sum of a one-element product, which starts from +0.0; out gets the product
+    if out is not None:
+        out.flat[0] = prod
+    return prod + 0.0
 
 
 # The metric columns of a trace, in the order trace.csv writes them.

@@ -1,5 +1,6 @@
 """SVG chart rendering: well-formedness, NaN gaps, legends, markers."""
 
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -91,10 +92,16 @@ def test_ticks_on_an_axis_a_few_ulps_wide():
 
 def test_ticks_on_a_narrow_or_subnormal_axis():
     """The slack past hi scales with the tick step, so a narrow axis gets its
-    usual handful of ticks and a subnormal one ends."""
+    usual handful of ticks and a subnormal one ends. An axis a few
+    subnormals wide, whose decade or fifth of a span underflows to 0, gets
+    its two ends, without a warning."""
     assert _ticks(0.0, 1e-14) == [0.0, 2e-15, 4e-15, 6.0000000000000005e-15, 8e-15,
                                   1.0000000000000002e-14]
     assert len(_ticks(0.0, 1e-16)) == 6
     for lo, hi in ((0.0, 1e-310), (-1e-310, 0.0), (-8.8e-311, -1.9e-311)):
         ticks = _ticks(lo, hi)
         assert 4 <= len(ticks) <= 6 and lo <= ticks[0] and ticks[-1] <= hi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _ticks(0.0, 2e-323) == [0.0, 2e-323]
+        assert _ticks(0.0, 5e-324) == [0.0, 5e-324]

@@ -365,6 +365,28 @@ def test_variational_check_applies_the_report_verdict(tmp_path, capsys, monkeypa
     assert capsys.readouterr().out.splitlines()[-1] == verdict
 
 
+@pytest.mark.parametrize("seed,crossings", [(0, 0), (4, 1)])
+def test_a_unit_without_a_crossing_says_so(tmp_path, capsys, seed, crossings):
+    """single_unit.json finds no net zero crossing in its window at --seed 0,
+    and one at its own seed 4. Without one, variational-check and report each
+    say once that the net-action identity went unchecked; the verdict is
+    PASS either way."""
+    note = "no net zero crossing in the window: net-action identity not checked"
+    out = tmp_path / "var"
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "single_unit.json")
+    assert main(["variational-check", "--config", config, "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    checked = capsys.readouterr().out.splitlines()
+    (unit,) = json.loads((out / "variational_report.json").read_text())["units"]
+    assert len(unit["net_identity_crossings"]) == crossings
+    assert main(["report", "--out", str(out)]) == 0
+    reported = capsys.readouterr().out.splitlines()
+    noted = 0 if crossings else 1
+    assert [l for l in checked if note in l] == [f"unit [0, 0, 0]: {note}"] * noted
+    assert [l for l in reported if note in l] == [f"  {note}"] * noted
+    assert checked[-1].endswith("PASS") and reported[-1] == "PASS"
+
+
 def test_manifest_records_the_environment(tmp_path, capsys, monkeypatch):
     """Every command's manifest holds the environment block, with the BLAS
     thread count of each run; report prints it as one line."""

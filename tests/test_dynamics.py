@@ -587,20 +587,27 @@ def test_run_matches_reference_loop_bitwise():
     """Every trace column equals an allocation-heavy loop over the formulas.
     The 900-unit layer's Z (20 x 900) spans two sigmoid blocks, so the
     blocked sigmoid and gradient and the metric pass that writes over dD
-    and G run against the reference too. Both nets are below SMALL_PRODUCT,
-    so run holds BLAS to one thread, and the reference loop runs under the
-    same setting: the 20 x 900 layer's dot products are long enough for a
-    threaded BLAS to split them."""
+    and G run against the reference too. On one sample, the (1, 1) net and
+    the last layer of (4, 3, 1) take the one-element path in Python floats;
+    with init_std_scale 0 its Z and dZ are zeros and its entropy -0.0, and
+    signs of zero are compared too. All
+    nets are below SMALL_PRODUCT, so run holds BLAS to one thread, and the
+    reference loop runs under the same setting: the 20 x 900 layer's dot
+    products are long enough for a threaded BLAS to split them."""
     ds = ska.synthetic_blobs(20, 6, 3, seed=4)
     assert 20 * 900 > SIGMOID_BLOCK
     assert 20 * 6 * 900 < SMALL_PRODUCT
-    for sizes in ((6, 5, 4, 3), (6, 900, 4, 3)):
-        cfg = NetworkConfig(layer_sizes=sizes, dt=0.05, steps=8, init_std_scale=2.0, seed=12)
-        trace = ska.run(ska.init_network(cfg), ds)
+    for sizes, scale in (((6, 5, 4, 3), 2.0), ((6, 900, 4, 3), 2.0),
+                         ((1, 1), 2.0), ((4, 3, 1), 2.0), ((1, 1), 0.0)):
+        data = ds if sizes[0] == 6 else ska.Dataset(ds.inputs[:1, :sizes[0]])
+        cfg = NetworkConfig(layer_sizes=sizes, dt=0.05, steps=8, init_std_scale=scale, seed=12)
+        trace = ska.run(ska.init_network(cfg), data)
         with blas_threads(1):
-            columns = reference_columns(cfg, ds.inputs)
+            columns = reference_columns(cfg, data.inputs)
         for name, want in columns.items():
-            assert np.array_equal(trace.column(name), want, equal_nan=True), (sizes, name)
+            assert np.array_equal(trace.column(name), want, equal_nan=True), (sizes, scale, name)
+            signed = ~np.isnan(want)
+            assert np.array_equal(np.signbit(trace.column(name)[signed]), np.signbit(want[signed]))
 
 
 def test_run_picks_blas_threads_by_its_largest_product(two_blas_threads):

@@ -1,5 +1,6 @@
 """Property checks: the config round trip through the manifest, zero-crossing
-interpolation, each against its documented contract."""
+interpolation, each against its documented contract, and the one-element
+path of the step's kernels against their array path."""
 
 import json
 import math
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ska.cli import main
-from ska.metrics import crossing_positions
+from ska.dynamics import entropy_gradient, sigmoid
+from ska.linalg import cosine_flat, frobenius_norm
+from ska.metrics import crossing_positions, entropy_step, net_step
 
 # ------------------------------------------------------- config round trip ---
 
@@ -82,3 +85,53 @@ def test_crossing_positions_matches_its_docstring(values):
         a, b = values[i - 1], values[i]
         assert abs(a + (p - (i - 1)) * (b - a)) <= 1e-9 * max(abs(a), abs(b))
 
+
+# ------------------------------------------------- one-element kernels ---
+
+# signed zeros, infinities, NaN, subnormals, sigmoid's saturation at 36 and
+# exp's overflow and underflow near 709 and 746, beside any float
+EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.5e-310, -2.5e-310,
+         36.0, -36.0, 709.0, -709.0, 746.0, -746.0)
+floats = st.one_of(st.sampled_from(EDGES), st.floats())
+
+
+def _bits(x) -> str:
+    """x exactly, sign of zero included; any NaN is "nan"."""
+    x = float(x)
+    return "nan" if math.isnan(x) else x.hex()
+
+
+def _one(*values):
+    return [np.array([[v]]) for v in values]
+
+
+def _two(*pairs):
+    return [np.array([pair]) for pair in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(floats, floats, floats)
+def test_one_element_kernels_match_their_array_path(x, y, w):
+    """A one-element operand takes Python floats; its result equals what the
+    numpy path gives element [0, 0] of a 1x2 operand. The reductions get a
+    second element that changes no result: a zero in each norm, and a -0.0
+    product in each sum, since x + -0.0 is x for every x."""
+    with np.errstate(all="ignore"):
+        assert _bits(sigmoid(*_one(x))[0, 0]) == _bits(sigmoid(*_two((x, y)))[0, 0])
+        out1, out2 = np.full((1, 1), 7.0), np.full((1, 2), 7.0)
+        g1 = entropy_gradient(*_one(x, y), out=out1)
+        g2 = entropy_gradient(*_two((x, w), (y, w)), out=out2)
+        assert g1 is out1 and _bits(g1[0, 0]) == _bits(g2[0, 0])
+        assert _bits(entropy_gradient(*_one(x, y))[0, 0]) == _bits(g2[0, 0])
+        assert _bits(frobenius_norm(*_one(x))) == _bits(frobenius_norm(*_two((x, 0.0))))
+        assert (_bits(cosine_flat(*_one(x, y)))
+                == _bits(cosine_flat(*_two((x, 0.0), (y, 0.0)))))
+        # out receives the product on both paths
+        e1 = entropy_step(*_one(x, y), out=out1)
+        e2 = entropy_step(*_two((x, 1.0), (y, -0.0)), out=out2)
+        assert (_bits(e1), _bits(out1[0, 0])) == (_bits(e2), _bits(out2[0, 0]))
+        n1 = net_step(*_one(x, y, w), out=out1)
+        n2 = net_step(*_two((x, 0.0), (y, 0.0), (w, -0.0)), out=out2)
+        assert (_bits(n1), _bits(out1[0, 0])) == (_bits(n2), _bits(out2[0, 0]))
+        assert _bits(entropy_step(*_one(x, y))) == _bits(e1)
+        assert _bits(net_step(*_one(x, y, w))) == _bits(n1)
