@@ -3,8 +3,9 @@
 Commands: train, invariance, variational-check, report. Configs are JSON
 with a fixed key schema (see README). Every command writes a manifest.json
 echoing the fully resolved config so the exact run can be repeated from the
-manifest alone. Exit codes: 0 success, 1 comparison failure, 2 usage,
-config, input or IO error, reported as one line on stderr.
+manifest alone, then prints the report of the directory it wrote and exits
+with the report's code. Exit codes: 0 success, 1 comparison failure, 2
+usage, config, input or IO error, reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # passes: the residual of a second-order central difference should fall
 # about 4x.
 EL_ORDER_FLOOR = 1.8
-NO_CROSSING = "no net zero crossing in the window: net-action identity not checked"
 
 TRACE_HEADER = ",".join(("step", "time", "layer") + COLUMNS)
 MARKERS_HEADER = "layer,kind,step,value"
@@ -101,12 +101,16 @@ COMMANDS = {
 }
 
 
-def load_config(path) -> dict:
-    """Read a JSON file whose top level is an object."""
+def _read(path) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def load_config(path) -> dict:
+    """Read a JSON file whose top level is an object."""
+    text = _read(path)
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -385,7 +389,7 @@ def _run(c: dict, ds: Dataset, dt: float, steps: int, record_units=None) -> Traj
     return run(init_network(config), ds, record_units=record_units)
 
 
-def cmd_train(args, c: dict, t0: float) -> int:
+def cmd_train(args, c: dict, t0: float) -> None:
     out_dir = args.out
     ds = build_dataset(c["data"])
     trace = _run(c, ds, c["run"]["dt"], c["run"]["steps"])
@@ -404,12 +408,9 @@ def cmd_train(args, c: dict, t0: float) -> int:
         "samples": ds.n,
     }
     write_manifest(out_dir, "train", c, resolved, artifacts, t0, [trace])
-    print(f"train: {trace.n_steps} steps x {trace.n_layers} layers, "
-          f"eta*K = {resolved['eta_times_K']:g}, wrote {len(artifacts)} files to {out_dir}")
-    return 0
 
 
-def cmd_invariance(args, c: dict, t0: float) -> int:
+def cmd_invariance(args, c: dict, t0: float) -> None:
     out_dir = args.out
     inv = c["invariance"]
     spec = InvarianceSpec(
@@ -435,38 +436,25 @@ def cmd_invariance(args, c: dict, t0: float) -> int:
     write_csv(out_dir / "aligned.csv", "metric,run,eta,layer,time,value",
               ((metric, lab, eta, l, t, v) for ((lab, eta), metric, l, t), v in zip(keys, values)))
 
-    report = compare(aligned, tolerance=spec.tolerance)
-    write_json(out_dir / "invariance_report.json", report)
+    result = compare(aligned, tolerance=spec.tolerance)
+    write_json(out_dir / "invariance_report.json", result)
     # the CSV has one column per scalar field of a report row
-    columns = [k for k, v in report["rows"][0].items() if not isinstance(v, dict)]
+    columns = [k for k, v in result["rows"][0].items() if not isinstance(v, dict)]
     words = {None: "incomparable", True: "pass", False: "fail"}
     write_csv(out_dir / "invariance_report.csv", ",".join(columns),
               ([words[row[k]] if k == "passed" else row[k] for k in columns]
-               for row in report["rows"]))
+               for row in result["rows"]))
 
     resolved = {
         "runs": [{"label": fr.label, "eta": fr.eta, "steps": fr.trace.n_steps,
                   "eta_times_K": fr.eta * fr.trace.n_steps} for fr in runs],
-        "all_pass": report["all_pass"],
+        "all_pass": result["all_pass"],
     }
     write_manifest(out_dir, "invariance", c, resolved, artifacts, t0,
                    [fr.trace for fr in runs])
-    verdict = "PASS" if report["all_pass"] else "FAIL"
-    print(f"invariance: {len(runs)} runs, {len(report['rows'])} compared rows, {verdict}")
-    return 0 if report["all_pass"] else 1
 
 
-def unit_faults(unit: dict) -> tuple:
-    """The faults of one variational-check unit: "below EL_ORDER_FLOOR" when
-    its measured EL order is under that floor, else "", and for each of its
-    crossings whether the residual is over its bound. Any fault fails."""
-    order = unit.get("el_order")
-    low = f"below {EL_ORDER_FLOOR}" if order is not None and order < EL_ORDER_FLOOR else ""
-    return low, ["bound" in c and c["residual"] > c["bound"]
-                 for c in unit["net_identity_crossings"]]
-
-
-def cmd_variational(args, c: dict, t0: float) -> int:
+def cmd_variational(args, c: dict, t0: float) -> None:
     out_dir = args.out
     ds = build_dataset(c["data"])
     dt, steps = c["run"]["dt"], c["run"]["steps"]
@@ -508,8 +496,6 @@ def cmd_variational(args, c: dict, t0: float) -> int:
                     "bound": bound,
                 })
         entry["net_identity_crossings"] = crossings
-        if not crossings:
-            print(f"unit {sel}: {NO_CROSSING}")
         unit_reports.append(entry)
 
     payload = {
@@ -522,14 +508,9 @@ def cmd_variational(args, c: dict, t0: float) -> int:
     resolved = {"eta_times_K": dt * steps, "recorded_units": len(units)}
     artifacts = ["variational_report.json", "manifest.json"]
     write_manifest(out_dir, "variational-check", c, resolved, artifacts, t0, traces)
-    passed = not any(low or any(over) for low, over in map(unit_faults, unit_reports))
-    print(f"variational-check: {len(units)} unit(s), "
-          f"el_residual_max = {unit_reports[0]['el_residual_max']:.3g}, "
-          + ("PASS" if passed else "FAIL"))
-    return 0 if passed else 1
 
 
-# What a value cmd_report formats as a number, or reads as a verdict, must
+# What a value report formats as a number, or reads as a verdict, must
 # be: the Python types json gives it, and their JSON name.
 NUMBER = ((int, float), "a number")
 NUMBER_OR_NULL = ((int, float, type(None)), "a number or null")
@@ -575,8 +556,9 @@ def environment_line(manifest: dict) -> str | None:
             f"BLAS threads per run: {threads}")
 
 
-def cmd_report(args) -> int:
-    out_dir = args.out
+def report(out_dir: Path) -> int:
+    """Print the summary of the run directory out_dir and return its exit
+    code: 1 when a check the run carries fails, else 0."""
     manifest = load_config(out_dir / "manifest.json")
     command = manifest.get("command", "?")
     print(f"ska {manifest.get('version', '?')} {command} run in {out_dir}")
@@ -589,30 +571,33 @@ def cmd_report(args) -> int:
                            ("eta_times_K", "layers", "samples"))
         print(f"characteristic time eta*K = {resolved['eta_times_K']}")
         print(f"layers: {resolved['layers']}, samples: {resolved['samples']}")
-        markers_path = out_dir / "markers.csv"
-        if markers_path.exists():
-            by_layer = {}
-            for line in markers_path.read_text().splitlines()[1:]:
-                layer, kind, step_v, value = line.split(",")
-                by_layer.setdefault(int(layer), []).append((kind, step_v, value))
-            for layer in sorted(by_layer):
-                parts = []
-                for kind, step_v, value in by_layer[layer]:
-                    if kind == "net_zero_crossing":
-                        parts.append(f"net crossing at step {step_v} (t = {value})")
-                    elif kind == "entropy_min":
-                        parts.append(f"entropy min at step {float(step_v):g}")
-                    else:
-                        parts.append(f"flow peak at step {float(step_v):g}")
-                print(f"layer {layer}: " + "; ".join(parts))
+        path = out_dir / "markers.csv"
+        lines = _read(path).splitlines()
+        if lines[:1] != [MARKERS_HEADER]:
+            raise ConfigError(f"{path} does not start with the header {MARKERS_HEADER}")
+        by_layer = {}
+        for n, line in enumerate(lines[1:], 2):
+            try:
+                layer, kind, step, value = line.split(",")
+                layer, at, _ = int(layer), float(step), float(value)
+                text = {"entropy_min": f"entropy min at step {at:g}",
+                        "flow_peak": f"flow peak at step {at:g}",
+                        "net_zero_crossing": f"net crossing at step {step} (t = {value})"}[kind]
+            except (ValueError, KeyError):
+                raise ConfigError(f"{path} line {n} is not a marker row "
+                                  f"(integer layer, known kind, numeric step and value): "
+                                  f"{line!r}") from None
+            by_layer.setdefault(layer, []).append(text)
+        for layer in sorted(by_layer):
+            print(f"layer {layer}: " + "; ".join(by_layer[layer]))
         print("no checks: a train run carries no verdict")
     elif command == "invariance":
         cfg = _fields(manifest.get("config"), "manifest.json config", ("invariance",))
         inv = _fields(cfg["invariance"], "manifest.json config.invariance", ("total_time",))
         print(f"characteristic time eta*K = {inv['total_time']}")
-        report = _fields(load_config(out_dir / "invariance_report.json"),
+        result = _fields(load_config(out_dir / "invariance_report.json"),
                          "invariance_report.json", ("rows", "all_pass"))
-        rows = _items(report["rows"], "invariance_report.json rows",
+        rows = _items(result["rows"], "invariance_report.json rows",
                       ("metric", "run", "rel_dev", "tolerance", "passed"),
                       {"rel_dev": NUMBER_OR_NULL, "tolerance": NUMBER, "passed": VERDICT})
         for row in rows:
@@ -626,14 +611,14 @@ def cmd_report(args) -> int:
             w = max(measured, key=lambda r: r["rel_dev"] - r["tolerance"])
             print(f"worst row: {w['metric']} {w['run']}, rel_dev {w['rel_dev']:.4f} "
                   f"against tol {w['tolerance']:.4f}")
-        print("PASS" if report["all_pass"] else "FAIL")
-        return 0 if report["all_pass"] else 1
+        print("PASS" if result["all_pass"] else "FAIL")
+        return 0 if result["all_pass"] else 1
     elif command == "variational-check":
         resolved = _fields(manifest.get("resolved"), "manifest.json resolved", ("eta_times_K",))
         print(f"characteristic time eta*K = {resolved['eta_times_K']}")
-        report = _fields(load_config(out_dir / "variational_report.json"),
+        result = _fields(load_config(out_dir / "variational_report.json"),
                          "variational_report.json", ("units",))
-        units = _items(report["units"], "variational_report.json units",
+        units = _items(result["units"], "variational_report.json units",
                        ("selection", "action_entropy", "entropy_by_definition",
                         "el_residual_max", "net_identity_crossings"),
                        {"action_entropy": NUMBER, "entropy_by_definition": NUMBER,
@@ -644,20 +629,23 @@ def cmd_report(args) -> int:
                                f"variational_report.json units[{i}].net_identity_crossings",
                                ("time", "residual"),
                                {"time": NUMBER, "residual": NUMBER, "bound": NUMBER})
-            low, over = unit_faults(unit)
-            passed &= not (low or any(over))
+            # a unit fails when its EL order is under the floor, or when a
+            # crossing's net-action residual is over its bound
             order = unit.get("el_order")
+            low = order is not None and order < EL_ORDER_FLOOR
+            over = ["bound" in c and c["residual"] > c["bound"] for c in crossings]
+            passed &= not (low or any(over))
             print(f"unit {unit['selection']}: action {unit['action_entropy']:.6g}, "
                   f"entropy {unit['entropy_by_definition']:.6g}, "
                   f"el residual {unit['el_residual_max']:.3g}"
                   + (f", order {order:.2f}" if order is not None else "")
-                  + (f" {low} FAIL" if low else ""))
+                  + (f" below {EL_ORDER_FLOOR} FAIL" if low else ""))
             for c, bad in zip(crossings, over):
                 print(f"  crossing t = {c['time']:.4g}: net identity residual {c['residual']:.3g}"
                       + (f", bound {c['bound']:.3g}" if "bound" in c else "")
                       + (" FAIL" if bad else ""))
             if not crossings:
-                print(f"  {NO_CROSSING}")
+                print("  no net zero crossing in the window: net-action identity not checked")
         print("PASS" if passed else "FAIL")
         return 0 if passed else 1
     else:
@@ -701,7 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; every library or config error exits 2 with one line.
+    """Run one command, then print the report of its run directory and exit
+    with the report's code; every library or config error exits 2 with one
+    line.
 
     numpy's floating-point warnings are off inside a command: a run whose
     metrics go non-finite stops with its own error line instead.
@@ -710,11 +700,11 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         with np.errstate(all="ignore"):
-            if args.command == "report":
-                return cmd_report(args)
-            c = resolve_config(args)
-            args.out.mkdir(parents=True, exist_ok=True)
-            return args.func(args, c, t0)
+            if args.command != "report":
+                c = resolve_config(args)
+                args.out.mkdir(parents=True, exist_ok=True)
+                args.func(args, c, t0)
+            return report(args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError as exc:

@@ -218,12 +218,13 @@ def forward(net: Network, X: np.ndarray):
     """A lazy forward pass: checks X now and returns an iterator over layers.
 
     Each item computes one layer's new snapshot Z = input @ W.T and
-    D = sigmoid(Z), stores it on the layer and yields (layer, (Z_prev,
-    D_prev)), the pair it replaced, which is (None, None) before the first
-    pass. The next layer is computed only when the caller asks for it, from
-    this layer's D, so a caller may update this layer's W in between, and
-    the iterator keeps no reference to a pair it has yielded once asked for
-    the next layer.
+    D = sigmoid(Z), stores it on the layer and yields (layer, input,
+    (Z_prev, D_prev)): the input is X, converted to C-contiguous float64,
+    for layer 0 and the previous layer's D after it, and the pair is the one
+    it replaced, (None, None) before the first pass. The next layer is
+    computed only when the caller asks for it, from this layer's D, so a
+    caller may update this layer's W in between, and the iterator keeps no
+    reference to a pair it has yielded once asked for the next layer.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.config.layer_sizes[0]:
@@ -238,8 +239,8 @@ def _forward(layers, inp):
         retired = layer.Z, layer.D
         layer.Z = linalg.matmul(inp, layer.W.T)
         layer.D = sigmoid(layer.Z)
+        yield layer, inp, retired
         inp = layer.D
-        yield layer, retired
 
 
 def step(net: Network, X: np.ndarray) -> list | None:
@@ -260,8 +261,8 @@ def step(net: Network, X: np.ndarray) -> list | None:
     holds two blocks the size of Z, and only the layer in flight holds four.
     A step allocates only the new snapshot (Z, D), the update block and the
     block-sized temporaries of the sigmoid and gradient passes, plus, when X
-    is not C-contiguous float64, one copy of it that the forward pass and
-    layer 0's update share. The seeding step (k = 0) has no increments and
+    is not C-contiguous float64, the forward pass's one copy of it, which
+    layer 0's update reads too. The seeding step (k = 0) has no increments and
     takes its gradient in a transient array.
 
     Returns the step's record: None at the seeding step, else one
@@ -270,10 +271,8 @@ def step(net: Network, X: np.ndarray) -> list | None:
     """
     dt = net.config.dt
     k = net.step_index
-    inp = np.ascontiguousarray(X, dtype=np.float64)
-    layers = forward(net, inp)
     record = None if k == 0 else []
-    for layer, (dZ, dD) in layers:
+    for layer, inp, (dZ, dD) in forward(net, X):
         Z, D = layer.Z, layer.D
         if k == 0:
             G = entropy_gradient(Z, D)
@@ -297,8 +296,7 @@ def step(net: Network, X: np.ndarray) -> list | None:
             layer.W -= upd
         if k != 0:
             record.append((es, cos, zn, fn, net_step(D, G, dZ, out=G)))
-        inp = D
-        del dZ, dD, G, upd
+        del inp, dZ, dD, G, upd
     net.step_index += 1
     return record
 

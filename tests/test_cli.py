@@ -368,9 +368,9 @@ def test_variational_check_applies_the_report_verdict(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("seed,crossings", [(0, 0), (4, 1)])
 def test_a_unit_without_a_crossing_says_so(tmp_path, capsys, seed, crossings):
     """single_unit.json finds no net zero crossing in its window at --seed 0,
-    and one at its own seed 4. Without one, variational-check and report each
-    say once that the net-action identity went unchecked; the verdict is
-    PASS either way."""
+    and one at its own seed 4. Without one, the report says once that the
+    net-action identity went unchecked, and variational-check prints that
+    report; the verdict is PASS either way."""
     note = "no net zero crossing in the window: net-action identity not checked"
     out = tmp_path / "var"
     config = str(Path(__file__).resolve().parents[1] / "configs" / "single_unit.json")
@@ -382,7 +382,7 @@ def test_a_unit_without_a_crossing_says_so(tmp_path, capsys, seed, crossings):
     assert main(["report", "--out", str(out)]) == 0
     reported = capsys.readouterr().out.splitlines()
     noted = 0 if crossings else 1
-    assert [l for l in checked if note in l] == [f"unit [0, 0, 0]: {note}"] * noted
+    assert checked == reported
     assert [l for l in reported if note in l] == [f"  {note}"] * noted
     assert checked[-1].endswith("PASS") and reported[-1] == "PASS"
 
@@ -548,7 +548,10 @@ def test_corrupt_manifest_exits_2_with_one_line(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "manifest.json" in err
 
 
-# A finished run directory whose JSON parses but lacks a key report reads.
+TRAIN_MANIFEST = {"command": "train", "resolved": {"eta_times_K": 0.3, "layers": 2, "samples": 24}}
+
+# A finished run directory whose JSON parses but lacks a key report reads,
+# or whose markers.csv is missing or malformed.
 BAD_RUN_DIRS = {
     "train": ({"command": "train", "resolved": {"eta_times_K": 0.3, "layers": 2}}, None,
               "samples"),
@@ -581,6 +584,18 @@ BAD_RUN_DIRS = {
                      "entropy_by_definition": 0.1, "el_residual_max": 1e-6,
                      "net_identity_crossings": [{"time": "0.5", "residual": 0.0}]}]}),
         'net_identity_crossings[0] key time must be a number, not "0.5"'),
+    "train-markers-missing": (TRAIN_MANIFEST, None, "markers.csv: No such file or directory"),
+    "train-markers-no-header": (TRAIN_MANIFEST, ("markers.csv", "0,entropy_min,3.0,0.1\n"),
+                                "markers.csv does not start with the header"),
+    "train-markers-short-row": (TRAIN_MANIFEST,
+                                ("markers.csv", f"{MARKERS_HEADER}\n0,entropy_min,3.0\n"),
+                                "markers.csv line 2 is not a marker row"),
+    "train-markers-text-layer": (TRAIN_MANIFEST,
+                                 ("markers.csv", f"{MARKERS_HEADER}\nx,flow_peak,2.0,0.5\n"),
+                                 "markers.csv line 2 is not a marker row"),
+    "train-markers-unknown-kind": (TRAIN_MANIFEST,
+                                   ("markers.csv", f"{MARKERS_HEADER}\n0,flow_dip,2.0,0.5\n"),
+                                   "markers.csv line 2 is not a marker row"),
 }
 
 
@@ -589,7 +604,8 @@ def test_report_on_incomplete_run_exits_2_with_one_line(tmp_path, capsys, comman
     manifest, report, needle = BAD_RUN_DIRS[command]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     if report is not None:
-        (tmp_path / report[0]).write_text(json.dumps(report[1]))
+        name, body = report
+        (tmp_path / name).write_text(body if isinstance(body, str) else json.dumps(body))
     rc = main(["report", "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
@@ -661,9 +677,34 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "train:" in proc.stdout
+    assert proc.stdout.splitlines()[0] == f"ska {ska.__version__} train run in {tmp_path / 'sub'}"
     helped = subprocess.run([sys.executable, "-m", "ska", "--help"],
                             capture_output=True, text=True)
     assert helped.returncode == 0
     for sub in ("train", "invariance", "variational-check", "report"):
         assert sub in helped.stdout
+
+
+SINGLE_UNIT = str(Path(__file__).resolve().parents[1] / "configs" / "single_unit.json")
+
+
+@pytest.mark.parametrize("command,cfg,extra,floor,rc", [
+    ("train", TRAIN_CFG, (), 1.8, 0),
+    ("invariance", INV_CFG, (), 1.8, 0),
+    ("invariance", _with(INV_CFG, "invariance", tolerance=1e-9), (), 1.8, 1),
+    ("variational-check", SINGLE_UNIT, (), 1.8, 0),
+    ("variational-check", SINGLE_UNIT, (), 2.5, 1),
+    ("variational-check", SINGLE_UNIT, ("--seed", "0"), 1.8, 0),
+], ids=["train", "invariance", "invariance-tight", "unit", "unit-floor-2.5", "unit-no-crossing"])
+def test_a_command_prints_the_report_of_its_run(tmp_path, capsys, monkeypatch,
+                                                command, cfg, extra, floor, rc):
+    """A command's stdout is, line for line, what report prints on the
+    directory it wrote, and both exit with the same code."""
+    monkeypatch.setattr("ska.cli.EL_ORDER_FLOOR", floor)
+    config = cfg if isinstance(cfg, str) else _write_cfg(tmp_path, cfg)
+    out = str(tmp_path / "out")
+    assert main([command, "--config", config, "--out", out, *extra]) == rc
+    ran = capsys.readouterr().out.splitlines()
+    assert main(["report", "--out", out]) == rc
+    assert ran == capsys.readouterr().out.splitlines()
+    assert ran[0].startswith(f"ska {ska.__version__} {command} run in ")

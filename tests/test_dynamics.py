@@ -267,8 +267,10 @@ def scalar_net(w0: float, dt: float, steps: int = 1):
 
 def test_forward_computes_z_and_d():
     net = scalar_net(1.0, 0.1)
-    ((layer, retired),) = ska.forward(net, np.array([[1.0]]))
+    X = np.array([[1.0]])
+    ((layer, inp, retired),) = ska.forward(net, X)
     assert layer is net.layers[0]
+    assert inp is X  # already C-contiguous float64: no copy
     assert retired == (None, None)
     assert float(layer.Z[0, 0]) == 1.0
     assert abs(float(layer.D[0, 0]) - SIG1) < 1e-16
@@ -278,7 +280,7 @@ def test_forward_rotates_previous_snapshot():
     net = scalar_net(2.0, 0.1)
     list(ska.forward(net, np.array([[0.5]])))
     first = net.layers[0].Z, net.layers[0].D
-    ((layer, retired),) = ska.forward(net, np.array([[0.25]]))
+    ((layer, _, retired),) = ska.forward(net, np.array([[0.25]]))
     assert retired[0] is first[0] and retired[1] is first[1]
     assert float(layer.Z[0, 0]) == 0.5
 
@@ -294,11 +296,15 @@ def test_forward_is_lazy_and_matches_an_eager_pass_bitwise():
     before = [(l.Z, l.D) for l in net.layers]
     layers = ska.forward(net, X)
     assert all(l.Z is z and l.D is d for l, (z, d) in zip(net.layers, before))
-    layer, retired = next(layers)
+    layer, inp, retired = next(layers)
     assert layer is net.layers[0] and layer.Z is not before[0][0]
+    assert inp is X
     assert retired[0] is before[0][0] and retired[1] is before[0][1]
     assert all(l.Z is z and l.D is d for l, (z, d) in zip(net.layers[1:], before[1:]))
-    assert [l for l, _ in layers] == net.layers[1:]
+    rest = list(layers)
+    assert [l for l, _, _ in rest] == net.layers[1:]
+    # each deeper layer's input is the D of the layer before it
+    assert all(i is l.D for (_, i, _), l in zip(rest, net.layers))
     inp = X
     for l, (z, d) in zip(net.layers, before):
         Z = ska.linalg.matmul(inp, l.W.T)
