@@ -557,26 +557,28 @@ def environment_line(manifest: dict) -> str | None:
 
 
 def report(out_dir: Path) -> int:
-    """Print the summary of the run directory out_dir and return its exit
-    code: 1 when a check the run carries fails, else 0."""
+    """Print the summary of the run directory out_dir once all of it is read
+    and checked, and return its exit code: 1 when a check fails, else 0."""
+    lines, passed = [], True
+    say = lines.append
     manifest = load_config(out_dir / "manifest.json")
     command = manifest.get("command", "?")
-    print(f"ska {manifest.get('version', '?')} {command} run in {out_dir}")
+    say(f"ska {manifest.get('version', '?')} {command} run in {out_dir}")
     env_line = environment_line(manifest)
     if env_line is not None:
-        print(env_line)
+        say(env_line)
 
     if command == "train":
         resolved = _fields(manifest.get("resolved"), "manifest.json resolved",
                            ("eta_times_K", "layers", "samples"))
-        print(f"characteristic time eta*K = {resolved['eta_times_K']}")
-        print(f"layers: {resolved['layers']}, samples: {resolved['samples']}")
+        say(f"characteristic time eta*K = {resolved['eta_times_K']}")
+        say(f"layers: {resolved['layers']}, samples: {resolved['samples']}")
         path = out_dir / "markers.csv"
-        lines = _read(path).splitlines()
-        if lines[:1] != [MARKERS_HEADER]:
+        rows = _read(path).splitlines()
+        if rows[:1] != [MARKERS_HEADER]:
             raise ConfigError(f"{path} does not start with the header {MARKERS_HEADER}")
         by_layer = {}
-        for n, line in enumerate(lines[1:], 2):
+        for n, line in enumerate(rows[1:], 2):
             try:
                 layer, kind, step, value = line.split(",")
                 layer, at, _ = int(layer), float(step), float(value)
@@ -589,12 +591,12 @@ def report(out_dir: Path) -> int:
                                   f"{line!r}") from None
             by_layer.setdefault(layer, []).append(text)
         for layer in sorted(by_layer):
-            print(f"layer {layer}: " + "; ".join(by_layer[layer]))
-        print("no checks: a train run carries no verdict")
+            say(f"layer {layer}: " + "; ".join(by_layer[layer]))
+        say("no checks: a train run carries no verdict")
     elif command == "invariance":
         cfg = _fields(manifest.get("config"), "manifest.json config", ("invariance",))
         inv = _fields(cfg["invariance"], "manifest.json config.invariance", ("total_time",))
-        print(f"characteristic time eta*K = {inv['total_time']}")
+        say(f"characteristic time eta*K = {inv['total_time']}")
         result = _fields(load_config(out_dir / "invariance_report.json"),
                          "invariance_report.json", ("rows", "all_pass"))
         rows = _items(result["rows"], "invariance_report.json rows",
@@ -603,19 +605,19 @@ def report(out_dir: Path) -> int:
         for row in rows:
             word = {True: "pass", False: "FAIL", None: "incomparable"}[row["passed"]]
             rel = "nan" if row["rel_dev"] is None else f"{row['rel_dev']:.4f}"
-            print(f"{row['metric']} {row['run']}: rel_dev {rel} "
-                  f"tol {row['tolerance']:.4f} {word}")
+            say(f"{row['metric']} {row['run']}: rel_dev {rel} "
+                f"tol {row['tolerance']:.4f} {word}")
         # the row with the least room under its tolerance, or furthest past it
         measured = [r for r in rows if r["rel_dev"] is not None]
         if measured:
             w = max(measured, key=lambda r: r["rel_dev"] - r["tolerance"])
-            print(f"worst row: {w['metric']} {w['run']}, rel_dev {w['rel_dev']:.4f} "
-                  f"against tol {w['tolerance']:.4f}")
-        print("PASS" if result["all_pass"] else "FAIL")
-        return 0 if result["all_pass"] else 1
+            say(f"worst row: {w['metric']} {w['run']}, rel_dev {w['rel_dev']:.4f} "
+                f"against tol {w['tolerance']:.4f}")
+        passed = result["all_pass"]
+        say("PASS" if passed else "FAIL")
     elif command == "variational-check":
         resolved = _fields(manifest.get("resolved"), "manifest.json resolved", ("eta_times_K",))
-        print(f"characteristic time eta*K = {resolved['eta_times_K']}")
+        say(f"characteristic time eta*K = {resolved['eta_times_K']}")
         result = _fields(load_config(out_dir / "variational_report.json"),
                          "variational_report.json", ("units",))
         units = _items(result["units"], "variational_report.json units",
@@ -623,7 +625,6 @@ def report(out_dir: Path) -> int:
                         "el_residual_max", "net_identity_crossings"),
                        {"action_entropy": NUMBER, "entropy_by_definition": NUMBER,
                         "el_residual_max": NUMBER, "el_order": NUMBER_OR_NULL})
-        passed = True
         for i, unit in enumerate(units):
             crossings = _items(unit["net_identity_crossings"],
                                f"variational_report.json units[{i}].net_identity_crossings",
@@ -635,22 +636,22 @@ def report(out_dir: Path) -> int:
             low = order is not None and order < EL_ORDER_FLOOR
             over = ["bound" in c and c["residual"] > c["bound"] for c in crossings]
             passed &= not (low or any(over))
-            print(f"unit {unit['selection']}: action {unit['action_entropy']:.6g}, "
-                  f"entropy {unit['entropy_by_definition']:.6g}, "
-                  f"el residual {unit['el_residual_max']:.3g}"
-                  + (f", order {order:.2f}" if order is not None else "")
-                  + (f" below {EL_ORDER_FLOOR} FAIL" if low else ""))
+            say(f"unit {unit['selection']}: action {unit['action_entropy']:.6g}, "
+                f"entropy {unit['entropy_by_definition']:.6g}, "
+                f"el residual {unit['el_residual_max']:.3g}"
+                + (f", order {order:.2f}" if order is not None else "")
+                + (f" below {EL_ORDER_FLOOR} FAIL" if low else ""))
             for c, bad in zip(crossings, over):
-                print(f"  crossing t = {c['time']:.4g}: net identity residual {c['residual']:.3g}"
-                      + (f", bound {c['bound']:.3g}" if "bound" in c else "")
-                      + (" FAIL" if bad else ""))
+                say(f"  crossing t = {c['time']:.4g}: net identity residual {c['residual']:.3g}"
+                    + (f", bound {c['bound']:.3g}" if "bound" in c else "")
+                    + (" FAIL" if bad else ""))
             if not crossings:
-                print("  no net zero crossing in the window: net-action identity not checked")
-        print("PASS" if passed else "FAIL")
-        return 0 if passed else 1
+                say("  no net zero crossing in the window: net-action identity not checked")
+        say("PASS" if passed else "FAIL")
     else:
         raise ConfigError(f"unknown command {command!r} in manifest")
-    return 0
+    print("\n".join(lines))
+    return 0 if passed else 1
 
 
 # ------------------------------------------------------------ entry point ---

@@ -62,7 +62,11 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     z is read as C-ordered float64; the result is a new C-contiguous array.
     """
     z = np.asarray(z, dtype=np.float64, order="C")
-    return _elementwise(_logistic, _logistic1, np.empty_like(z), z)
+    out = np.empty_like(z)
+    if z.size == 1:
+        out.flat[0] = _logistic1(z.item())
+        return out
+    return _elementwise(_logistic, out, z)
 
 
 def entropy_gradient(z: np.ndarray, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -83,19 +87,18 @@ def entropy_gradient(z: np.ndarray, d: np.ndarray, out: np.ndarray | None = None
         out = np.empty_like(z)
     elif not out.flags.c_contiguous:
         raise ValueError("entropy_gradient: out must be C-contiguous")
-    return _elementwise(_gradient, _gradient1, out, z, d)
-
-
-def _elementwise(chain, one, out, *operands):
-    """Fill out with chain(*operands, out, t) and return it; the arrays are
-    C-contiguous and of one shape. One element takes one(*operands) on Python
-    floats. At or below SIGMOID_BLOCK elements the chain runs once on the
-    whole arrays with t None, for it to allocate; above, on each block of
-    their flat views in turn with one block-sized t, so no temporary is the
-    size of the input."""
-    if out.size == 1:
-        out.flat[0] = one(*[a.item() for a in operands])
+    if z.size == 1:
+        out.flat[0] = _gradient1(z.item(), d.item())
         return out
+    return _elementwise(_gradient, out, z, d)
+
+
+def _elementwise(chain, out, *operands):
+    """Fill out with chain(*operands, out, t) and return it; the arrays are
+    C-contiguous and of one shape. At or below SIGMOID_BLOCK elements the
+    chain runs once on the whole arrays with t None, for it to allocate;
+    above, on each block of their flat views in turn with one block-sized t,
+    so no temporary is the size of the input."""
     if out.size <= SIGMOID_BLOCK:
         return chain(*operands, out, None)
     t = np.empty(SIGMOID_BLOCK)

@@ -9,7 +9,8 @@ arrays, row-major, one sample per row where a batch is involved. Nothing
 mutates its inputs. matmul and outer_mean return a fresh array; outer_mean scales
 its product in place rather than allocating a second one. The norm and cosine
 reduce to Python floats through one dot product per operand, with no
-intermediate array: on one element, a product of Python floats.
+intermediate array. On one element each kernel multiplies Python floats; the
+two products add +0.0, as numpy's 1x1 product is a sum that starts from +0.0.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class ShapeMismatchError(ValueError):
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
+    if a.size == 1 == b.size:
+        return np.array([[a.item() * b.item() + 0.0]])
     return a @ b
 
 
@@ -58,6 +61,8 @@ def outer_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError("outer_mean", a.shape, b.shape)
     if a.shape[0] == 0:
         raise ValueError("outer_mean: empty batch")
+    if a.size == 1 == b.size:
+        return np.array([[(a.item() * b.item() + 0.0) / a.shape[0]]])
     out = a.T @ b
     out /= a.shape[0]
     return out

@@ -608,7 +608,8 @@ def test_report_on_incomplete_run_exits_2_with_one_line(tmp_path, capsys, comman
         (tmp_path / name).write_text(body if isinstance(body, str) else json.dumps(body))
     rc = main(["report", "--out", str(tmp_path)])
     assert rc == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and needle in err
 
 

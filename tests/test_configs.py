@@ -62,10 +62,9 @@ def _workload(name: str) -> dict:
 @pytest.mark.parametrize("line", LINES,
                          ids=lambda line: Path(_option(line.split(), "--config")).stem)
 def test_listed_command_runs_and_reports(tmp_path, capsys, line):
-    command, report = (shlex.split(part) for part in line.split(" && "))
-    assert command[0] == "ska" and report[:2] == ["ska", "report"]
+    command = shlex.split(line)
+    assert command[0] == "ska"
     config, out = _option(command, "--config"), _option(command, "--out")
-    assert report[2:] == ["--out", out]
     argv = _with_option(_with_option(command[1:], "--config", ROOT / config),
                         "--out", tmp_path / out)
 
@@ -84,8 +83,6 @@ def test_listed_command_runs_and_reports(tmp_path, capsys, line):
         return
 
     assert main(argv) == 0
-    capsys.readouterr()
-    assert main(["report", "--out", str(tmp_path / out)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "PASS"
 
 

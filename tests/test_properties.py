@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ska.cli import main
 from ska.dynamics import entropy_gradient, sigmoid
-from ska.linalg import cosine_flat, frobenius_norm
+from ska.linalg import cosine_flat, frobenius_norm, matmul, outer_mean
 from ska.metrics import crossing_positions, entropy_step, net_step
 
 # ------------------------------------------------------- config round trip ---
@@ -115,8 +115,18 @@ def test_one_element_kernels_match_their_array_path(x, y, w):
     """A one-element operand takes Python floats; its result equals what the
     numpy path gives element [0, 0] of a 1x2 operand. The reductions get a
     second element that changes no result: a zero in each norm, and a -0.0
-    product in each sum, since x + -0.0 is x for every x."""
+    product in each sum, since x + -0.0 is x for every x. matmul and
+    outer_mean on 1x1 operands also equal numpy's own 1x1 product, and
+    element [0, 0] of a (2, 1) x (1, 1) matmul, which takes the array path."""
     with np.errstate(all="ignore"):
+        a, b = _one(x, y)
+        m1, o1 = matmul(a, b), outer_mean(a, b)
+        o2 = a.T @ b
+        o2 /= 1
+        m2 = matmul(np.array([[x], [w]]), b)[0, 0]
+        assert m1.shape == o1.shape == (1, 1)
+        assert _bits(m1[0, 0]) == _bits((a @ b)[0, 0]) == _bits(m2)
+        assert _bits(o1[0, 0]) == _bits(o2[0, 0]) == _bits(m2)
         assert _bits(sigmoid(*_one(x))[0, 0]) == _bits(sigmoid(*_two((x, y)))[0, 0])
         out1, out2 = np.full((1, 1), 7.0), np.full((1, 2), 7.0)
         g1 = entropy_gradient(*_one(x, y), out=out1)
