@@ -172,24 +172,12 @@ def resolve_data(cfg: dict, default_seed: int) -> dict:
 
 
 def _check_rules(c: dict) -> None:
-    """Rules across keys that the tables cannot state."""
-    sizes = c["network"]["layer_sizes"]
-    if len(sizes) < 2 or min(sizes) < 1:
-        raise ConfigError("network.layer_sizes must list 2+ positive integers")
-    if c["network"]["init_std_scale"] < 0:
-        raise ConfigError("network.init_std_scale must be nonnegative")
+    """The rules no ska object checks when it takes the value: NetworkConfig
+    checks the network and run keys, and from_idx data.limit."""
     for path, seed in (("seed", c["seed"]), ("data.seed", c["data"].get("seed"))):
         if seed is not None and seed < 0:
+            # numpy's error for a negative seed does not name the key
             raise ConfigError(f"config key {path} must be non-negative")
-    limit = c["data"].get("limit")
-    if limit is not None and limit < 1:
-        # a negative limit would slice rows off the end of the IDX file
-        raise ConfigError("config key data.limit must be positive")
-    if "run" in c:
-        if c["run"]["dt"] <= 0:
-            raise ConfigError("run.dt must be positive")
-        if bounded_steps(c["run"]["steps"], "run window") < 1:
-            raise ConfigError("run.steps must be at least 1")
     if "variational" in c:
         if not c["variational"]["units"]:
             raise ConfigError("variational.units must list at least one [layer, unit, sample]")
@@ -264,13 +252,12 @@ def trace_markers(trace: TrajectoryTrace) -> list:
     """(layer, kind, step, value) rows: extrema carry the metric value at the
     step, zero crossings carry the crossing time."""
     rows = []
-    first = int(trace.steps[0])
     entropy, flow = trace.column("entropy_step"), trace.column("flow_norm")
     for l in range(trace.n_layers):
         k_min = find_entropy_minimum(trace, l)
-        rows.append((l, "entropy_min", float(k_min), float(entropy[k_min - first, l])))
+        rows.append((l, "entropy_min", float(k_min), float(entropy[k_min - 1, l])))
         k_pk = find_flow_peak(trace, l)
-        rows.append((l, "flow_peak", float(k_pk), float(flow[k_pk - first, l])))
+        rows.append((l, "flow_peak", float(k_pk), float(flow[k_pk - 1, l])))
         for pos in find_zero_crossings(trace, l):
             rows.append((l, "net_zero_crossing", float(pos), float(pos * trace.dt)))
     return rows

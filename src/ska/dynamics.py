@@ -150,8 +150,8 @@ class NetworkConfig:
     """Architecture plus integration parameters.
 
     layer_sizes starts with the input dimension: [784, 256, 128, 64, 10]
-    describes four weight layers. steps counts recorded integration steps K;
-    the run covers total time T = dt * K.
+    describes four weight layers. steps counts recorded integration steps K,
+    at most MAX_STEPS; the run covers total time T = dt * K.
     """
 
     layer_sizes: tuple
@@ -170,6 +170,7 @@ class NetworkConfig:
             raise ValueError("dt must be positive and finite")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
+        bounded_steps(self.steps, "run window")
         if not (self.init_std_scale >= 0.0) or not np.isfinite(self.init_std_scale):
             raise ValueError("init_std_scale must be non-negative and finite")
 
@@ -347,7 +348,7 @@ def run(
                     layer_i, unit_i, sample_i = sel
                     paths[sel][k] = net.layers[layer_i].Z[sample_i, unit_i]
             if k >= 1:
-                acc.add(k, record)
+                acc.add(record)
     trace = acc.finish()
     trace.unit_paths = paths
     trace.blas_threads = threads

@@ -116,9 +116,9 @@ class TraceAccumulator:
     """Consumes the records of steps k = 1..K and fills the trace's values.
 
     A record holds one (entropy_step, cosine, z_norm, flow_norm, net_step)
-    tuple of floats per layer; add() stores step k in row k - 1 and takes
-    steps in order. A repeated or skipped k, or a non-finite entropy, norm,
-    flow or net, raises ValueError naming the step (and the layer); a
+    tuple of floats per layer; add() stores it as the next row, so the n-th
+    record added is step n. A record past step K, or a non-finite entropy,
+    norm, flow or net, raises ValueError naming the step (and the layer); a
     cosine that is undefined or not finite stays a NaN gap.
     """
 
@@ -127,18 +127,17 @@ class TraceAccumulator:
         self.values = np.full((config.steps, config.n_layers, len(COLUMNS)), np.nan)
         self._seen = 0
 
-    def add(self, k: int, record: list | None) -> None:
+    def add(self, record: list | None) -> None:
         if record is None:
             raise ValueError("record has no increments; seeding step is not accumulated")
-        if not 1 <= k <= self.config.steps:
-            raise ValueError(f"step index {k} outside 1..{self.config.steps}")
-        if k != self._seen + 1:
-            raise ValueError(f"step {k} added out of order, expected step {self._seen + 1}")
+        row = self._seen
+        if row == self.config.steps:
+            raise ValueError(f"step {row + 1} is past the run's {row} steps")
         # a record fills COLUMNS 0 and 2 to 5; finish() sums 0 into 1 and 5 into 6
-        v, row = self.values, k - 1
+        v = self.values
         for l, (es, cos, zn, fn, ns) in enumerate(record):
             if not (isfinite(es) and isfinite(zn) and isfinite(fn) and isfinite(ns)):
-                _raise_not_finite(k, l, entropy_step=es, z_norm=zn, flow_norm=fn,
+                _raise_not_finite(row + 1, l, entropy_step=es, z_norm=zn, flow_norm=fn,
                                   net_step=ns)
             v[row, l, 0] = es
             v[row, l, 2] = cos
@@ -186,8 +185,7 @@ def crossing_positions(values: np.ndarray) -> list:
 def find_zero_crossings(trace: TrajectoryTrace, layer: int) -> list:
     """Crossings of the cumulative net, in fractional step coordinates."""
     _check_layer(trace, layer)
-    first = float(trace.steps[0])
-    return [first + p for p in crossing_positions(trace.column("net_cum")[:, layer])]
+    return [1.0 + p for p in crossing_positions(trace.column("net_cum")[:, layer])]
 
 
 def find_entropy_minimum(trace: TrajectoryTrace, layer: int) -> int:

@@ -30,30 +30,27 @@ from .metrics import LN2, TrajectoryTrace
 
 @dataclass
 class UnitTrajectory:
-    """Uniformly sampled scalar path: samples (t_k, z_k) with t_k+1 - t_k = dt."""
+    """Uniformly sampled scalar path: z_k sampled at t_k = k * dt."""
 
-    t: np.ndarray
     z: np.ndarray
     dt: float
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=np.float64)
         self.z = np.asarray(self.z, dtype=np.float64)
-        if self.t.shape != self.z.shape or self.t.ndim != 1:
-            raise ValueError("t and z must be equal-length 1-D arrays")
-        if len(self.t) < 2:
-            raise ValueError("a trajectory needs at least two samples")
-        if self.dt <= 0.0:
+        if self.z.ndim != 1 or len(self.z) < 2:
+            raise ValueError("a trajectory needs a 1-D z of at least two samples")
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        gaps = np.diff(self.t)
-        if not np.allclose(gaps, self.dt, rtol=1e-9, atol=1e-12):
-            raise ValueError("samples must be spaced by exactly dt")
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.dt * np.arange(len(self.z))
 
     def truncated(self, t_max: float) -> "UnitTrajectory":
         keep = self.t <= t_max
         if keep.sum() < 2:
             raise ValueError(f"truncation at {t_max} leaves fewer than two samples")
-        return UnitTrajectory(self.t[keep], self.z[keep], self.dt)
+        return UnitTrajectory(self.z[keep], self.dt)
 
 
 def lagrangian(z, zdot):
@@ -110,11 +107,9 @@ def net_action_identity(traj: UnitTrajectory, crossing_time: float) -> float:
     differences, mirroring how the trace accumulates net_cum; the returned
     value is |sum sigmoid(z_k) dz_k - action_entropy| over that prefix.
     """
-    if not (traj.t[0] <= crossing_time <= traj.t[-1]):
-        raise ValueError(
-            f"crossing {crossing_time} outside trajectory range "
-            f"[{traj.t[0]}, {traj.t[-1]}]"
-        )
+    t = traj.t
+    if not (t[0] <= crossing_time <= t[-1]):
+        raise ValueError(f"crossing {crossing_time} outside trajectory range [{t[0]}, {t[-1]}]")
     head = traj.truncated(crossing_time)
     lhs = float(np.sum(sigmoid(head.z[1:]) * np.diff(head.z)))
     return abs(lhs - action_entropy(head))
@@ -134,7 +129,5 @@ def extract_unit_trajectories(trace: TrajectoryTrace, selections) -> list:
             raise KeyError(
                 f"unit {key} was not recorded; pass record_units to run()"
             )
-        z = trace.unit_paths[key]
-        t = trace.dt * np.arange(len(z))
-        out.append(UnitTrajectory(t, z, trace.dt))
+        out.append(UnitTrajectory(trace.unit_paths[key], trace.dt))
     return out

@@ -150,8 +150,8 @@ def test_acceptance_3_entropy_scales_with_eta(family):
 def test_acceptance_4_euler_lagrange_orders():
     c = Criterion(4, "Euler-Lagrange residual orders")
     for f, name in ((math.sin, "sin"), (math.tanh, "tanh")):
-        r1 = np.abs(ska.el_residual(sample_path(f, 0.0, 3.0, 0.01))).max()
-        r2 = np.abs(ska.el_residual(sample_path(f, 0.0, 3.0, 0.005))).max()
+        r1 = np.abs(ska.el_residual(sample_path(f, 3.0, 0.01))).max()
+        r2 = np.abs(ska.el_residual(sample_path(f, 3.0, 0.005))).max()
         order = math.log2(r1 / r2)
         c.check(order >= 1.8, f"{name} path: order {order:.3f} < 1.8")
 

@@ -469,7 +469,15 @@ BAD_INPUTS = {
     # a count past int64 stops in bounded_steps, before numpy sees it
     "window-overflows": ("train", _with(TRAIN_CFG, "run", steps=2**64),
                          "steps exceed the limit"),
-    "steps-zero": ("train", _with(TRAIN_CFG, "run", steps=0), "run.steps must be at least 1"),
+    # NetworkConfig checks the network and run keys, each in its own words
+    "steps-zero": ("train", _with(TRAIN_CFG, "run", steps=0), "steps must be at least 1"),
+    "dt-zero": ("train", _with(TRAIN_CFG, "run", dt=0), "dt must be positive and finite"),
+    "init-std-scale-negative": ("train", _with(TRAIN_CFG, "network", init_std_scale=-1),
+                                "init_std_scale must be non-negative and finite"),
+    "layer-sizes-input-only": ("train", _with(TRAIN_CFG, "network", layer_sizes=[8]),
+                               "layer_sizes needs an input dim and at least one layer"),
+    "layer-sizes-zero": ("train", _with(TRAIN_CFG, "network", layer_sizes=[8, 0]),
+                         "layer sizes must be positive"),
     "steps-over-limit": ("train", _with(TRAIN_CFG, "run", steps=10**7), "steps exceed the limit"),
     "eta-window-overflows": ("invariance", _with(INV_CFG, "invariance", eta_list=[1e-310, 0.1]),
                              "steps exceed the limit"),
@@ -480,11 +488,10 @@ BAD_INPUTS = {
     # two samples leave the Euler-Lagrange residual nothing to evaluate
     "short-variational-run": ("variational-check", {"run": {"dt": 0.05, "steps": 2}},
                               "run.steps must be at least 3"),
-    # the limit is checked before the IDX files are read
+    # from_idx checks the limit before it reads the IDX file
     "idx-limit-negative": ("train", dict(TRAIN_CFG, data=_idx_data(-15)),
-                           "config key data.limit must be positive"),
-    "idx-limit-zero": ("train", dict(TRAIN_CFG, data=_idx_data(0)),
-                       "config key data.limit must be positive"),
+                           "limit must be positive"),
+    "idx-limit-zero": ("train", dict(TRAIN_CFG, data=_idx_data(0)), "limit must be positive"),
     # a dataset is a design matrix: the dynamics read no labels
     "idx-labels": ("train", dict(TRAIN_CFG, data=dict(_idx_data(4), labels="labels.idx")),
                    "unknown config key data.labels"),

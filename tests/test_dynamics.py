@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import ska
-from ska.dynamics import LN2, SIGMOID_BLOCK, SMALL_PRODUCT, NetworkConfig
+from ska.dynamics import LN2, MAX_STEPS, SIGMOID_BLOCK, SMALL_PRODUCT, NetworkConfig
 from ska.linalg import blas_threads, cosine_flat, frobenius_norm
 
 from test_variational import entropy_primitive
@@ -232,6 +232,15 @@ def test_network_config_validation():
             NetworkConfig(layer_sizes=(4, 2), dt=0.1, steps=1, init_std_scale=bad)
     cfg = NetworkConfig(layer_sizes=[4, 2], dt=0.25, steps=8)
     assert cfg.n_layers == 1
+
+
+def test_network_config_holds_steps_to_the_limit():
+    """A window past MAX_STEPS stops in the config, before run() allocates
+    its trace; the limit itself is a valid window."""
+    with pytest.raises(ValueError, match=f"^run window: {MAX_STEPS + 1} steps exceed the limit "
+                                         f"of {MAX_STEPS}$"):
+        NetworkConfig(layer_sizes=(1, 1), dt=0.1, steps=MAX_STEPS + 1)
+    assert NetworkConfig(layer_sizes=(1, 1), dt=0.1, steps=MAX_STEPS).steps == MAX_STEPS
 
 
 def test_init_network_statistics_and_determinism():

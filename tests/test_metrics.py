@@ -139,10 +139,10 @@ def test_trace_accumulator_rejects_seeding_record():
     cfg = NetworkConfig(layer_sizes=(2, 2), dt=0.1, steps=2, seed=0)
     acc = TraceAccumulator(cfg)
     with pytest.raises(ValueError, match="seeding"):
-        acc.add(0, None)
+        acc.add(None)
     seed_rec = ska.step(ska.init_network(cfg), np.ones((1, 2)))
     with pytest.raises(ValueError, match="seeding"):
-        acc.add(0, seed_rec)
+        acc.add(seed_rec)
 
 
 STEP_METRICS = ("entropy_step", "cosine", "z_norm", "flow_norm", "net_step")
@@ -154,26 +154,18 @@ def _record(n_layers, **values):
     return list(zip(*(values.get(m, [1.0] * n_layers) for m in STEP_METRICS)))
 
 
-def test_trace_accumulator_rejects_out_of_range_step():
-    cfg = NetworkConfig(layer_sizes=(2, 2), dt=0.1, steps=2, seed=0)
-    acc = TraceAccumulator(cfg)
-    with pytest.raises(ValueError, match="outside 1..2"):
-        acc.add(3, _record(1))
-
-
 def test_trace_accumulator_takes_steps_in_order():
-    """A repeated or a skipped step is refused, not left as a NaN row."""
+    """Each record fills the next row, and a record past step K raises
+    instead of writing past the trace."""
     cfg = NetworkConfig(layer_sizes=(2, 2), dt=0.1, steps=3, seed=0)
     acc = TraceAccumulator(cfg)
-    acc.add(1, _record(1))
-    with pytest.raises(ValueError, match="^step 1 added out of order, expected step 2$"):
-        acc.add(1, _record(1))
-    with pytest.raises(ValueError, match="^step 3 added out of order, expected step 2$"):
-        acc.add(3, _record(1))
+    acc.add(_record(1))
     with pytest.raises(ValueError, match="1 of 3"):
         acc.finish()
-    acc.add(2, _record(1))
-    acc.add(3, _record(1))
+    acc.add(_record(1))
+    acc.add(_record(1))
+    with pytest.raises(ValueError, match="^step 4 is past the run's 3 steps$"):
+        acc.add(_record(1))
     assert not np.isnan(acc.finish().values).any()
 
 
@@ -185,13 +177,13 @@ def test_trace_accumulator_finish_requires_all_steps():
 
 
 def test_add_stores_each_metric_in_its_row():
-    """add() files record k's values under row k - 1, and finish() sums
-    entropy and net along the steps."""
+    """add() files the k-th record's values under row k - 1, and finish()
+    sums entropy and net along the steps."""
     cfg = NetworkConfig(layer_sizes=(4, 3, 2), dt=0.1, steps=3, seed=0)
     acc = TraceAccumulator(cfg)
     want = {m: np.arange(6.0).reshape(3, 2) + 10 * i for i, m in enumerate(STEP_METRICS)}
     for k in (1, 2, 3):
-        acc.add(k, _record(2, **{m: want[m][k - 1].tolist() for m in STEP_METRICS}))
+        acc.add(_record(2, **{m: want[m][k - 1].tolist() for m in STEP_METRICS}))
     trace = acc.finish()
     for m in STEP_METRICS:
         assert trace.column(m).tobytes() == want[m].tobytes(), m
@@ -212,9 +204,9 @@ def test_add_stops_on_a_non_finite_metric(metric):
     bad = NON_FINITE[metric]
     rec = _record(2, **{metric: [1.0, bad]})
     acc = TraceAccumulator(cfg)
-    acc.add(1, _record(2))
+    acc.add(_record(2))
     with pytest.raises(ValueError, match=f"^step 2, layer 1: {metric} is {bad}, not finite$"):
-        acc.add(2, rec)
+        acc.add(rec)
 
 
 def test_add_leaves_an_undefined_cosine_as_a_gap():
@@ -227,7 +219,7 @@ def test_add_leaves_an_undefined_cosine_as_a_gap():
     rec = ska.step(net, X)
     assert math.isnan(rec[0][STEP_METRICS.index("cosine")])
     acc = TraceAccumulator(cfg)
-    acc.add(1, rec)
+    acc.add(rec)
     trace = acc.finish()
     assert np.isnan(trace.column("cosine")).all()
     assert np.isfinite(trace.column("entropy_step")).all()
