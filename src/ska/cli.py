@@ -682,10 +682,12 @@ def main(argv=None) -> int:
     line.
 
     numpy's floating-point warnings are off inside a command: a run whose
-    metrics go non-finite stops with its own error line instead.
+    metrics go non-finite stops with its own error line instead. An --out
+    directory the command made is removed again on exit 2 while it is empty.
     """
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
+    made = args.command != "report" and not args.out.exists()
     try:
         with np.errstate(all="ignore"):
             if args.command != "report":
@@ -698,6 +700,11 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
               file=sys.stderr)
+    if made:
+        try:
+            args.out.rmdir()  # refused while the directory holds anything
+        except OSError:
+            pass
     return 2
 
 

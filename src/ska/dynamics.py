@@ -28,6 +28,7 @@ increments and the gradient are at hand.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,6 +169,8 @@ class NetworkConfig:
             raise ValueError("layer sizes must be positive")
         if not (self.dt > 0.0) or not np.isfinite(self.dt):
             raise ValueError("dt must be positive and finite")
+        if not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         bounded_steps(self.steps, "run window")

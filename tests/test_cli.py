@@ -530,6 +530,27 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case):
     assert err.startswith("error:") and err.count("\n") == 1 and needle in err
 
 
+def test_exit_2_removes_only_the_empty_out_dir_it_made(tmp_path, capsys, monkeypatch):
+    """A config error leaves no --out directory behind when main made it; a
+    directory that was there before, or that holds a file, stays."""
+    path = _write_cfg(tmp_path, _with(TRAIN_CFG, "network", layer_sizes=[8]))
+    out = tmp_path / "out"
+    assert main(["train", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    out.mkdir()
+    assert main(["train", "--config", path, "--out", str(out)]) == 2
+    assert out.is_dir()
+    out.rmdir()
+
+    def write_then_fail(args, c, t0):
+        (args.out / "partial.csv").write_text("")
+        raise ValueError("stopped after a write")
+
+    monkeypatch.setattr(ska.cli, "cmd_train", write_then_fail)
+    assert main(["train", "--config", _write_cfg(tmp_path, TRAIN_CFG), "--out", str(out)]) == 2
+    assert (out / "partial.csv").is_file()
+
+
 def test_negative_seed_flag_names_its_key(tmp_path, capsys):
     rc, _ = _train(tmp_path, TRAIN_CFG, extra=("--seed", "-1"))
     assert rc == 2

@@ -5,6 +5,7 @@ against the byte format itself, not against the writer.
 """
 
 import gzip
+import hashlib
 import struct
 
 import numpy as np
@@ -189,6 +190,44 @@ def test_glyph_images_deterministic_and_bounded():
     # mostly background, some ink
     ink = float(np.mean(px > 64))
     assert 0.05 < ink < 0.4
+
+
+def reference_glyph_images(n, seed):
+    """The renderer as it was written first, one sample at a time; the
+    chunked renderer must reproduce its bytes."""
+    rng = np.random.default_rng(seed)
+    masks = [
+        np.kron(
+            np.array([[c == "#" for c in row] for row in data._GLYPHS[d]], dtype=np.float64),
+            np.ones((3, 3)),
+        )
+        for d in range(10)
+    ]
+    pixels = np.zeros((n, 28, 28), dtype=np.uint8)
+    for i in range(n):
+        dy = int(rng.integers(-2, 3))
+        dx = int(rng.integers(-3, 4))
+        intensity = rng.uniform(150.0, 255.0)
+        canvas = np.zeros((28, 28))
+        canvas[3 + dy : 24 + dy, 6 + dx : 21 + dx] = masks[i % 10] * intensity
+        canvas += rng.normal(0.0, 6.0, (28, 28))
+        pixels[i] = np.clip(canvas, 0.0, 255.0).astype(np.uint8)
+    return pixels
+
+
+CHUNK = data._GLYPH_CHUNK
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 11])
+@pytest.mark.parametrize("n", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 4096])
+def test_glyph_images_match_the_per_sample_reference(n, seed):
+    np.testing.assert_array_equal(data.glyph_images(n, seed), reference_glyph_images(n, seed))
+
+
+def test_glyph_images_of_the_benchmark_config_are_frozen():
+    """The glyph-train workload's data: 4096 glyphs at seed 7."""
+    digest = hashlib.sha256(data.glyph_images(4096, 7).tobytes()).hexdigest()
+    assert digest == "04e552cdd47d5d4c315ffb6ef4bf2d1e5465df3f05ff92b339dc8d2bbd410e1f"
 
 
 def test_glyph_idx_files_load_through_parser(tmp_path):

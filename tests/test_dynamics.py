@@ -234,6 +234,14 @@ def test_network_config_validation():
     assert cfg.n_layers == 1
 
 
+def test_network_config_refuses_a_non_integer_steps():
+    """A fractional step count stops in the config, not where run() sizes
+    its trace."""
+    with pytest.raises(ValueError, match="^steps must be an integer, got 2.5$"):
+        NetworkConfig(layer_sizes=(1, 1), dt=0.1, steps=2.5)
+    assert NetworkConfig(layer_sizes=(1, 1), dt=0.1, steps=np.int64(3)).steps == 3
+
+
 def test_network_config_holds_steps_to_the_limit():
     """A window past MAX_STEPS stops in the config, before run() allocates
     its trace; the limit itself is a valid window."""
