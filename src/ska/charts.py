@@ -21,14 +21,14 @@ class Series:
     name: str
     x: np.ndarray
     y: np.ndarray
-    color: str | None = None
+    color: str
 
 
 @dataclass
 class Marker:
     x: float
     y: float
-    color: str = "#d62728"
+    color: str
 
 
 def _escape(text: str) -> str:
@@ -41,10 +41,10 @@ def _escape(text: str) -> str:
     )
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list:
+def _ticks(lo: float, hi: float) -> list:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw)) if raw > 0.0 else 0.0
     steps = [m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if 0.0 < raw <= m * mag]
     if not steps:  # an axis a few subnormals wide: raw or its decade underflows to 0
@@ -71,10 +71,10 @@ def _fmt(v: float) -> str:
 
 def line_chart(
     series: list,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    markers: list = (),
+    title: str,
+    x_label: str,
+    y_label: str,
+    markers: list,
 ) -> str:
     """Render series to an SVG string."""
     ml, mr, mt, mb = 64, 16, 40, 46
@@ -114,11 +114,10 @@ def line_chart(
         f'viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
     el.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
-    if title:
-        el.append(
-            f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15" fill="#222">{_escape(title)}</text>'
-        )
+    el.append(
+        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15" fill="#222">{_escape(title)}</text>'
+    )
     # frame and ticks
     el.append(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
@@ -145,21 +144,18 @@ def line_chart(
             f'<line x1="{ml}" y1="{py(ty):.2f}" x2="{ml + pw}" y2="{py(ty):.2f}" '
             f'stroke="#eee" stroke-width="1"/>'
         )
-    if x_label:
-        el.append(
-            f'<text x="{ml + pw / 2:.1f}" y="{HEIGHT - 8}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" fill="#222">{_escape(x_label)}</text>'
-        )
-    if y_label:
-        cy = mt + ph / 2
-        el.append(
-            f'<text x="14" y="{cy:.1f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12" fill="#222" transform="rotate(-90 14 {cy:.1f})">'
-            f"{_escape(y_label)}</text>"
-        )
+    el.append(
+        f'<text x="{ml + pw / 2:.1f}" y="{HEIGHT - 8}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" fill="#222">{_escape(x_label)}</text>'
+    )
+    cy = mt + ph / 2
+    el.append(
+        f'<text x="14" y="{cy:.1f}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="12" fill="#222" transform="rotate(-90 14 {cy:.1f})">'
+        f"{_escape(y_label)}</text>"
+    )
     # series
     for i, s in enumerate(series):
-        color = s.color or COLORS[i % len(COLORS)]
         x = np.asarray(s.x, dtype=np.float64)
         y = np.asarray(s.y, dtype=np.float64)
         segment = []
@@ -175,16 +171,16 @@ def line_chart(
         for seg in segments:
             if len(seg) == 1:
                 cx, cy = seg[0].split(",")
-                el.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')
+                el.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{s.color}"/>')
             else:
                 el.append(
                     f'<polyline points="{" ".join(seg)}" fill="none" '
-                    f'stroke="{color}" stroke-width="1.6"/>'
+                    f'stroke="{s.color}" stroke-width="1.6"/>'
                 )
         ly = mt + 14 + 16 * i
         el.append(
             f'<line x1="{ml + pw - 120}" y1="{ly - 4}" x2="{ml + pw - 96}" '
-            f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
+            f'y2="{ly - 4}" stroke="{s.color}" stroke-width="2"/>'
         )
         el.append(
             f'<text x="{ml + pw - 90}" y="{ly}" font-family="sans-serif" '

@@ -58,10 +58,6 @@ TRACE_HEADER = ",".join(("step", "time", "layer") + COLUMNS)
 MARKERS_HEADER = "layer,kind,step,value"
 
 
-class ConfigError(ValueError):
-    """Bad config file: unknown key, missing key, or invalid value."""
-
-
 # ---------------------------------------------------------------- config ---
 
 REQUIRED = object()  # table default: the key must be given
@@ -105,7 +101,7 @@ def _read(path) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def load_config(path) -> dict:
@@ -114,11 +110,11 @@ def load_config(path) -> dict:
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(
+        raise ValueError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
+        raise ValueError(f"{path}: top level must be a JSON object")
     return cfg
 
 
@@ -130,7 +126,7 @@ def _value(value, kind, default, path: str):
     """A config value, or its default when absent, checked against its type."""
     if value is None:
         if default is REQUIRED:
-            raise ConfigError(f"missing config key {path}")
+            raise ValueError(f"missing config key {path}")
         if default is None:
             return None
         value = default
@@ -140,26 +136,26 @@ def _value(value, kind, default, path: str):
 def _check(value, kind, path: str):
     if isinstance(kind, dict):
         if not isinstance(value, dict):
-            raise ConfigError(f"config key {path} must be an object")
+            raise ValueError(f"config key {path} must be an object")
         unknown = [k for k in value if k not in kind]
         if unknown:
-            raise ConfigError(f"unknown config key {_join(path, unknown[0])}")
+            raise ValueError(f"unknown config key {_join(path, unknown[0])}")
         return {key: _value(value.get(key), sub, default, _join(path, key))
                 for key, (sub, default) in kind.items()}
     if isinstance(kind, list):
         if not isinstance(value, list):
-            raise ConfigError(f"config key {path} must be a list")
+            raise ValueError(f"config key {path} must be a list")
         return [_check(v, kind[0], f"{path}[{i}]") for i, v in enumerate(value)]
     if isinstance(kind, tuple):
         if value not in kind:
-            raise ConfigError(f"config key {path} must be one of {', '.join(kind)}")
+            raise ValueError(f"config key {path} must be one of {', '.join(kind)}")
         return value
     if kind is float and type(value) is int:
         value = float(value)
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ConfigError(f"config key {path} must be {kind.__name__}")
+        raise ValueError(f"config key {path} must be {kind.__name__}")
     if kind is float and not math.isfinite(value):
-        raise ConfigError(f"config key {path} must be finite")
+        raise ValueError(f"config key {path} must be finite")
     return value
 
 
@@ -177,15 +173,15 @@ def _check_rules(c: dict) -> None:
     for path, seed in (("seed", c["seed"]), ("data.seed", c["data"].get("seed"))):
         if seed is not None and seed < 0:
             # numpy's error for a negative seed does not name the key
-            raise ConfigError(f"config key {path} must be non-negative")
+            raise ValueError(f"config key {path} must be non-negative")
     if "variational" in c:
         if not c["variational"]["units"]:
-            raise ConfigError("variational.units must list at least one [layer, unit, sample]")
+            raise ValueError("variational.units must list at least one [layer, unit, sample]")
         if any(len(u) != 3 for u in c["variational"]["units"]):
-            raise ConfigError("variational.units entries must be [layer, unit, sample]")
+            raise ValueError("variational.units entries must be [layer, unit, sample]")
         if c["run"]["steps"] < 3:
             # el_residual is a central difference: it needs an interior sample
-            raise ConfigError("run.steps must be at least 3 for variational-check")
+            raise ValueError("run.steps must be at least 3 for variational-check")
         if c["variational"]["dt_halving"]:
             bounded_steps(2 * c["run"]["steps"], "run window at dt/2")
 
@@ -510,27 +506,25 @@ def _fields(obj, where: str, keys, kinds=None) -> dict:
     """obj, checked to be a JSON object that holds every one of keys, where
     each key of kinds that obj holds has a value of the kind given there."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
+        raise ValueError(f"{where} must be a JSON object")
     for key in keys:
         if key not in obj:
-            raise ConfigError(f"{where} has no key {key}")
+            raise ValueError(f"{where} has no key {key}")
     for key, (types, name) in (kinds or {}).items():
         if key in obj and not isinstance(obj[key], types):
-            raise ConfigError(f"{where} key {key} must be {name}, not {json.dumps(obj[key])}")
+            raise ValueError(f"{where} key {key} must be {name}, not {json.dumps(obj[key])}")
     return obj
 
 
 def _items(obj, where: str, keys, kinds=None) -> list:
     """obj, checked to be a JSON list of objects that each pass _fields."""
     if not isinstance(obj, list):
-        raise ConfigError(f"{where} must be a JSON list")
+        raise ValueError(f"{where} must be a JSON list")
     return [_fields(item, f"{where}[{i}]", keys, kinds) for i, item in enumerate(obj)]
 
 
-def environment_line(manifest: dict) -> str | None:
-    """The manifest's environment block as one line, or None when it has none."""
-    if "environment" not in manifest:
-        return None
+def environment_line(manifest: dict) -> str:
+    """The manifest's environment block as one line."""
     env = _fields(manifest["environment"], "manifest.json environment",
                   ("python", "numpy", "blas", "thread_vars", "blas_threads"),
                   {"blas": OBJECT, "thread_vars": OBJECT, "blas_threads": LIST})
@@ -548,12 +542,11 @@ def report(out_dir: Path) -> int:
     and checked, and return its exit code: 1 when a check fails, else 0."""
     lines, passed = [], True
     say = lines.append
-    manifest = load_config(out_dir / "manifest.json")
-    command = manifest.get("command", "?")
-    say(f"ska {manifest.get('version', '?')} {command} run in {out_dir}")
-    env_line = environment_line(manifest)
-    if env_line is not None:
-        say(env_line)
+    manifest = _fields(load_config(out_dir / "manifest.json"), "manifest.json",
+                       ("version", "command", "environment"))
+    command = manifest["command"]
+    say(f"ska {manifest['version']} {command} run in {out_dir}")
+    say(environment_line(manifest))
 
     if command == "train":
         resolved = _fields(manifest.get("resolved"), "manifest.json resolved",
@@ -563,7 +556,7 @@ def report(out_dir: Path) -> int:
         path = out_dir / "markers.csv"
         rows = _read(path).splitlines()
         if rows[:1] != [MARKERS_HEADER]:
-            raise ConfigError(f"{path} does not start with the header {MARKERS_HEADER}")
+            raise ValueError(f"{path} does not start with the header {MARKERS_HEADER}")
         by_layer = {}
         for n, line in enumerate(rows[1:], 2):
             try:
@@ -573,9 +566,9 @@ def report(out_dir: Path) -> int:
                         "flow_peak": f"flow peak at step {at:g}",
                         "net_zero_crossing": f"net crossing at step {step} (t = {value})"}[kind]
             except (ValueError, KeyError):
-                raise ConfigError(f"{path} line {n} is not a marker row "
-                                  f"(integer layer, known kind, numeric step and value): "
-                                  f"{line!r}") from None
+                raise ValueError(f"{path} line {n} is not a marker row "
+                                 f"(integer layer, known kind, numeric step and value): "
+                                 f"{line!r}") from None
             by_layer.setdefault(layer, []).append(text)
         for layer in sorted(by_layer):
             say(f"layer {layer}: " + "; ".join(by_layer[layer]))
@@ -585,7 +578,7 @@ def report(out_dir: Path) -> int:
         inv = _fields(cfg["invariance"], "manifest.json config.invariance", ("total_time",))
         say(f"characteristic time eta*K = {inv['total_time']}")
         result = _fields(load_config(out_dir / "invariance_report.json"),
-                         "invariance_report.json", ("rows", "all_pass"))
+                         "invariance_report.json", ("rows",))
         rows = _items(result["rows"], "invariance_report.json rows",
                       ("metric", "run", "rel_dev", "tolerance", "passed"),
                       {"rel_dev": NUMBER_OR_NULL, "tolerance": NUMBER, "passed": VERDICT})
@@ -600,7 +593,7 @@ def report(out_dir: Path) -> int:
             w = max(measured, key=lambda r: r["rel_dev"] - r["tolerance"])
             say(f"worst row: {w['metric']} {w['run']}, rel_dev {w['rel_dev']:.4f} "
                 f"against tol {w['tolerance']:.4f}")
-        passed = result["all_pass"]
+        passed = all(r["passed"] is not False for r in rows)
         say("PASS" if passed else "FAIL")
     elif command == "variational-check":
         resolved = _fields(manifest.get("resolved"), "manifest.json resolved", ("eta_times_K",))
@@ -615,13 +608,13 @@ def report(out_dir: Path) -> int:
         for i, unit in enumerate(units):
             crossings = _items(unit["net_identity_crossings"],
                                f"variational_report.json units[{i}].net_identity_crossings",
-                               ("time", "residual"),
+                               ("time", "residual", "bound"),
                                {"time": NUMBER, "residual": NUMBER, "bound": NUMBER})
             # a unit fails when its EL order is under the floor, or when a
             # crossing's net-action residual is over its bound
             order = unit.get("el_order")
             low = order is not None and order < EL_ORDER_FLOOR
-            over = ["bound" in c and c["residual"] > c["bound"] for c in crossings]
+            over = [c["residual"] > c["bound"] for c in crossings]
             passed &= not (low or any(over))
             say(f"unit {unit['selection']}: action {unit['action_entropy']:.6g}, "
                 f"entropy {unit['entropy_by_definition']:.6g}, "
@@ -629,14 +622,13 @@ def report(out_dir: Path) -> int:
                 + (f", order {order:.2f}" if order is not None else "")
                 + (f" below {EL_ORDER_FLOOR} FAIL" if low else ""))
             for c, bad in zip(crossings, over):
-                say(f"  crossing t = {c['time']:.4g}: net identity residual {c['residual']:.3g}"
-                    + (f", bound {c['bound']:.3g}" if "bound" in c else "")
-                    + (" FAIL" if bad else ""))
+                say(f"  crossing t = {c['time']:.4g}: net identity residual {c['residual']:.3g}, "
+                    f"bound {c['bound']:.3g}" + (" FAIL" if bad else ""))
             if not crossings:
                 say("  no net zero crossing in the window: net-action identity not checked")
         say("PASS" if passed else "FAIL")
     else:
-        raise ConfigError(f"unknown command {command!r} in manifest")
+        raise ValueError(f"unknown command {command!r} in manifest")
     print("\n".join(lines))
     return 0 if passed else 1
 

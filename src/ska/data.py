@@ -26,19 +26,7 @@ _MAX_PAYLOAD = 1 << 36
 
 
 class IdxFormatError(ValueError):
-    """Base for all IDX parsing failures."""
-
-
-class BadMagicError(IdxFormatError):
-    """Leading magic word is not the image constant."""
-
-
-class TruncatedFileError(IdxFormatError):
-    """File ends before the header-declared payload does."""
-
-
-class DimensionOverflowError(IdxFormatError):
-    """Header declares dimensions whose product is absurdly large."""
+    """An IDX file that is not a well-formed image file, or a damaged gzip stream."""
 
 
 def _open(path, mode: str):
@@ -85,20 +73,20 @@ def from_idx(image_path, limit: int | None = None) -> Dataset:
         with _open(image_path, "rb") as fh:
             raw = fh.read()
     except EOFError as exc:
-        raise TruncatedFileError(f"{image_path}: compressed stream ends early") from exc
+        raise IdxFormatError(f"{image_path}: compressed stream ends early") from exc
     except (zlib.error, gzip.BadGzipFile) as exc:
         raise IdxFormatError(f"{image_path}: damaged compressed stream: {exc}") from exc
     if len(raw) < _HEADER.size:
-        raise TruncatedFileError(f"{image_path}: file shorter than {_HEADER.size}-byte header")
+        raise IdxFormatError(f"{image_path}: file shorter than {_HEADER.size}-byte header")
     magic, n, rows, cols = _HEADER.unpack_from(raw)
     if magic != IMAGE_MAGIC:
-        raise BadMagicError(f"{image_path}: magic {magic}, expected {IMAGE_MAGIC}")
+        raise IdxFormatError(f"{image_path}: magic {magic}, expected {IMAGE_MAGIC}")
     count = n * rows * cols
     if count > _MAX_PAYLOAD:
-        raise DimensionOverflowError(f"{image_path}: declared sizes {(n, rows, cols)} overflow")
+        raise IdxFormatError(f"{image_path}: declared sizes {(n, rows, cols)} overflow")
     payload = len(raw) - _HEADER.size
     if payload < count:
-        raise TruncatedFileError(
+        raise IdxFormatError(
             f"{image_path}: payload has {payload} bytes, header declares {count}"
         )
     if payload > count:

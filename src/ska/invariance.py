@@ -30,10 +30,6 @@ from .metrics import TrajectoryTrace
 COMPARE_METRICS = ("entropy_step_normalized", "cosine", "z_norm", "net_cum")
 
 
-class InvarianceError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class InvarianceSpec:
     """A family of runs sharing everything except the step size."""
@@ -50,15 +46,15 @@ class InvarianceSpec:
         object.__setattr__(self, "eta_list", tuple(float(e) for e in self.eta_list))
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
         if not (self.total_time > 0.0 and np.isfinite(self.total_time)):
-            raise InvarianceError("total_time must be positive and finite")
+            raise ValueError("total_time must be positive and finite")
         if len(self.eta_list) < 2:
-            raise InvarianceError("need at least two step sizes to compare")
+            raise ValueError("need at least two step sizes to compare")
         if not all(e > 0.0 and np.isfinite(e) for e in self.eta_list):
-            raise InvarianceError("step sizes must be positive and finite")
+            raise ValueError("step sizes must be positive and finite")
         if len(set(self.eta_list)) != len(self.eta_list):
-            raise InvarianceError("step sizes must be distinct")
+            raise ValueError("step sizes must be distinct")
         if not (self.tolerance > 0.0 and np.isfinite(self.tolerance)):
-            raise InvarianceError("tolerance must be positive and finite")
+            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass
@@ -75,8 +71,8 @@ def steps_for(total_time: float, eta: float) -> int:
     slightly from total_time (the mismatch is logged, never hidden)."""
     k = bounded_steps(total_time / eta, f"eta {eta} over T = {total_time}")
     if k < 2:
-        raise InvarianceError(f"eta {eta} gives only {k} steps over T = {total_time}; "
-                              "need at least 2")
+        raise ValueError(f"eta {eta} gives only {k} steps over T = {total_time}; "
+                         "need at least 2")
     return k
 
 
@@ -118,13 +114,13 @@ def resample_common_grid(runs: list) -> AlignedFamily:
     identity.
     """
     if len(runs) < 2:
-        raise InvarianceError("need at least two runs to align")
+        raise ValueError("need at least two runs to align")
     start = max(r.trace.times[0] for r in runs)
     end = min(r.trace.times[-1] for r in runs)
     if start > end:
-        raise InvarianceError("trace time ranges do not overlap")
+        raise ValueError("trace time ranges do not overlap")
     if len({r.trace.n_layers for r in runs}) > 1:
-        raise InvarianceError("runs of a family must have the same number of layers")
+        raise ValueError("runs of a family must have the same number of layers")
     grid = max(runs, key=lambda r: r.eta).trace.times.copy()
     data = np.empty((len(runs), len(COMPARE_METRICS), len(grid), runs[0].trace.n_layers))
     for i, r in enumerate(runs):

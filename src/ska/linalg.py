@@ -34,13 +34,8 @@ _OPENBLAS_SYMBOLS = (
 class ShapeMismatchError(ValueError):
     """Two operands whose shapes cannot be combined by the requested op."""
 
-    def __init__(self, op: str, left_shape, right_shape):
-        self.op = op
-        self.left_shape = tuple(left_shape)
-        self.right_shape = tuple(right_shape)
-        super().__init__(
-            f"{op}: incompatible shapes {self.left_shape} x {self.right_shape}"
-        )
+    def __init__(self, op: str, left: tuple, right: tuple):
+        super().__init__(f"{op}: incompatible shapes {left} x {right}")
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -89,7 +89,6 @@ class TrajectoryTrace:
     when unknown.
     """
 
-    layer_sizes: tuple
     dt: float
     steps: np.ndarray
     times: np.ndarray
@@ -99,7 +98,7 @@ class TrajectoryTrace:
 
     @property
     def n_layers(self) -> int:
-        return len(self.layer_sizes) - 1
+        return self.values.shape[1]
 
     @property
     def n_steps(self) -> int:
@@ -155,8 +154,8 @@ class TraceAccumulator:
         np.cumsum(v[:, :, 0], axis=0, out=v[:, :, 1])
         np.cumsum(v[:, :, 5], axis=0, out=v[:, :, 6])
         steps = np.arange(1, self.config.steps + 1, dtype=np.int64)
-        return TrajectoryTrace(layer_sizes=self.config.layer_sizes, dt=self.config.dt,
-                               steps=steps, times=steps * self.config.dt, values=v)
+        return TrajectoryTrace(dt=self.config.dt, steps=steps, times=steps * self.config.dt,
+                               values=v)
 
 
 def _raise_not_finite(k: int, layer: int, **values) -> None:

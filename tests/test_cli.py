@@ -276,6 +276,25 @@ def test_invariance_failure_exits_1(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("all_pass", [True, "no"], ids=["row-fails", "all-pass-text"])
+def test_report_takes_the_family_verdict_from_the_rows(tmp_path, capsys, all_pass):
+    """A row whose passed is false fails the family, whatever the report's
+    all_pass holds: report judges the rows it checks, not a stored verdict."""
+    rc, out = _invariance(tmp_path, INV_CFG)
+    assert rc == 0
+    path = out / "invariance_report.json"
+    report = json.loads(path.read_text())
+    row = report["rows"][0]
+    row.update(passed=False, rel_dev=0.9)
+    report["all_pass"] = all_pass
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"{row['metric']} {row['run']}: rel_dev 0.9000 tol {row['tolerance']:.4f} FAIL" in lines
+    assert lines[-1] == "FAIL"
+
+
 # ----------------------------------------------------------- variational ---
 
 
@@ -576,41 +595,65 @@ def test_corrupt_manifest_exits_2_with_one_line(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "manifest.json" in err
 
 
-TRAIN_MANIFEST = {"command": "train", "resolved": {"eta_times_K": 0.3, "layers": 2, "samples": 24}}
+# The keys every manifest holds whatever its command.
+BASE_MANIFEST = {"version": ska.__version__,
+                 "environment": {"python": "3", "numpy": "2", "blas": {}, "thread_vars": {},
+                                 "blas_threads": []}}
+TRAIN_MANIFEST = {**BASE_MANIFEST, "command": "train",
+                  "resolved": {"eta_times_K": 0.3, "layers": 2, "samples": 24}}
+TRAIN_MARKERS = ("markers.csv", f"{MARKERS_HEADER}\n0,entropy_min,3.0,0.1\n")
+INV_MANIFEST = {**BASE_MANIFEST, "command": "invariance",
+                "config": {"invariance": {"total_time": 0.2}}}
+VAR_MANIFEST = {**BASE_MANIFEST, "command": "variational-check",
+                "resolved": {"eta_times_K": 0.2}}
+VAR_UNIT = {"selection": [0, 0, 0], "action_entropy": 0.1, "entropy_by_definition": 0.1,
+            "el_residual_max": 1e-6}
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
 
 # A finished run directory whose JSON parses but lacks a key report reads,
 # or whose markers.csv is missing or malformed.
 BAD_RUN_DIRS = {
-    "train": ({"command": "train", "resolved": {"eta_times_K": 0.3, "layers": 2}}, None,
+    "train": ({**TRAIN_MANIFEST, "resolved": {"eta_times_K": 0.3, "layers": 2}}, None,
               "samples"),
-    "invariance": ({"command": "invariance", "config": {"invariance": {"total_time": 0.2}}},
-                   ("invariance_report.json", {}), "rows"),
-    "variational-check": ({"command": "variational-check", "resolved": {"eta_times_K": 0.2}},
+    "invariance": (INV_MANIFEST, ("invariance_report.json", {}), "rows"),
+    "variational-check": (VAR_MANIFEST,
                           ("variational_report.json", {"units": [{"selection": [0, 0, 0]}]}),
                           "action_entropy"),
+    # keys every manifest holds, missing from a run that is otherwise whole
+    "train-no-environment": (_without(TRAIN_MANIFEST, "environment"), TRAIN_MARKERS,
+                             "manifest.json has no key environment"),
+    "train-no-version": (_without(TRAIN_MANIFEST, "version"), TRAIN_MARKERS,
+                         "manifest.json has no key version"),
+    "variational-check-no-bound": (
+        VAR_MANIFEST,
+        ("variational_report.json",
+         {"units": [{**VAR_UNIT, "net_identity_crossings": [{"time": 0.5, "residual": 0.0}]}]}),
+        "units[0].net_identity_crossings[0] has no key bound"),
     # keys present, but holding values report cannot format
     "invariance-null-tolerance": (
-        {"command": "invariance", "config": {"invariance": {"total_time": 0.2}}},
+        INV_MANIFEST,
         ("invariance_report.json",
-         {"all_pass": True, "rows": [{"metric": "cosine", "run": 1, "rel_dev": 0.01,
-                                      "tolerance": None, "passed": True}]}),
+         {"rows": [{"metric": "cosine", "run": 1, "rel_dev": 0.01, "tolerance": None,
+                    "passed": True}]}),
         "rows[0] key tolerance must be a number, not null"),
     "invariance-text-verdict": (
-        {"command": "invariance", "config": {"invariance": {"total_time": 0.2}}},
+        INV_MANIFEST,
         ("invariance_report.json",
-         {"all_pass": True, "rows": [{"metric": "cosine", "run": 1, "rel_dev": None,
-                                      "tolerance": 0.02, "passed": "yes"}]}),
+         {"rows": [{"metric": "cosine", "run": 1, "rel_dev": None, "tolerance": 0.02,
+                    "passed": "yes"}]}),
         'key passed must be true, false or null, not "yes"'),
     "train-environment-threads-not-list": (
-        {"command": "train", "environment": {"python": "3", "numpy": "2", "blas": {},
-                                             "thread_vars": {}, "blas_threads": 1}},
+        {**TRAIN_MANIFEST, "environment": {**BASE_MANIFEST["environment"], "blas_threads": 1}},
         None, "environment key blas_threads must be a list, not 1"),
     "variational-check-text-time": (
-        {"command": "variational-check", "resolved": {"eta_times_K": 0.2}},
+        VAR_MANIFEST,
         ("variational_report.json",
-         {"units": [{"selection": [0, 0, 0], "action_entropy": 0.1,
-                     "entropy_by_definition": 0.1, "el_residual_max": 1e-6,
-                     "net_identity_crossings": [{"time": "0.5", "residual": 0.0}]}]}),
+         {"units": [{**VAR_UNIT, "net_identity_crossings": [{"time": "0.5", "residual": 0.0,
+                                                             "bound": 0.1}]}]}),
         'net_identity_crossings[0] key time must be a number, not "0.5"'),
     "train-markers-missing": (TRAIN_MANIFEST, None, "markers.csv: No such file or directory"),
     "train-markers-no-header": (TRAIN_MANIFEST, ("markers.csv", "0,entropy_min,3.0,0.1\n"),

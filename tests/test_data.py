@@ -42,38 +42,40 @@ def test_gzip_transparent(tmp_path):
 def test_bad_magic(tmp_path):
     p = tmp_path / "img.idx"
     p.write_bytes(struct.pack(">IIII", 2052, 1, 2, 2) + bytes(4))
-    with pytest.raises(data.BadMagicError):
+    with pytest.raises(data.IdxFormatError, match="img.idx: magic 2052, expected 2051$"):
         data.from_idx(p)
     # the IDX label magic is not an image file's either
     p.write_bytes(struct.pack(">IIII", 2049, 1, 2, 2) + bytes(4))
-    with pytest.raises(data.BadMagicError):
+    with pytest.raises(data.IdxFormatError, match="img.idx: magic 2049, expected 2051$"):
         data.from_idx(p)
 
 
 def test_truncated_header_and_payload(tmp_path):
     p = tmp_path / "img.idx"
     p.write_bytes(struct.pack(">II", 2051, 1))
-    with pytest.raises(data.TruncatedFileError):
+    with pytest.raises(data.IdxFormatError, match="img.idx: file shorter than 16-byte header$"):
         data.from_idx(p)
     p.write_bytes(struct.pack(">IIII", 2051, 2, 2, 2) + bytes(5))
-    with pytest.raises(data.TruncatedFileError):
+    short = "img.idx: payload has 5 bytes, header declares 8$"
+    with pytest.raises(data.IdxFormatError, match=short):
         data.from_idx(p)
     # the first row is whole, yet the file is checked past the rows it keeps
-    with pytest.raises(data.TruncatedFileError):
+    with pytest.raises(data.IdxFormatError, match=short):
         data.from_idx(p, limit=1)
 
 
 def test_dimension_overflow(tmp_path):
     p = tmp_path / "img.idx"
     p.write_bytes(struct.pack(">IIII", 2051, 2**31, 2**20, 2**20))
-    with pytest.raises(data.DimensionOverflowError):
+    with pytest.raises(data.IdxFormatError,
+                       match=r"img.idx: declared sizes \(2147483648, 1048576, 1048576\) overflow$"):
         data.from_idx(p)
 
 
 def test_trailing_bytes_rejected(tmp_path):
     p = tmp_path / "img.idx"
     p.write_bytes(images_bytes(1, 2, 2) + b"\x00")
-    with pytest.raises(data.IdxFormatError):
+    with pytest.raises(data.IdxFormatError, match="img.idx: 1 trailing bytes after payload$"):
         data.from_idx(p)
 
 
@@ -85,7 +87,7 @@ def test_damaged_gzip_stream_names_the_file(tmp_path):
     data.save_idx_images(p, data.glyph_images(50, 0))
     good = p.read_bytes()
     p.write_bytes(good[: len(good) // 2])
-    with pytest.raises(data.TruncatedFileError, match="img.idx.gz: compressed stream ends early"):
+    with pytest.raises(data.IdxFormatError, match="img.idx.gz: compressed stream ends early"):
         data.from_idx(p)
     # a gzip header without a name field, then a deflate block of the
     # reserved type 3

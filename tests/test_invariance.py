@@ -16,7 +16,6 @@ from ska.dynamics import NetworkConfig
 from ska.invariance import (
     COMPARE_METRICS,
     FamilyRun,
-    InvarianceError,
     InvarianceSpec,
     _interp_column,
     compare,
@@ -37,8 +36,7 @@ def _trace(eta, K, columns=None, n_layers=1):
     values = np.zeros((K, n_layers, len(COLUMNS)))
     for name, arr in (columns or {}).items():
         values[:, :, COLUMNS.index(name)] = np.reshape(arr, (K, n_layers))
-    return TrajectoryTrace(layer_sizes=tuple([2] * (n_layers + 1)), dt=eta, steps=steps,
-                           times=steps * eta, values=values)
+    return TrajectoryTrace(dt=eta, steps=steps, times=steps * eta, values=values)
 
 
 def _euler_run(label, eta, total_time=1.0):
@@ -53,7 +51,7 @@ def _euler_run(label, eta, total_time=1.0):
 def test_steps_for_rounds_the_window():
     assert steps_for(0.5, 0.01) == 50
     assert steps_for(0.5, 0.003) == 167
-    with pytest.raises(InvarianceError, match="at least 2"):
+    with pytest.raises(ValueError, match=r"^eta 0\.09 gives only 1 steps over T = 0\.1; need at least 2$"):
         steps_for(0.1, 0.09)
     with pytest.raises(ValueError, match="limit"):
         steps_for(1.0, 1e-310)
@@ -64,25 +62,25 @@ def test_spec_rejects_bad_inputs():
     good = dict(total_time=0.5, eta_list=(0.02, 0.01),
                 layer_sizes=(3, 2), seed=0, dataset=ds)
     InvarianceSpec(**good)
-    with pytest.raises(InvarianceError, match="two step sizes"):
+    with pytest.raises(ValueError, match="^need at least two step sizes to compare$"):
         InvarianceSpec(**{**good, "eta_list": (0.02,)})
-    with pytest.raises(InvarianceError, match="positive"):
+    with pytest.raises(ValueError, match="^step sizes must be positive and finite$"):
         InvarianceSpec(**{**good, "eta_list": (0.02, -0.01)})
-    with pytest.raises(InvarianceError, match="total_time"):
+    with pytest.raises(ValueError, match="^total_time must be positive and finite$"):
         InvarianceSpec(**{**good, "total_time": 0.0})
     # a non-finite window or step would fail later, in the step count, under
     # a message naming neither
     for total_time in (math.nan, math.inf):
-        with pytest.raises(InvarianceError, match="^total_time must be positive and finite$"):
+        with pytest.raises(ValueError, match="^total_time must be positive and finite$"):
             InvarianceSpec(**{**good, "total_time": total_time})
     for eta in (math.nan, math.inf):
-        with pytest.raises(InvarianceError, match="^step sizes must be positive and finite$"):
+        with pytest.raises(ValueError, match="^step sizes must be positive and finite$"):
             InvarianceSpec(**{**good, "eta_list": (0.02, eta)})
     # a tolerance of zero or below fails every comparable row, so the family
     # would run only to report FAIL
     # and an infinite one passes every row
     for tolerance in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(InvarianceError, match="^tolerance must be positive and finite$"):
+        with pytest.raises(ValueError, match="^tolerance must be positive and finite$"):
             InvarianceSpec(**{**good, "tolerance": tolerance})
 
 
@@ -130,7 +128,7 @@ def test_run_family_shares_seed_and_counts_steps():
 def test_repeated_step_sizes_are_rejected():
     # a repeated eta would compare a run with its own rerun and always pass
     ds = _toy_dataset(n=16, d=4, seed=3)
-    with pytest.raises(InvarianceError, match="distinct"):
+    with pytest.raises(ValueError, match="^step sizes must be distinct$"):
         InvarianceSpec(total_time=0.3, eta_list=(0.05, 0.025, 0.05),
                        layer_sizes=(4, 2), seed=5, dataset=ds)
 
@@ -195,9 +193,9 @@ def test_resample_rejects_disjoint_windows():
     a = FamilyRun("a", 0.1, _trace(0.1, 2))
     b = FamilyRun("b", 0.1, _trace(0.1, 2))
     b.trace.times = b.trace.times + 10.0
-    with pytest.raises(InvarianceError, match="overlap"):
+    with pytest.raises(ValueError, match="^trace time ranges do not overlap$"):
         resample_common_grid([a, b])
-    with pytest.raises(InvarianceError, match="at least two"):
+    with pytest.raises(ValueError, match="^need at least two runs to align$"):
         resample_common_grid([a])
 
 
@@ -205,7 +203,7 @@ def test_resample_rejects_runs_of_different_depth():
     # the family's array has one layer axis, so a shallower run would leave
     # the deeper layers unset
     deep = FamilyRun("deep", 0.1, _trace(0.1, 2, n_layers=2))
-    with pytest.raises(InvarianceError, match="same number of layers"):
+    with pytest.raises(ValueError, match="^runs of a family must have the same number of layers$"):
         resample_common_grid([deep, FamilyRun("shallow", 0.05, _trace(0.05, 4))])
 
 

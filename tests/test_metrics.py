@@ -39,7 +39,8 @@ def test_entropy_step_matches_loop_oracle():
 
 
 def test_entropy_step_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ShapeMismatchError,
+                       match=r"^entropy_step: incompatible shapes \(2, 3\) x \(3, 2\)$"):
         ska.entropy_step(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
@@ -64,7 +65,8 @@ def test_net_step_matches_loop_oracle():
 
 
 def test_net_step_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ShapeMismatchError,
+                       match=r"^net_step: incompatible shapes \(2, 2\) x \(2, 3\)$"):
         ska.net_step(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3)))
 
 
@@ -111,8 +113,7 @@ def _toy_trace(net_cum_col):
     steps = np.arange(1, K + 1, dtype=np.int64)
     values = np.zeros((K, 1, len(COLUMNS)))
     values[:, 0, COLUMNS.index("net_cum")] = net_cum_col
-    return TrajectoryTrace(layer_sizes=(1, 1), dt=0.1, steps=steps, times=steps * 0.1,
-                           values=values)
+    return TrajectoryTrace(dt=0.1, steps=steps, times=steps * 0.1, values=values)
 
 
 def test_trace_column_lookup():
