@@ -32,6 +32,7 @@ from .invariance import (
     resample_common_grid,
     run_family,
 )
+from .linalg import keep_heap
 from .metrics import (
     COLUMNS,
     TrajectoryTrace,
@@ -280,8 +281,9 @@ def write_json(path, payload: dict) -> None:
 
 
 def environment(traces) -> dict:
-    """Python, numpy and BLAS of this process, the BLAS thread variables, and
-    the BLAS thread count each of the command's runs used."""
+    """Python, numpy and BLAS of this process, the BLAS thread variables, the
+    BLAS thread count each of the command's runs used, and the malloc policy
+    main set."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.25 has no mode="dicts"
@@ -292,6 +294,7 @@ def environment(traces) -> dict:
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "thread_vars": {var: os.environ.get(var) for var in THREAD_VARS},
         "blas_threads": [trace.blas_threads for trace in traces],
+        "malloc": keep_heap(),
     }
 
 
@@ -499,6 +502,7 @@ NUMBER = ((int, float), "a number")
 NUMBER_OR_NULL = ((int, float, type(None)), "a number or null")
 VERDICT = ((bool, type(None)), "true, false or null")
 OBJECT = ((dict,), "an object")
+OBJECT_OR_NULL = ((dict, type(None)), "an object or null")
 LIST = ((list,), "a list")
 
 
@@ -526,15 +530,18 @@ def _items(obj, where: str, keys, kinds=None) -> list:
 def environment_line(manifest: dict) -> str:
     """The manifest's environment block as one line."""
     env = _fields(manifest["environment"], "manifest.json environment",
-                  ("python", "numpy", "blas", "thread_vars", "blas_threads"),
-                  {"blas": OBJECT, "thread_vars": OBJECT, "blas_threads": LIST})
+                  ("python", "numpy", "blas", "thread_vars", "blas_threads", "malloc"),
+                  {"blas": OBJECT, "thread_vars": OBJECT, "blas_threads": LIST,
+                   "malloc": OBJECT_OR_NULL})
     blas = env["blas"]
     thread_vars = " ".join(f"{k}={'unset' if v is None else v}"
                            for k, v in env["thread_vars"].items())
     threads = " ".join("?" if t is None else str(t) for t in env["blas_threads"])
+    malloc = "unchanged" if env["malloc"] is None else " ".join(
+        f"{k}={'refused' if v is None else v}" for k, v in env["malloc"].items())
     return (f"environment: Python {env['python']}, numpy {env['numpy']}, "
             f"BLAS {blas.get('name')} {blas.get('version')}, {thread_vars}, "
-            f"BLAS threads per run: {threads}")
+            f"malloc {malloc}, BLAS threads per run: {threads}")
 
 
 def report(out_dir: Path) -> int:
@@ -582,8 +589,17 @@ def report(out_dir: Path) -> int:
         rows = _items(result["rows"], "invariance_report.json rows",
                       ("metric", "run", "rel_dev", "tolerance", "passed"),
                       {"rel_dev": NUMBER_OR_NULL, "tolerance": NUMBER, "passed": VERDICT})
-        for row in rows:
-            word = {True: "pass", False: "FAIL", None: "incomparable"}[row["passed"]]
+        for i, row in enumerate(rows):
+            # compare's rule: a row passes when its rel_dev is within its
+            # tolerance, and is incomparable when it has no rel_dev
+            verdict = None if row["rel_dev"] is None else row["rel_dev"] <= row["tolerance"]
+            if row["passed"] is not verdict:
+                raise ValueError(
+                    f"invariance_report.json rows[{i}] ({row['metric']} {row['run']}) "
+                    f"stores passed {json.dumps(row['passed'])}, but its rel_dev "
+                    f"{json.dumps(row['rel_dev'])} and tolerance {row['tolerance']} "
+                    f"give {json.dumps(verdict)}")
+            word = {True: "pass", False: "FAIL", None: "incomparable"}[verdict]
             rel = "nan" if row["rel_dev"] is None else f"{row['rel_dev']:.4f}"
             say(f"{row['metric']} {row['run']}: rel_dev {rel} "
                 f"tol {row['tolerance']:.4f} {word}")
@@ -673,10 +689,12 @@ def main(argv=None) -> int:
     with the report's code; every library or config error exits 2 with one
     line.
 
-    numpy's floating-point warnings are off inside a command: a run whose
-    metrics go non-finite stops with its own error line instead. An --out
-    directory the command made is removed again on exit 2 while it is empty.
+    The process keeps the heap a step frees (linalg.keep_heap). numpy's
+    floating-point warnings are off inside a command: a run whose metrics
+    go non-finite stops with its own error line instead. An --out directory
+    the command made is removed again on exit 2 while it is empty.
     """
+    keep_heap()
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     made = args.command != "report" and not args.out.exists()

@@ -2,7 +2,8 @@
 
 matmul, outer_mean, the Frobenius norm and the flattened cosine: the four
 operations the dynamics and the metrics run on every step. blas_threads caps
-the threads of numpy's OpenBLAS for the length of a run. The three that
+the threads of numpy's OpenBLAS for the length of a run; keep_heap sets the C
+allocator's policy for the process that runs the steps. The three that
 take two operands check their shapes and raise ShapeMismatchError instead
 of letting broadcasting paper over a mistake. Matrices are 2-D float64
 arrays, row-major, one sample per row where a batch is involved. Nothing
@@ -29,6 +30,10 @@ _OPENBLAS_SYMBOLS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+# (name, glibc mallopt parameter, value) that keep_heap sets: M_MMAP_THRESHOLD
+# at its 64-bit maximum, above every block a step allocates, and
+# M_TRIM_THRESHOLD far above any run's heap.
+_HEAP_POLICY = (("mmap_threshold", -3, 32 << 20), ("trim_threshold", -1, 1 << 30))
 
 
 class ShapeMismatchError(ValueError):
@@ -129,3 +134,22 @@ def blas_threads(limit: int | None):
         yield limit
     finally:
         switch[1](before)
+
+
+@functools.cache
+def keep_heap() -> dict | None:
+    """Keep the blocks a step frees in the heap, for the next step to reuse.
+
+    glibc's default mmap threshold is 128 KiB, the size of a 512x32 float64
+    array, and its trim threshold follows it, so a freed block of that size
+    goes back to the kernel whenever it lands at the top of the heap and the
+    next step faults its pages in again. Sets both thresholds once for the
+    process, which keeps them: only a program that owns its process should
+    call this. Returns each value set (None where mallopt refused it), or
+    None, changing nothing, where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return {name: value if mallopt(param, value) else None for name, param, value in _HEAP_POLICY}

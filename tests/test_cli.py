@@ -5,7 +5,9 @@ asserted directly; one subprocess test covers the module entry point.
 """
 
 import json
+import os
 import platform
+import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -16,6 +18,7 @@ import pytest
 
 import ska
 from ska.cli import MARKERS_HEADER, TRACE_HEADER, main, write_trace_csv
+from ska.linalg import keep_heap
 
 TRAIN_CFG = {
     "seed": 3,
@@ -295,6 +298,34 @@ def test_report_takes_the_family_verdict_from_the_rows(tmp_path, capsys, all_pas
     assert lines[-1] == "FAIL"
 
 
+@pytest.mark.parametrize("changes,stored,gives", [
+    ({"rel_dev": 0.9}, "true", "false"),
+    ({"passed": None}, "null", "true"),
+    ({"rel_dev": None}, "true", "null"),
+], ids=["over-tolerance-passed", "measured-incomparable", "unmeasured-passed"])
+def test_report_rejects_a_row_verdict_its_numbers_do_not_give(tmp_path, capsys, changes,
+                                                              stored, gives):
+    """report judges each row by compare's rule, rel_dev <= tolerance with
+    a null rel_dev incomparable; a stored passed that disagrees is a
+    tampered report, which exits 2 naming the row."""
+    rc, out = _invariance(tmp_path, INV_CFG)
+    assert rc == 0
+    path = out / "invariance_report.json"
+    report = json.loads(path.read_text())
+    row = report["rows"][0]
+    assert row["passed"] is True and row["rel_dev"] < row["tolerance"] < 0.9
+    row.update(changes)
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: invariance_report.json rows[0] ({row['metric']} {row['run']}) "
+                          f"stores passed {stored}, but its rel_dev ")
+    assert err.endswith(f" give {gives}\n")
+
+
 # ----------------------------------------------------------- variational ---
 
 
@@ -420,11 +451,14 @@ def test_manifest_records_the_environment(tmp_path, capsys, monkeypatch):
     assert env["thread_vars"]["OPENBLAS_NUM_THREADS"] == "2"
     assert env["thread_vars"]["OMP_NUM_THREADS"] is None
     assert len(env["blas_threads"]) == 1
+    assert env["malloc"] == keep_heap()
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 0
     (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("environment:")]
     assert f"numpy {np.__version__}" in line and "OPENBLAS_NUM_THREADS=2" in line
     assert "OMP_NUM_THREADS=unset" in line
+    malloc = env["malloc"] or {}
+    assert ", malloc " + (" ".join(f"{k}={v}" for k, v in malloc.items()) or "unchanged") in line
     assert line.endswith(f"BLAS threads per run: {env['blas_threads'][0]}")
 
     rc, inv = _invariance(tmp_path, INV_CFG)
@@ -587,6 +621,38 @@ def test_overflow_prints_only_the_error_line(tmp_path):
     assert proc.stderr == "error: step 1, layer 0: z_norm is inf, not finite\n"
 
 
+# The benchmark's frozen family-invariance config: six step sizes, 2,059
+# Euler steps on the 64-32-16-4 net over 512 samples.
+FAMILY_CFG = {
+    "seed": 19,
+    "network": {"layer_sizes": [64, 32, 16, 4], "init_std_scale": 2.0},
+    "data": {"source": "synthetic", "n": 512, "dim": 64, "classes": 8, "seed": 13,
+             "center_spacing": 0.35, "std": 0.1},
+    "invariance": {"eta_list": [0.02, 0.01, 0.005, 0.0033, 0.0025, 0.001], "total_time": 1.0},
+}
+
+
+def test_a_command_keeps_the_heap_its_steps_free(tmp_path):
+    """Layer 0's Z and D are 512x32 float64, 128 KiB each: at glibc's default
+    thresholds a freed one can be handed back to the kernel and faulted in
+    again on the next step. Whether it is depends on the heap's layout: at
+    the defaults this process reads up to 74,000 minor faults (15,000 to
+    18,000 under pytest), and with the heap kept about 5,600 in every
+    layout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(ska.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    proc = subprocess.run(
+        [sys.executable, "-m", "ska", "invariance", "--config", _write_cfg(tmp_path, FAMILY_CFG),
+         "--out", str(tmp_path / "family")], env=env, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "family" / "manifest.json").read_text())
+    if manifest["environment"]["malloc"] is None:
+        pytest.skip("no mallopt: the C library keeps its own heap policy")
+    assert faults < 10_000, f"{faults} minor faults"
+
+
 def test_corrupt_manifest_exits_2_with_one_line(tmp_path, capsys):
     (tmp_path / "manifest.json").write_text('{"command": "train",')
     rc = main(["report", "--out", str(tmp_path)])
@@ -598,7 +664,7 @@ def test_corrupt_manifest_exits_2_with_one_line(tmp_path, capsys):
 # The keys every manifest holds whatever its command.
 BASE_MANIFEST = {"version": ska.__version__,
                  "environment": {"python": "3", "numpy": "2", "blas": {}, "thread_vars": {},
-                                 "blas_threads": []}}
+                                 "blas_threads": [], "malloc": None}}
 TRAIN_MANIFEST = {**BASE_MANIFEST, "command": "train",
                   "resolved": {"eta_times_K": 0.3, "layers": 2, "samples": 24}}
 TRAIN_MARKERS = ("markers.csv", f"{MARKERS_HEADER}\n0,entropy_min,3.0,0.1\n")
@@ -628,6 +694,9 @@ BAD_RUN_DIRS = {
                              "manifest.json has no key environment"),
     "train-no-version": (_without(TRAIN_MANIFEST, "version"), TRAIN_MARKERS,
                          "manifest.json has no key version"),
+    "train-no-malloc": ({**TRAIN_MANIFEST, "environment": _without(BASE_MANIFEST["environment"],
+                                                                   "malloc")},
+                        TRAIN_MARKERS, "manifest.json environment has no key malloc"),
     "variational-check-no-bound": (
         VAR_MANIFEST,
         ("variational_report.json",
@@ -649,6 +718,9 @@ BAD_RUN_DIRS = {
     "train-environment-threads-not-list": (
         {**TRAIN_MANIFEST, "environment": {**BASE_MANIFEST["environment"], "blas_threads": 1}},
         None, "environment key blas_threads must be a list, not 1"),
+    "train-environment-malloc-text": (
+        {**TRAIN_MANIFEST, "environment": {**BASE_MANIFEST["environment"], "malloc": "glibc"}},
+        None, 'environment key malloc must be an object or null, not "glibc"'),
     "variational-check-text-time": (
         VAR_MANIFEST,
         ("variational_report.json",
