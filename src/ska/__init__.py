@@ -26,7 +26,6 @@ from .dynamics import (
     step,
 )
 from .invariance import (
-    InvarianceSpec,
     compare,
     resample_common_grid,
     run_family,
@@ -64,7 +63,6 @@ __all__ = [
     "run",
     "sigmoid",
     "step",
-    "InvarianceSpec",
     "compare",
     "resample_common_grid",
     "run_family",

@@ -27,9 +27,10 @@ from .data import Dataset, constant_dataset, from_idx, glyph_dataset, synthetic_
 from .dynamics import NetworkConfig, bounded_steps, init_network, run
 from .invariance import (
     COMPARE_METRICS,
-    InvarianceSpec,
     compare,
+    family_passed,
     resample_common_grid,
+    row_passed,
     run_family,
 )
 from .linalg import keep_heap
@@ -169,8 +170,8 @@ def resolve_data(cfg: dict, default_seed: int) -> dict:
 
 
 def _check_rules(c: dict) -> None:
-    """The rules no ska object checks when it takes the value: NetworkConfig
-    checks the network and run keys, and from_idx data.limit."""
+    """The rules no ska object checks when it takes the value: NetworkConfig,
+    run_family, compare and from_idx check the keys they take."""
     for path, seed in (("seed", c["seed"]), ("data.seed", c["data"].get("seed"))):
         if seed is not None and seed < 0:
             # numpy's error for a negative seed does not name the key
@@ -398,31 +399,24 @@ def cmd_train(args, c: dict, t0: float) -> None:
 
 def cmd_invariance(args, c: dict, t0: float) -> None:
     out_dir = args.out
-    inv = c["invariance"]
-    spec = InvarianceSpec(
-        total_time=inv["total_time"],
-        eta_list=inv["eta_list"],
-        layer_sizes=c["network"]["layer_sizes"],
-        seed=c["seed"],
-        dataset=build_dataset(c["data"]),
-        init_std_scale=c["network"]["init_std_scale"],
-        tolerance=inv["tolerance"],
-    )
-    runs = run_family(spec)
+    net, inv = c["network"], c["invariance"]
+    traces = run_family(build_dataset(c["data"]), net["layer_sizes"], net["init_std_scale"],
+                        c["seed"], inv["total_time"], inv["eta_list"])
+    aligned = resample_common_grid(traces)
+    # compare checks the tolerance, so a bad one stops the run before any write
+    result = compare(aligned, inv["tolerance"])
     artifacts = ["aligned.csv", "invariance_report.csv", "invariance_report.json", "manifest.json"]
-    for i, fr in enumerate(runs):
-        name = f"trace_run{i}_eta{fr.eta:g}.csv"
-        write_trace_csv(out_dir / name, fr.trace)
+    for i, trace in enumerate(traces):
+        name = f"trace_run{i}_eta{trace.dt:g}.csv"
+        write_trace_csv(out_dir / name, trace)
         artifacts.append(name)
 
-    aligned = resample_common_grid(runs)
-    keys = product([(r.label, r.eta) for r in runs], COMPARE_METRICS,
+    keys = product(zip(aligned.labels, [t.dt for t in traces]), COMPARE_METRICS,
                    range(aligned.data.shape[3]), aligned.grid.tolist())
     values = aligned.data.transpose(0, 1, 3, 2).ravel().tolist()
     write_csv(out_dir / "aligned.csv", "metric,run,eta,layer,time,value",
               ((metric, lab, eta, l, t, v) for ((lab, eta), metric, l, t), v in zip(keys, values)))
 
-    result = compare(aligned, tolerance=spec.tolerance)
     write_json(out_dir / "invariance_report.json", result)
     # the CSV has one column per scalar field of a report row
     columns = [k for k, v in result["rows"][0].items() if not isinstance(v, dict)]
@@ -431,13 +425,10 @@ def cmd_invariance(args, c: dict, t0: float) -> None:
               ([words[row[k]] if k == "passed" else row[k] for k in columns]
                for row in result["rows"]))
 
-    resolved = {
-        "runs": [{"label": fr.label, "eta": fr.eta, "steps": fr.trace.n_steps,
-                  "eta_times_K": fr.eta * fr.trace.n_steps} for fr in runs],
-        "all_pass": result["all_pass"],
-    }
-    write_manifest(out_dir, "invariance", c, resolved, artifacts, t0,
-                   [fr.trace for fr in runs])
+    resolved = {"runs": [{"label": label, "eta": t.dt, "steps": t.n_steps,
+                          "eta_times_K": t.dt * t.n_steps}
+                         for label, t in zip(aligned.labels, traces)]}
+    write_manifest(out_dir, "invariance", c, resolved, artifacts, t0, traces)
 
 
 def cmd_variational(args, c: dict, t0: float) -> None:
@@ -497,7 +488,8 @@ def cmd_variational(args, c: dict, t0: float) -> None:
 
 
 # What a value report formats as a number, or reads as a verdict, must
-# be: the Python types json gives it, and their JSON name.
+# be: the exact types json gives it (a JSON true is a bool, which isinstance
+# would take for an int, so it is never a number), and their JSON name.
 NUMBER = ((int, float), "a number")
 NUMBER_OR_NULL = ((int, float, type(None)), "a number or null")
 VERDICT = ((bool, type(None)), "true, false or null")
@@ -515,7 +507,7 @@ def _fields(obj, where: str, keys, kinds=None) -> dict:
         if key not in obj:
             raise ValueError(f"{where} has no key {key}")
     for key, (types, name) in (kinds or {}).items():
-        if key in obj and not isinstance(obj[key], types):
+        if key in obj and type(obj[key]) not in types:
             raise ValueError(f"{where} key {key} must be {name}, not {json.dumps(obj[key])}")
     return obj
 
@@ -533,6 +525,10 @@ def environment_line(manifest: dict) -> str:
                   ("python", "numpy", "blas", "thread_vars", "blas_threads", "malloc"),
                   {"blas": OBJECT, "thread_vars": OBJECT, "blas_threads": LIST,
                    "malloc": OBJECT_OR_NULL})
+    for i, t in enumerate(env["blas_threads"]):
+        if type(t) not in (int, type(None)):
+            raise ValueError(f"manifest.json environment blas_threads[{i}] must be "
+                             f"an integer or null, not {json.dumps(t)}")
     blas = env["blas"]
     thread_vars = " ".join(f"{k}={'unset' if v is None else v}"
                            for k, v in env["thread_vars"].items())
@@ -590,9 +586,7 @@ def report(out_dir: Path) -> int:
                       ("metric", "run", "rel_dev", "tolerance", "passed"),
                       {"rel_dev": NUMBER_OR_NULL, "tolerance": NUMBER, "passed": VERDICT})
         for i, row in enumerate(rows):
-            # compare's rule: a row passes when its rel_dev is within its
-            # tolerance, and is incomparable when it has no rel_dev
-            verdict = None if row["rel_dev"] is None else row["rel_dev"] <= row["tolerance"]
+            verdict = row_passed(row["rel_dev"], row["tolerance"])
             if row["passed"] is not verdict:
                 raise ValueError(
                     f"invariance_report.json rows[{i}] ({row['metric']} {row['run']}) "
@@ -609,7 +603,7 @@ def report(out_dir: Path) -> int:
             w = max(measured, key=lambda r: r["rel_dev"] - r["tolerance"])
             say(f"worst row: {w['metric']} {w['run']}, rel_dev {w['rel_dev']:.4f} "
                 f"against tol {w['tolerance']:.4f}")
-        passed = all(r["passed"] is not False for r in rows)
+        passed = family_passed(rows)
         say("PASS" if passed else "FAIL")
     elif command == "variational-check":
         resolved = _fields(manifest.get("resolved"), "manifest.json resolved", ("eta_times_K",))

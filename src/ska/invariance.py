@@ -24,46 +24,9 @@ import numpy as np
 
 from .data import Dataset
 from .dynamics import NetworkConfig, bounded_steps, init_network, run
-from .metrics import TrajectoryTrace
 
 # Metrics compared across a family: trace columns, the per-step entropy divided by dt.
 COMPARE_METRICS = ("entropy_step_normalized", "cosine", "z_norm", "net_cum")
-
-
-@dataclass(frozen=True)
-class InvarianceSpec:
-    """A family of runs sharing everything except the step size."""
-
-    total_time: float
-    eta_list: tuple
-    layer_sizes: tuple
-    seed: int
-    dataset: Dataset
-    init_std_scale: float = 1.0
-    tolerance: float = 0.02
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta_list", tuple(float(e) for e in self.eta_list))
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
-        if not (self.total_time > 0.0 and np.isfinite(self.total_time)):
-            raise ValueError("total_time must be positive and finite")
-        if len(self.eta_list) < 2:
-            raise ValueError("need at least two step sizes to compare")
-        if not all(e > 0.0 and np.isfinite(e) for e in self.eta_list):
-            raise ValueError("step sizes must be positive and finite")
-        if len(set(self.eta_list)) != len(self.eta_list):
-            raise ValueError("step sizes must be distinct")
-        if not (self.tolerance > 0.0 and np.isfinite(self.tolerance)):
-            raise ValueError("tolerance must be positive and finite")
-
-
-@dataclass
-class FamilyRun:
-    """One run of a family; its step count is trace.n_steps."""
-
-    label: str
-    eta: float
-    trace: TrajectoryTrace
 
 
 def steps_for(total_time: float, eta: float) -> int:
@@ -76,25 +39,37 @@ def steps_for(total_time: float, eta: float) -> int:
     return k
 
 
-def run_family(spec: InvarianceSpec) -> list:
-    """Run every eta with shared seed, init and design matrix."""
-    runs = []
-    for i, eta in enumerate(spec.eta_list):
-        cfg = NetworkConfig(layer_sizes=spec.layer_sizes, dt=eta,
-                            steps=steps_for(spec.total_time, eta),
-                            init_std_scale=spec.init_std_scale, seed=spec.seed)
-        runs.append(FamilyRun(f"run{i}:eta={eta:g}", eta, run(init_network(cfg), spec.dataset)))
-    return runs
+def run_family(dataset: Dataset, layer_sizes, init_std_scale: float, seed: int,
+               total_time: float, eta_list) -> list:
+    """One trace per eta of eta_list, in its order: the seed's network run
+    on dataset over total_time at that step size. A trace's eta is its dt."""
+    if not (total_time > 0.0 and np.isfinite(total_time)):
+        raise ValueError("total_time must be positive and finite")
+    etas = [float(e) for e in eta_list]
+    if len(etas) < 2:
+        raise ValueError("need at least two step sizes to compare")
+    if not all(e > 0.0 and np.isfinite(e) for e in etas):
+        raise ValueError("step sizes must be positive and finite")
+    if len(set(etas)) != len(etas):
+        raise ValueError("step sizes must be distinct")
+    configs = [NetworkConfig(layer_sizes=layer_sizes, dt=eta, steps=steps_for(total_time, eta),
+                             init_std_scale=init_std_scale, seed=seed) for eta in etas]
+    return [run(init_network(cfg), dataset) for cfg in configs]
 
 
 @dataclass
 class AlignedFamily:
-    """Family metrics linearly resampled onto the coarsest run's time grid."""
+    """Family metrics linearly resampled onto the coarsest trace's time grid."""
 
     grid: np.ndarray
-    runs: list
-    reference: int  # index in runs of the smallest-eta run
-    data: np.ndarray  # (run, metric in COMPARE_METRICS order, grid time, layer)
+    traces: list
+    reference: int  # index in traces of the smallest-eta trace
+    data: np.ndarray  # (trace, metric in COMPARE_METRICS order, grid time, layer)
+
+    @property
+    def labels(self) -> list:
+        """Each trace's name in the report rows, aligned.csv and the manifest."""
+        return [f"run{i}:eta={trace.dt:g}" for i, trace in enumerate(self.traces)]
 
 
 def _interp_column(grid, times, values):
@@ -106,31 +81,43 @@ def _interp_column(grid, times, values):
     return np.interp(grid, times[good], values[good])
 
 
-def resample_common_grid(runs: list) -> AlignedFamily:
-    """Resample every run's COMPARE_METRICS onto the coarsest run's time grid.
+def resample_common_grid(traces: list) -> AlignedFamily:
+    """Resample every trace's COMPARE_METRICS onto the coarsest trace's time grid.
 
     Endpoints are clamped, never extrapolated. Errors out when the time
     ranges do not overlap at all. Resampling a run onto its own grid is the
     identity.
     """
-    if len(runs) < 2:
+    if len(traces) < 2:
         raise ValueError("need at least two runs to align")
-    start = max(r.trace.times[0] for r in runs)
-    end = min(r.trace.times[-1] for r in runs)
+    start = max(t.times[0] for t in traces)
+    end = min(t.times[-1] for t in traces)
     if start > end:
         raise ValueError("trace time ranges do not overlap")
-    if len({r.trace.n_layers for r in runs}) > 1:
+    if len({t.n_layers for t in traces}) > 1:
         raise ValueError("runs of a family must have the same number of layers")
-    grid = max(runs, key=lambda r: r.eta).trace.times.copy()
-    data = np.empty((len(runs), len(COMPARE_METRICS), len(grid), runs[0].trace.n_layers))
-    for i, r in enumerate(runs):
+    grid = max(traces, key=lambda t: t.dt).times.copy()
+    data = np.empty((len(traces), len(COMPARE_METRICS), len(grid), traces[0].n_layers))
+    for i, t in enumerate(traces):
         for m, metric in enumerate(COMPARE_METRICS):
-            column = (r.trace.column("entropy_step") / r.trace.dt
-                      if metric == "entropy_step_normalized" else r.trace.column(metric))
+            column = (t.column("entropy_step") / t.dt
+                      if metric == "entropy_step_normalized" else t.column(metric))
             for l in range(column.shape[1]):
-                data[i, m, :, l] = _interp_column(grid, r.trace.times, column[:, l])
-    reference = min(range(len(runs)), key=lambda i: runs[i].eta)
-    return AlignedFamily(grid, runs, reference, data)
+                data[i, m, :, l] = _interp_column(grid, t.times, column[:, l])
+    reference = min(range(len(traces)), key=lambda i: traces[i].dt)
+    return AlignedFamily(grid, traces, reference, data)
+
+
+def row_passed(rel_dev, tolerance):
+    """A row's verdict, rel_dev <= tolerance, or None (incomparable) for a NaN or null rel_dev."""
+    if rel_dev is None or rel_dev != rel_dev:
+        return None
+    return rel_dev <= tolerance
+
+
+def family_passed(rows) -> bool:
+    """A family's verdict: an incomparable row never fails it."""
+    return all(row["passed"] is not False for row in rows)
 
 
 def compare(aligned: AlignedFamily, tolerance: float = 0.02) -> dict:
@@ -140,48 +127,48 @@ def compare(aligned: AlignedFamily, tolerance: float = 0.02) -> dict:
     Per layer: dev = max_t |trace - reference|, rel = dev / (reference range
     over the grid). A reference layer whose range is zero, or whose values
     are all NaN, is incomparable: its rel is NaN and it never counts as
-    pass or fail. A row passes when its worst layer's rel is within the
-    eta-scaled tolerance, and is None when no layer is comparable.
+    pass or fail. A row's verdict is row_passed of its worst layer's rel
+    and its eta-scaled tolerance, None when no layer is comparable.
     """
-    runs, ref = aligned.runs, aligned.reference
-    ref_eta = runs[ref].eta
-    others = [(i, r) for i, r in enumerate(runs) if i != ref]
-    finest_gap = min((r.eta - ref_eta for _, r in others if r.eta > ref_eta), default=0.0)
+    if not (tolerance > 0.0 and np.isfinite(tolerance)):
+        raise ValueError("tolerance must be positive and finite")
+    traces, ref, labels = aligned.traces, aligned.reference, aligned.labels
+    ref_eta = traces[ref].dt
+    others = [(i, t) for i, t in enumerate(traces) if i != ref]
+    finest_gap = min((t.dt - ref_eta for _, t in others if t.dt > ref_eta), default=0.0)
     # fmax and fmin skip NaN, and give NaN for an all-NaN column without a warning
     base = aligned.data[ref]
     ranges = np.fmax.reduce(base, axis=1) - np.fmin.reduce(base, axis=1)
     ranges[np.isnan(ranges)] = 0.0
 
-    def one_row(m, metric, i, r):
+    def one_row(m, metric, i, t):
         dev = np.fmax.reduce(np.abs(aligned.data[i, m] - base[m]), axis=0)
         rng = ranges[m]
         comparable = (rng != 0.0) & ~np.isnan(dev)
         rel = np.full(len(dev), np.nan)
         rel[comparable] = dev[comparable] / rng[comparable]
-        if finest_gap > 0.0:
-            scaled_tol = tolerance * max(1.0, (r.eta - ref_eta) / finest_gap)
-        else:
-            scaled_tol = tolerance
+        scaled_tol = (tolerance * max(1.0, (t.dt - ref_eta) / finest_gap) if finest_gap > 0.0
+                      else tolerance)
         rel_dev = float(np.fmax.reduce(rel))
         return {
             "metric": metric,
-            "run": r.label,
-            "eta": r.eta,
+            "run": labels[i],
+            "eta": t.dt,
             "reference_eta": ref_eta,
             "sup_dev": float(np.fmax.reduce(np.where(comparable, dev, np.nan))),
             "rel_dev": rel_dev,
             "tolerance": scaled_tol,
-            "passed": rel_dev <= scaled_tol if comparable.any() else None,
+            "passed": row_passed(rel_dev, scaled_tol),
             "per_layer": {str(l): {"dev": d, "rel": q, "range": g} for l, (d, q, g)
                           in enumerate(zip(dev.tolist(), rel.tolist(), rng.tolist()))},
         }
 
-    rows = [one_row(m, metric, i, r)
-            for m, metric in enumerate(COMPARE_METRICS) for i, r in others]
+    rows = [one_row(m, metric, i, t)
+            for m, metric in enumerate(COMPARE_METRICS) for i, t in others]
     return {
-        "reference": runs[ref].label,
+        "reference": labels[ref],
         "reference_eta": ref_eta,
         "tolerance_base": tolerance,
-        "all_pass": all(row["passed"] is not False for row in rows),
+        "all_pass": family_passed(rows),
         "rows": rows,
     }

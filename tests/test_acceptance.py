@@ -24,7 +24,7 @@ import ska
 from ska import data as ska_data
 from ska.cli import main as cli_main
 from ska.dynamics import NetworkConfig
-from ska.invariance import InvarianceSpec, compare, resample_common_grid, run_family
+from ska.invariance import compare, resample_common_grid, run_family
 
 from conftest import ACCEPTANCE_LINES
 from test_variational import entropy_primitive, sample_path
@@ -97,23 +97,17 @@ def test_acceptance_1_gradient_oracle():
 def family():
     t0 = time.perf_counter()
     ds = ska.synthetic_blobs(**FAMILY_DATA)
-    spec = InvarianceSpec(
-        total_time=FAMILY_T,
-        eta_list=FAMILY_ETAS,
-        layer_sizes=FAMILY_NET["layer_sizes"],
-        seed=FAMILY_NET["seed"],
-        init_std_scale=FAMILY_NET["init_std_scale"],
-        dataset=ds,
-    )
-    return run_family(spec), time.perf_counter() - t0
+    traces = run_family(ds, FAMILY_NET["layer_sizes"], FAMILY_NET["init_std_scale"],
+                        FAMILY_NET["seed"], FAMILY_T, FAMILY_ETAS)
+    return traces, time.perf_counter() - t0
 
 
 def test_acceptance_2_time_invariance(family):
-    runs, build_time = family
+    traces, build_time = family
     c = Criterion(2, "characteristic-time invariance")
     c.t0 -= build_time  # the shared family build counts against this budget
-    aligned = resample_common_grid(runs)
-    np.testing.assert_array_equal(aligned.grid, runs[0].trace.times)
+    aligned = resample_common_grid(traces)
+    np.testing.assert_array_equal(aligned.grid, traces[0].times)
     report = compare(aligned, tolerance=0.02)
     rows = {(r["metric"], r["eta"]): r for r in report["rows"]}
     for metric in ("entropy_step_normalized", "cosine"):
@@ -133,10 +127,10 @@ def test_acceptance_2_time_invariance(family):
 
 
 def test_acceptance_3_entropy_scales_with_eta(family):
-    runs, _ = family
+    traces, _ = family
     c = Criterion(3, "raw entropy proportional to eta")
-    coarse = runs[1].trace  # eta = 0.01
-    fine = runs[2].trace    # eta = 0.005
+    coarse = traces[1]  # eta = 0.01
+    fine = traces[2]    # eta = 0.005
     ks = np.arange(17, 34)  # mid-trajectory window of the 50-step run
     ratio = coarse.column("entropy_step")[ks - 1, :] / fine.column("entropy_step")[2 * ks - 1, :]
     mean = float(ratio.mean())

@@ -503,7 +503,7 @@ BAD_INPUTS = {
     # a family has one seed, so there is no per-run seed key
     "seed-overrides": ("invariance", _with(INV_CFG, "invariance", seed_overrides=[5, 6]),
                        "unknown config key invariance.seed_overrides"),
-    # a tolerance of zero or below would run the family only to fail it
+    # a tolerance of zero or below would fail every row; compare stops it before any write
     "tolerance-zero": ("invariance", _with(INV_CFG, "invariance", tolerance=0),
                        "tolerance must be positive"),
     "tolerance-negative": ("invariance", _with(INV_CFG, "invariance", tolerance=-1),
@@ -715,6 +715,31 @@ BAD_RUN_DIRS = {
          {"rows": [{"metric": "cosine", "run": 1, "rel_dev": None, "tolerance": 0.02,
                     "passed": "yes"}]}),
         'key passed must be true, false or null, not "yes"'),
+    # a JSON true or false is no number, though Python's bool is an int
+    "invariance-bool-numbers": (
+        INV_MANIFEST,
+        ("invariance_report.json",
+         {"rows": [{"metric": "cosine", "run": 1, "rel_dev": False, "tolerance": True,
+                    "passed": True}]}),
+        "rows[0] key rel_dev must be a number or null, not false"),
+    "variational-check-bool-order": (
+        VAR_MANIFEST,
+        ("variational_report.json",
+         {"units": [{**VAR_UNIT, "el_order": True, "net_identity_crossings": []}]}),
+        "units[0] key el_order must be a number or null, not true"),
+    "variational-check-bool-bound": (
+        VAR_MANIFEST,
+        ("variational_report.json",
+         {"units": [{**VAR_UNIT, "net_identity_crossings": [{"time": 0.5, "residual": 0.0,
+                                                             "bound": True}]}]}),
+        "net_identity_crossings[0] key bound must be a number, not true"),
+    "train-environment-threads-text": (
+        {**TRAIN_MANIFEST, "environment": {**BASE_MANIFEST["environment"], "blas_threads": ["2"]}},
+        None, 'environment blas_threads[0] must be an integer or null, not "2"'),
+    "train-environment-threads-bool": (
+        {**TRAIN_MANIFEST, "environment": {**BASE_MANIFEST["environment"],
+                                           "blas_threads": [1, True]}},
+        None, "environment blas_threads[1] must be an integer or null, not true"),
     "train-environment-threads-not-list": (
         {**TRAIN_MANIFEST, "environment": {**BASE_MANIFEST["environment"], "blas_threads": 1}},
         None, "environment key blas_threads must be a list, not 1"),

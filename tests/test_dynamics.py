@@ -185,6 +185,25 @@ def test_entropy_gradient_odd_and_zero():
     assert float(ska.entropy_gradient(np.array(0.0), np.array(0.5))) == 0.0
 
 
+def test_net_balance_point_is_a_level_the_flow_passes():
+    """The tensor net's integrand D - G vanishes per unit at one z*, the
+    abstract's "equilibrium state". G is not zero there, so a unit's weights
+    keep moving: z* is a level the flow passes through, not a fixed point."""
+    def balance(z):
+        d = ska.sigmoid(np.array([z]))
+        return float((d - ska.entropy_gradient(np.array([z]), d))[0])
+
+    lo, hi = -5.0, 0.0
+    assert balance(lo) < 0.0 < balance(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if balance(mid) < 0.0 else (lo, mid)
+    z_star = 0.5 * (lo + hi)
+    assert abs(z_star + 0.95885) < 1e-4
+    g = ska.entropy_gradient(np.array([z_star]), ska.sigmoid(np.array([z_star])))
+    assert float(g[0]) > 0.27
+
+
 def test_entropy_primitive_frozen_value_and_origin():
     assert float(entropy_primitive(0.0)) == 0.0
     assert abs(float(entropy_primitive(1.0)) - H1) < 1e-15

@@ -15,8 +15,6 @@ import ska
 from ska.dynamics import NetworkConfig
 from ska.invariance import (
     COMPARE_METRICS,
-    FamilyRun,
-    InvarianceSpec,
     _interp_column,
     compare,
     resample_common_grid,
@@ -39,13 +37,13 @@ def _trace(eta, K, columns=None, n_layers=1):
     return TrajectoryTrace(dt=eta, steps=steps, times=steps * eta, values=values)
 
 
-def _euler_run(label, eta, total_time=1.0):
+def _euler_run(eta, total_time=1.0):
     K = int(round(total_time / eta))
     z = (1.0 - eta) ** np.arange(1, K + 1, dtype=np.float64)
-    return FamilyRun(label=label, eta=eta, trace=_trace(eta, K, {"z_norm": z}))
+    return _trace(eta, K, {"z_norm": z})
 
 
-# -------------------------------------------------------- spec checks ---
+# -------------------------------------------------------- input checks ---
 
 
 def test_steps_for_rounds_the_window():
@@ -57,31 +55,29 @@ def test_steps_for_rounds_the_window():
         steps_for(1.0, 1e-310)
 
 
-def test_spec_rejects_bad_inputs():
-    ds = _toy_dataset()
-    good = dict(total_time=0.5, eta_list=(0.02, 0.01),
-                layer_sizes=(3, 2), seed=0, dataset=ds)
-    InvarianceSpec(**good)
+def test_run_family_and_compare_reject_bad_inputs():
+    good = dict(dataset=_toy_dataset(), layer_sizes=(3, 2), init_std_scale=1.0, seed=0,
+                total_time=0.5, eta_list=(0.02, 0.01))
+    aligned = resample_common_grid(run_family(**good))
     with pytest.raises(ValueError, match="^need at least two step sizes to compare$"):
-        InvarianceSpec(**{**good, "eta_list": (0.02,)})
+        run_family(**{**good, "eta_list": (0.02,)})
     with pytest.raises(ValueError, match="^step sizes must be positive and finite$"):
-        InvarianceSpec(**{**good, "eta_list": (0.02, -0.01)})
+        run_family(**{**good, "eta_list": (0.02, -0.01)})
     with pytest.raises(ValueError, match="^total_time must be positive and finite$"):
-        InvarianceSpec(**{**good, "total_time": 0.0})
+        run_family(**{**good, "total_time": 0.0})
     # a non-finite window or step would fail later, in the step count, under
     # a message naming neither
     for total_time in (math.nan, math.inf):
         with pytest.raises(ValueError, match="^total_time must be positive and finite$"):
-            InvarianceSpec(**{**good, "total_time": total_time})
+            run_family(**{**good, "total_time": total_time})
     for eta in (math.nan, math.inf):
         with pytest.raises(ValueError, match="^step sizes must be positive and finite$"):
-            InvarianceSpec(**{**good, "eta_list": (0.02, eta)})
-    # a tolerance of zero or below fails every comparable row, so the family
-    # would run only to report FAIL
-    # and an infinite one passes every row
+            run_family(**{**good, "eta_list": (0.02, eta)})
+    # a tolerance of zero or below fails every comparable row, and an
+    # infinite one passes every row
     for tolerance in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="^tolerance must be positive and finite$"):
-            InvarianceSpec(**{**good, "tolerance": tolerance})
+            compare(aligned, tolerance)
 
 
 # -------------------------------------------------------- interpolation ---
@@ -113,24 +109,22 @@ def test_interp_column_skips_nan_samples():
 
 def test_run_family_shares_seed_and_counts_steps():
     ds = _toy_dataset(n=16, d=4, seed=2)
-    spec = InvarianceSpec(total_time=0.5, eta_list=(0.1, 0.05),
-                          layer_sizes=(4, 3), seed=11, dataset=ds)
-    runs = run_family(spec)
-    assert [r.trace.n_steps for r in runs] == [5, 10]
-    assert [r.label for r in runs] == ["run0:eta=0.1", "run1:eta=0.05"]
+    traces = run_family(ds, (4, 3), 1.0, 11, 0.5, (0.1, 0.05))
+    assert [t.dt for t in traces] == [0.1, 0.05]
+    assert [t.n_steps for t in traces] == [5, 10]
+    assert resample_common_grid(traces).labels == ["run0:eta=0.1", "run1:eta=0.05"]
     # every run is the seed-11 network at its own step size
-    for r in runs:
-        cfg = NetworkConfig((4, 3), dt=r.eta, steps=r.trace.n_steps, seed=11)
-        assert np.array_equal(r.trace.values, ska.run(ska.init_network(cfg), ds).values)
-    assert abs(runs[0].eta * runs[0].trace.n_steps - 0.5) < 1e-12
+    for t in traces:
+        cfg = NetworkConfig((4, 3), dt=t.dt, steps=t.n_steps, seed=11)
+        assert np.array_equal(t.values, ska.run(ska.init_network(cfg), ds).values)
+    assert abs(traces[0].dt * traces[0].n_steps - 0.5) < 1e-12
 
 
 def test_repeated_step_sizes_are_rejected():
     # a repeated eta would compare a run with its own rerun and always pass
     ds = _toy_dataset(n=16, d=4, seed=3)
     with pytest.raises(ValueError, match="^step sizes must be distinct$"):
-        InvarianceSpec(total_time=0.3, eta_list=(0.05, 0.025, 0.05),
-                       layer_sizes=(4, 2), seed=5, dataset=ds)
+        run_family(ds, (4, 2), 1.0, 5, 0.3, (0.05, 0.025, 0.05))
 
 
 # -------------------------------------------------------------- compare ---
@@ -138,8 +132,7 @@ def test_repeated_step_sizes_are_rejected():
 
 def test_compare_euler_family_first_order_drift():
     etas = (0.05, 0.025, 0.0125, 0.00625)
-    runs = [_euler_run(f"run{i}", e) for i, e in enumerate(etas)]
-    report = compare(resample_common_grid(runs), tolerance=0.02)
+    report = compare(resample_common_grid([_euler_run(e) for e in etas]), tolerance=0.02)
     assert report["reference_eta"] == 0.00625
     assert report["all_pass"]
     rows = {r["eta"]: r for r in report["rows"] if r["metric"] == "z_norm"}
@@ -152,37 +145,32 @@ def test_compare_euler_family_first_order_drift():
 def test_compare_scales_tolerance_with_step_gap():
     # linear-in-time columns make interpolation exact, so the injected
     # offsets are recovered as the sup deviations
-    def biased(label, eta, K, offset):
+    def biased(eta, K, offset):
         t = np.arange(1, K + 1) * eta
-        return FamilyRun(label=label, eta=eta, trace=_trace(eta, K, {"z_norm": t + offset}))
+        return _trace(eta, K, {"z_norm": t + offset})
 
-    runs = [
-        biased("ref", 0.001, 100, 0.0),
-        biased("mid", 0.005, 20, 0.001),
-        biased("coarse", 0.02, 5, 0.01),
-    ]
-    report = compare(resample_common_grid(runs), tolerance=0.02)
+    traces = [biased(0.001, 100, 0.0), biased(0.005, 20, 0.001), biased(0.02, 5, 0.01)]
+    report = compare(resample_common_grid(traces), tolerance=0.02)
+    assert report["reference"] == "run0:eta=0.001"
     rows = {r["run"]: r for r in report["rows"] if r["metric"] == "z_norm"}
-    assert abs(rows["mid"]["sup_dev"] - 0.001) < 1e-12
-    assert abs(rows["coarse"]["sup_dev"] - 0.01) < 1e-12
+    mid, coarse = rows["run1:eta=0.005"], rows["run2:eta=0.02"]
+    assert abs(mid["sup_dev"] - 0.001) < 1e-12
+    assert abs(coarse["sup_dev"] - 0.01) < 1e-12
     # finest gap is 0.005 - 0.001; the coarse run gets (0.019 / 0.004) times
     # the base tolerance while the finest pair keeps the base
-    assert abs(rows["mid"]["tolerance"] - 0.02) < 1e-12
-    assert abs(rows["coarse"]["tolerance"] - 0.02 * (0.019 / 0.004)) < 1e-12
+    assert abs(mid["tolerance"] - 0.02) < 1e-12
+    assert abs(coarse["tolerance"] - 0.02 * (0.019 / 0.004)) < 1e-12
     # grid range is 0.08, so rel devs are 0.0125 and 0.125
-    assert rows["mid"]["passed"] is True
-    assert rows["coarse"]["passed"] is False
+    assert mid["passed"] is True
+    assert coarse["passed"] is False
     assert not report["all_pass"]
 
 
 def test_compare_flags_zero_range_layers_incomparable():
-    runs = [
-        _euler_run("a", 0.05),
-        _euler_run("b", 0.025),
-    ]
-    for r in runs:
-        r.trace.column("cosine")[:] = 0.25
-    report = compare(resample_common_grid(runs))
+    traces = [_euler_run(0.05), _euler_run(0.025)]
+    for t in traces:
+        t.column("cosine")[:] = 0.25
+    report = compare(resample_common_grid(traces))
     (row,) = [r for r in report["rows"] if r["metric"] == "cosine"]
     assert row["passed"] is None
     assert math.isnan(row["rel_dev"])
@@ -190,9 +178,9 @@ def test_compare_flags_zero_range_layers_incomparable():
 
 
 def test_resample_rejects_disjoint_windows():
-    a = FamilyRun("a", 0.1, _trace(0.1, 2))
-    b = FamilyRun("b", 0.1, _trace(0.1, 2))
-    b.trace.times = b.trace.times + 10.0
+    a = _trace(0.1, 2)
+    b = _trace(0.1, 2)
+    b.times = b.times + 10.0
     with pytest.raises(ValueError, match="^trace time ranges do not overlap$"):
         resample_common_grid([a, b])
     with pytest.raises(ValueError, match="^need at least two runs to align$"):
@@ -202,17 +190,15 @@ def test_resample_rejects_disjoint_windows():
 def test_resample_rejects_runs_of_different_depth():
     # the family's array has one layer axis, so a shallower run would leave
     # the deeper layers unset
-    deep = FamilyRun("deep", 0.1, _trace(0.1, 2, n_layers=2))
+    deep = _trace(0.1, 2, n_layers=2)
     with pytest.raises(ValueError, match="^runs of a family must have the same number of layers$"):
-        resample_common_grid([deep, FamilyRun("shallow", 0.05, _trace(0.05, 4))])
+        resample_common_grid([deep, _trace(0.05, 4)])
 
 
 def test_normalized_entropy_collapses_on_real_runs():
     """Per-step entropy divided by eta approaches an eta-free rate."""
     ds = _toy_dataset(n=32, d=4, seed=4)
-    spec = InvarianceSpec(total_time=0.2, eta_list=(0.02, 0.01, 0.005),
-                          layer_sizes=(4, 3, 2), seed=7, dataset=ds)
-    aligned = resample_common_grid(run_family(spec))
+    aligned = resample_common_grid(run_family(ds, (4, 3, 2), 1.0, 7, 0.2, (0.02, 0.01, 0.005)))
     assert aligned.data.shape == (3, len(COMPARE_METRICS), len(aligned.grid), 2)
     report = compare(aligned, tolerance=0.25)
     assert len(report["rows"]) == 2 * len(COMPARE_METRICS)
