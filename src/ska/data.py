@@ -64,40 +64,40 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def from_idx(image_path, limit: int | None = None) -> Dataset:
-    """The IDX images, or their first limit rows, scaled into [0, 1]. The
-    whole file is validated whatever the limit; only kept rows are converted."""
+def from_idx(images, limit: int | None = None) -> Dataset:
+    """The IDX image file at path images, or its first limit rows, scaled into
+    [0, 1]. The whole file is validated whatever the limit; only kept rows are converted."""
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
     try:
-        with _open(image_path, "rb") as fh:
+        with _open(images, "rb") as fh:
             raw = fh.read()
     except EOFError as exc:
-        raise IdxFormatError(f"{image_path}: compressed stream ends early") from exc
+        raise IdxFormatError(f"{images}: compressed stream ends early") from exc
     except (zlib.error, gzip.BadGzipFile) as exc:
-        raise IdxFormatError(f"{image_path}: damaged compressed stream: {exc}") from exc
+        raise IdxFormatError(f"{images}: damaged compressed stream: {exc}") from exc
     if len(raw) < _HEADER.size:
-        raise IdxFormatError(f"{image_path}: file shorter than {_HEADER.size}-byte header")
+        raise IdxFormatError(f"{images}: file shorter than {_HEADER.size}-byte header")
     magic, n, rows, cols = _HEADER.unpack_from(raw)
     if magic != IMAGE_MAGIC:
-        raise IdxFormatError(f"{image_path}: magic {magic}, expected {IMAGE_MAGIC}")
+        raise IdxFormatError(f"{images}: magic {magic}, expected {IMAGE_MAGIC}")
     count = n * rows * cols
     if count > _MAX_PAYLOAD:
-        raise IdxFormatError(f"{image_path}: declared sizes {(n, rows, cols)} overflow")
+        raise IdxFormatError(f"{images}: declared sizes {(n, rows, cols)} overflow")
     payload = len(raw) - _HEADER.size
     if payload < count:
         raise IdxFormatError(
-            f"{image_path}: payload has {payload} bytes, header declares {count}"
+            f"{images}: payload has {payload} bytes, header declares {count}"
         )
     if payload > count:
-        raise IdxFormatError(f"{image_path}: {payload - count} trailing bytes after payload")
+        raise IdxFormatError(f"{images}: {payload - count} trailing bytes after payload")
     pixels = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size).reshape(n, rows * cols)
     return Dataset(pixels[:limit] / 255.0)
 
 
 def synthetic_blobs(
     n: int,
-    d: int,
+    dim: int,
     classes: int,
     seed: int,
     center_spacing: float = 0.45,
@@ -105,19 +105,19 @@ def synthetic_blobs(
 ) -> Dataset:
     """Class-conditional Gaussian blobs clipped to the unit box.
 
-    Class centers are drawn inside [0.25, 0.75]^d and redrawn until every
+    Class centers are drawn inside [0.25, 0.75]^dim and redrawn until every
     pair is at least center_spacing apart, so the class structure survives
     the clip. Sample i belongs to class i mod classes. Fully determined by
     the seed.
     """
-    if n < 1 or d < 1 or classes < 1:
-        raise ValueError("n, d and classes must be positive")
+    if n < 1 or dim < 1 or classes < 1:
+        raise ValueError("n, dim and classes must be positive")
     rng = np.random.default_rng(seed)
-    centers = np.empty((classes, d))
+    centers = np.empty((classes, dim))
     placed = 0
     attempts = 0
     while placed < classes:
-        cand = rng.uniform(0.25, 0.75, size=d)
+        cand = rng.uniform(0.25, 0.75, size=dim)
         ok = all(np.linalg.norm(cand - centers[j]) >= center_spacing for j in range(placed))
         if ok:
             centers[placed] = cand
@@ -125,18 +125,18 @@ def synthetic_blobs(
         attempts += 1
         if attempts > 10000:
             raise ValueError(
-                f"cannot place {classes} centers {center_spacing} apart in {d} dims"
+                f"cannot place {classes} centers {center_spacing} apart in {dim} dims"
             )
-    inputs = centers[np.arange(n) % classes] + std * rng.standard_normal((n, d))
+    inputs = centers[np.arange(n) % classes] + std * rng.standard_normal((n, dim))
     np.clip(inputs, 0.0, 1.0, out=inputs)
     return Dataset(inputs)
 
 
-def constant_dataset(n: int, d: int, value: float = 1.0) -> Dataset:
+def constant_dataset(n: int, dim: int, value: float = 1.0) -> Dataset:
     """Every sample is the same constant vector. Useful for scalar-unit runs."""
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
-    return Dataset(np.full((n, d), float(value)))
+    if n < 1 or dim < 1:
+        raise ValueError("n and dim must be positive")
+    return Dataset(np.full((n, dim), float(value)))
 
 
 # 7x5 digit stencils. '#' is ink. Upscaled 3x and jittered at render time.

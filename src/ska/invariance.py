@@ -9,11 +9,10 @@ entropy scales linearly with eta and is divided by eta before comparison;
 cosine, z_norm and cumulative net need no normalization.
 
 Deviations are measured against the smallest-eta run in the family and are
-reported relative to that reference trace's per-layer range. The pass
-tolerance for a coarser run scales with (eta - eta_ref): first-order Euler
-error grows linearly in the step, so a 20x coarser run is allowed
-proportionally more drift. With the default 0.02 the finest pair is held to
-2 percent while eta = 0.02 against an eta = 0.001 reference gets 9.5 percent.
+reported relative to that reference trace's per-layer range. The finest
+pair passes within the fixed TOLERANCE, 2 percent; a coarser run's tolerance
+scales with (eta - eta_ref), as first-order Euler error grows linearly in the
+step, so eta = 0.02 against an eta = 0.001 reference gets 9.5 percent.
 """
 
 from __future__ import annotations
@@ -27,6 +26,8 @@ from .dynamics import NetworkConfig, bounded_steps, init_network, run
 
 # Metrics compared across a family: trace columns, the per-step entropy divided by dt.
 COMPARE_METRICS = ("entropy_step_normalized", "cosine", "z_norm", "net_cum")
+# Largest relative deviation the finest pair of a family passes with.
+TOLERANCE = 0.02
 
 
 def steps_for(total_time: float, eta: float) -> int:
@@ -120,7 +121,7 @@ def family_passed(rows) -> bool:
     return all(row["passed"] is not False for row in rows)
 
 
-def compare(aligned: AlignedFamily, tolerance: float = 0.02) -> dict:
+def compare(aligned: AlignedFamily) -> dict:
     """Sup-norm deviations from the smallest-eta reference on the shared
     grid, as the invariance_report.json payload.
 
@@ -128,10 +129,8 @@ def compare(aligned: AlignedFamily, tolerance: float = 0.02) -> dict:
     over the grid). A reference layer whose range is zero, or whose values
     are all NaN, is incomparable: its rel is NaN and it never counts as
     pass or fail. A row's verdict is row_passed of its worst layer's rel
-    and its eta-scaled tolerance, None when no layer is comparable.
+    and TOLERANCE scaled by its step gap, None when no layer is comparable.
     """
-    if not (tolerance > 0.0 and np.isfinite(tolerance)):
-        raise ValueError("tolerance must be positive and finite")
     traces, ref, labels = aligned.traces, aligned.reference, aligned.labels
     ref_eta = traces[ref].dt
     others = [(i, t) for i, t in enumerate(traces) if i != ref]
@@ -147,8 +146,8 @@ def compare(aligned: AlignedFamily, tolerance: float = 0.02) -> dict:
         comparable = (rng != 0.0) & ~np.isnan(dev)
         rel = np.full(len(dev), np.nan)
         rel[comparable] = dev[comparable] / rng[comparable]
-        scaled_tol = (tolerance * max(1.0, (t.dt - ref_eta) / finest_gap) if finest_gap > 0.0
-                      else tolerance)
+        scaled_tol = (TOLERANCE * max(1.0, (t.dt - ref_eta) / finest_gap) if finest_gap > 0.0
+                      else TOLERANCE)
         rel_dev = float(np.fmax.reduce(rel))
         return {
             "metric": metric,
@@ -168,7 +167,7 @@ def compare(aligned: AlignedFamily, tolerance: float = 0.02) -> dict:
     return {
         "reference": labels[ref],
         "reference_eta": ref_eta,
-        "tolerance_base": tolerance,
+        "tolerance_base": TOLERANCE,
         "all_pass": family_passed(rows),
         "rows": rows,
     }

@@ -30,7 +30,7 @@ from conftest import ACCEPTANCE_LINES
 from test_variational import entropy_primitive, sample_path
 
 # criterion 2/3 family, frozen
-FAMILY_DATA = dict(n=512, d=64, classes=8, seed=13, center_spacing=0.35, std=0.1)
+FAMILY_DATA = dict(n=512, dim=64, classes=8, seed=13, center_spacing=0.35, std=0.1)
 FAMILY_NET = dict(layer_sizes=(64, 32, 16, 4), seed=19, init_std_scale=2.0)
 FAMILY_ETAS = (0.02, 0.01, 0.005, 0.001)
 FAMILY_T = 0.5
@@ -108,7 +108,7 @@ def test_acceptance_2_time_invariance(family):
     c.t0 -= build_time  # the shared family build counts against this budget
     aligned = resample_common_grid(traces)
     np.testing.assert_array_equal(aligned.grid, traces[0].times)
-    report = compare(aligned, tolerance=0.02)
+    report = compare(aligned)
     rows = {(r["metric"], r["eta"]): r for r in report["rows"]}
     for metric in ("entropy_step_normalized", "cosine"):
         finest = rows[(metric, 0.005)]
@@ -263,7 +263,7 @@ def test_acceptance_7_rerun_determinism(tmp_path):
         "seed": 21,
         "network": {"layer_sizes": [8, 4]},
         "data": train_cfg["data"],
-        "invariance": {"eta_list": [0.02, 0.01], "total_time": 0.2, "tolerance": 0.5},
+        "invariance": {"eta_list": [0.01, 0.005], "total_time": 0.2},
     }
     inv_path = tmp_path / "inv.json"
     inv_path.write_text(json.dumps(inv_cfg))
@@ -271,7 +271,7 @@ def test_acceptance_7_rerun_determinism(tmp_path):
         rc = cli_main(["invariance", "--config", str(inv_path), "--out", str(tmp_path / name)])
         c.check(rc == 0, f"invariance run {name} exited {rc}")
     for artifact in ("aligned.csv", "invariance_report.csv",
-                     "trace_run0_eta0.02.csv", "trace_run1_eta0.01.csv"):
+                     "trace_run0_eta0.01.csv", "trace_run1_eta0.005.csv"):
         same = (tmp_path / "ia" / artifact).read_bytes() == (tmp_path / "ib" / artifact).read_bytes()
         c.check(same, f"{artifact} differs between identical invariance runs")
     c.finish()

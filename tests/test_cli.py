@@ -204,7 +204,7 @@ INV_CFG = {
     "seed": 5,
     "network": {"layer_sizes": [4, 3]},
     "data": {"source": "synthetic", "n": 16, "dim": 4, "classes": 2, "seed": 2},
-    "invariance": {"eta_list": [0.02, 0.01], "total_time": 0.2, "tolerance": 0.5},
+    "invariance": {"eta_list": [0.01, 0.005], "total_time": 0.2},
 }
 
 
@@ -223,8 +223,8 @@ def test_invariance_family_passes_and_reports(tmp_path, capsys):
     assert len(rows) == 1 + 4
     report = json.loads((out / "invariance_report.json").read_text())
     assert report["all_pass"] is True
-    assert (out / "trace_run0_eta0.02.csv").exists()
-    assert (out / "trace_run1_eta0.01.csv").exists()
+    assert (out / "trace_run0_eta0.01.csv").exists()
+    assert (out / "trace_run1_eta0.005.csv").exists()
     assert (out / "aligned.csv").read_text().splitlines()[0] == \
         "metric,run,eta,layer,time,value"
     rc2 = main(["report", "--out", str(out)])
@@ -237,12 +237,12 @@ def test_invariance_family_passes_and_reports(tmp_path, capsys):
     assert lines[-1] == "PASS"
 
 
-def test_invariance_report_csv_cells_match_the_json_rows(tmp_path):
+def test_invariance_report_csv_cells_match_the_json_rows(tmp_path, monkeypatch):
     # a one-weight net on a constant input: its cosine is constant, so those
-    # rows are incomparable, and at this tolerance the entropy rows fail
+    # rows are incomparable, and at a tolerance of 0.01 the entropy rows fail
+    monkeypatch.setattr("ska.invariance.TOLERANCE", 0.01)
     cfg = {"seed": 4, "network": {"layer_sizes": [1, 1]}, "data": {"source": "constant"},
-           "invariance": {"eta_list": [0.02, 0.01, 0.005], "total_time": 0.2,
-                          "tolerance": 0.01}}
+           "invariance": {"eta_list": [0.02, 0.01, 0.005], "total_time": 0.2}}
     rc, out = _invariance(tmp_path, cfg)
     assert rc == 1
     header, *lines = (out / "invariance_report.csv").read_text().splitlines()
@@ -269,9 +269,9 @@ def test_invariance_report_csv_cells_match_the_json_rows(tmp_path):
     assert any(r["rel_dev"] is None for r in rows.values())
 
 
-def test_invariance_failure_exits_1(tmp_path, capsys):
-    cfg = dict(INV_CFG, invariance=dict(INV_CFG["invariance"], tolerance=1e-9))
-    rc, out = _invariance(tmp_path, cfg, out="tight")
+def test_invariance_failure_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("ska.invariance.TOLERANCE", 1e-9)
+    rc, out = _invariance(tmp_path, INV_CFG, out="tight")
     assert rc == 1
     assert json.loads((out / "invariance_report.json").read_text())["all_pass"] is False
     rc2 = main(["report", "--out", str(out)])
@@ -503,19 +503,17 @@ BAD_INPUTS = {
     # a family has one seed, so there is no per-run seed key
     "seed-overrides": ("invariance", _with(INV_CFG, "invariance", seed_overrides=[5, 6]),
                        "unknown config key invariance.seed_overrides"),
-    # a tolerance of zero or below would fail every row; compare stops it before any write
-    "tolerance-zero": ("invariance", _with(INV_CFG, "invariance", tolerance=0),
-                       "tolerance must be positive"),
-    "tolerance-negative": ("invariance", _with(INV_CFG, "invariance", tolerance=-1),
-                           "tolerance must be positive"),
     # keys of deleted options: every step forwards the whole design matrix,
-    # run.steps is the one run window, and a family compares every metric
+    # run.steps is the one run window, a family compares every metric, and
+    # its tolerance is the constant ska.invariance.TOLERANCE
     "data-batch": ("train", _with(TRAIN_CFG, "data", batch={"mode": "full"}),
                    "unknown config key data.batch"),
     "run-total-time": ("train", _with(TRAIN_CFG, "run", total_time=0.3),
                        "unknown config key run.total_time"),
     "invariance-metrics": ("invariance", _with(INV_CFG, "invariance", metrics=["cosine"]),
                            "unknown config key invariance.metrics"),
+    "invariance-tolerance": ("invariance", _with(INV_CFG, "invariance", tolerance=0.02),
+                             "unknown config key invariance.tolerance"),
     "unit-out-of-range": ("variational-check", {"run": {"dt": 0.05, "steps": 4},
                                                 "variational": {"units": [[0, 5, 0]]}},
                           "unit 5"),
@@ -686,6 +684,13 @@ BAD_RUN_DIRS = {
     "train": ({**TRAIN_MANIFEST, "resolved": {"eta_times_K": 0.3, "layers": 2}}, None,
               "samples"),
     "invariance": (INV_MANIFEST, ("invariance_report.json", {}), "rows"),
+    # a family compares at least one row and a check records at least one
+    # unit, so an empty list is no verdict, whatever all_pass holds
+    "invariance-no-rows": (INV_MANIFEST, ("invariance_report.json",
+                                          {"rows": [], "all_pass": False}),
+                           "invariance_report.json rows is empty"),
+    "variational-check-no-units": (VAR_MANIFEST, ("variational_report.json", {"units": []}),
+                                   "variational_report.json units is empty"),
     "variational-check": (VAR_MANIFEST,
                           ("variational_report.json", {"units": [{"selection": [0, 0, 0]}]}),
                           "action_entropy"),
@@ -857,19 +862,20 @@ def test_module_entry_point(tmp_path):
 SINGLE_UNIT = str(Path(__file__).resolve().parents[1] / "configs" / "single_unit.json")
 
 
-@pytest.mark.parametrize("command,cfg,extra,floor,rc", [
-    ("train", TRAIN_CFG, (), 1.8, 0),
-    ("invariance", INV_CFG, (), 1.8, 0),
-    ("invariance", _with(INV_CFG, "invariance", tolerance=1e-9), (), 1.8, 1),
-    ("variational-check", SINGLE_UNIT, (), 1.8, 0),
-    ("variational-check", SINGLE_UNIT, (), 2.5, 1),
-    ("variational-check", SINGLE_UNIT, ("--seed", "0"), 1.8, 0),
+@pytest.mark.parametrize("command,cfg,extra,patch,rc", [
+    ("train", TRAIN_CFG, (), {}, 0),
+    ("invariance", INV_CFG, (), {}, 0),
+    ("invariance", INV_CFG, (), {"ska.invariance.TOLERANCE": 1e-9}, 1),
+    ("variational-check", SINGLE_UNIT, (), {}, 0),
+    ("variational-check", SINGLE_UNIT, (), {"ska.cli.EL_ORDER_FLOOR": 2.5}, 1),
+    ("variational-check", SINGLE_UNIT, ("--seed", "0"), {}, 0),
 ], ids=["train", "invariance", "invariance-tight", "unit", "unit-floor-2.5", "unit-no-crossing"])
 def test_a_command_prints_the_report_of_its_run(tmp_path, capsys, monkeypatch,
-                                                command, cfg, extra, floor, rc):
+                                                command, cfg, extra, patch, rc):
     """A command's stdout is, line for line, what report prints on the
     directory it wrote, and both exit with the same code."""
-    monkeypatch.setattr("ska.cli.EL_ORDER_FLOOR", floor)
+    for name, value in patch.items():
+        monkeypatch.setattr(name, value)
     config = cfg if isinstance(cfg, str) else _write_cfg(tmp_path, cfg)
     out = str(tmp_path / "out")
     assert main([command, "--config", config, "--out", out, *extra]) == rc

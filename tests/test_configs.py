@@ -9,6 +9,7 @@ resolved and held equal to that workload.
 """
 
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -19,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from ska.cli import DATA, SECTIONS, SOURCES, build_parser, main, resolve_config
+import ska
+from ska.cli import (DATA, REQUIRED, SECTIONS, SEED, SOURCES, build_parser, main,
+                     resolve_config)
 
 ROOT = Path(__file__).resolve().parents[1]
 # listed config -> the benchmark workload whose frozen config it is
@@ -130,3 +133,46 @@ def test_readme_data_sources_list_the_keys_of_their_tables():
         source, *keys = re.findall(r"`([^`]+)`", bullet)
         documented[source] = set(keys)
     assert documented == {source: set(table) for source, table in SOURCES.items()}
+
+
+# The library call each data source's keys are passed to, by name.
+BUILDERS = {"synthetic": ska.synthetic_blobs, "glyphs": ska.glyph_dataset,
+            "constant": ska.constant_dataset, "mnist": ska.from_idx}
+
+
+def _parameters(call) -> dict:
+    return inspect.signature(call).parameters
+
+
+def test_each_section_is_the_keywords_of_the_call_it_feeds(tmp_path):
+    """The CLI passes each section to its library call by name, and main
+    turns only ValueError and OSError into an error line: a key that is no
+    parameter, or a parameter no key gives, would end in a TypeError
+    traceback. So each table is held to its call's signature, and every
+    default that a table and a signature both give must be the same value."""
+    assert set(BUILDERS) == set(SOURCES)
+    for source, builder in BUILDERS.items():
+        assert set(_parameters(builder)) == set(SOURCES[source]), source
+    assert set(_parameters(ska.NetworkConfig)) == {*SECTIONS["network"], "seed", "dt", "steps"}
+    assert set(_parameters(ska.run_family)) == \
+        {"dataset", *SECTIONS["network"], *SECTIONS["invariance"], "seed"}
+
+    shared = {}
+    calls = [(SOURCES[source], builder) for source, builder in BUILDERS.items()]
+    for table, call in calls + [(SECTIONS["network"], ska.NetworkConfig)]:
+        params = _parameters(call)
+        for key, (_, default) in table.items():
+            given = params[key].default
+            if default is not REQUIRED and default is not SEED and given is not params[key].empty:
+                assert default == given, f"{call.__name__}({key}): table {default}, call {given}"
+                shared[key] = given
+    assert shared == {"center_spacing": 0.45, "std": 0.08, "value": 1.0, "limit": None,
+                      "init_std_scale": 1.0}
+
+    # the top-level seed's default, resolved from a config that gives none
+    path = tmp_path / "no-seed.json"
+    path.write_text(json.dumps({"network": {"layer_sizes": [1, 1]},
+                                "run": {"dt": 0.1, "steps": 1}, "data": {"source": "constant"}}))
+    resolved = resolve_config(build_parser().parse_args(
+        ["train", "--config", str(path), "--out", str(tmp_path / "out")]))
+    assert resolved["seed"] == _parameters(ska.NetworkConfig)["seed"].default == 0
