@@ -63,12 +63,19 @@ MARKERS_HEADER = "layer,kind,step,value"
 # ---------------------------------------------------------------- config ---
 
 REQUIRED = object()  # table default: the key must be given
+NULLABLE = object()  # table default: the key must be given, and may be null
 SEED = object()  # table default: the run's top-level seed
 
-# A section table maps each key to (type, default | REQUIRED). A type is a
-# Python type, a tuple of the allowed strings, a one-element list [type] for
-# a list of that type, or a nested table. A float must be finite; an int is
-# accepted where a float is expected. A null value counts as absent.
+
+class Open(dict):
+    """A table whose object may hold keys it does not list; they pass unread."""
+
+
+# A table maps each key to (type, default | REQUIRED | NULLABLE). A type is a
+# Python type, a tuple of the allowed strings, a list [type] of that type
+# ([type, NULLABLE] when an item may be null), or a nested table. A float
+# must be finite, an int is accepted where a float is expected, and a bool
+# is never a number. A null value counts as absent.
 SECTIONS = {
     "network": {"layer_sizes": ([int], REQUIRED), "init_std_scale": (float, 1.0)},
     "run": {"dt": (float, REQUIRED), "steps": (int, REQUIRED)},
@@ -120,40 +127,48 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _value(value, kind, default, path: str):
-    """A config value, or its default when absent, checked against its type."""
+def _value(value, kind, default, path: str, label: str = "config"):
+    """A value, or its default when absent, checked against its type."""
     if value is None:
         if default is REQUIRED:
-            raise ValueError(f"missing config key {path}")
-        if default is None:
+            raise ValueError(f"missing {label} key {path}")
+        if default is None or default is NULLABLE:
             return None
         value = default
-    return _check(value, kind, path)
+    return _check(value, kind, path, label)
 
 
-def _check(value, kind, path: str):
+def _check(value, kind, path: str, label: str = "config"):
+    """value checked against the type kind, each table's defaults filled in.
+    label names the file in messages: the config, or a run file report reads.
+    An Open table's object keeps the keys the table does not list."""
     if isinstance(kind, dict):
         if not isinstance(value, dict):
-            raise ValueError(f"config key {path} must be an object")
-        unknown = [k for k in value if k not in kind]
+            raise ValueError(f"{label} key {path} must be an object")
+        unknown = [] if isinstance(kind, Open) else [k for k in value if k not in kind]
         if unknown:
-            raise ValueError(f"unknown config key {_join(path, unknown[0])}")
-        return {key: _value(value.get(key), sub, default, _join(path, key))
-                for key, (sub, default) in kind.items()}
+            raise ValueError(f"unknown {label} key {_join(path, unknown[0])}")
+        absent = [k for k, (_, default) in kind.items() if default is NULLABLE and k not in value]
+        if absent:
+            raise ValueError(f"missing {label} key {_join(path, absent[0])}")
+        checked = {key: _value(value.get(key), sub, default, _join(path, key), label)
+                   for key, (sub, default) in kind.items()}
+        return {**value, **checked} if isinstance(kind, Open) else checked
     if isinstance(kind, list):
         if not isinstance(value, list):
-            raise ValueError(f"config key {path} must be a list")
-        return [_check(v, kind[0], f"{path}[{i}]") for i, v in enumerate(value)]
+            raise ValueError(f"{label} key {path} must be a list")
+        return [None if v is None and NULLABLE in kind
+                else _check(v, kind[0], f"{path}[{i}]", label) for i, v in enumerate(value)]
     if isinstance(kind, tuple):
         if value not in kind:
-            raise ValueError(f"config key {path} must be one of {', '.join(kind)}")
+            raise ValueError(f"{label} key {path} must be one of {', '.join(kind)}")
         return value
-    if kind is float and type(value) is int:
-        value = float(value)
+    if kind is float and type(value) is int:  # an int past the float range is no finite float
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"config key {path} must be {kind.__name__}")
+        raise ValueError(f"{label} key {path} must be {kind.__name__}")
     if kind is float and not math.isfinite(value):
-        raise ValueError(f"config key {path} must be finite")
+        raise ValueError(f"{label} key {path} must be finite")
     return value
 
 
@@ -474,48 +489,40 @@ def cmd_variational(args, c: dict, t0: float) -> None:
     write_manifest(out_dir, "variational-check", c, resolved, artifacts, t0, traces)
 
 
-# What a value report formats as a number, or reads as a verdict, must
-# be: the exact types json gives it (a JSON true is a bool, which isinstance
-# would take for an int, so it is never a number), and their JSON name.
-NUMBER = ((int, float), "a number")
-NUMBER_OR_NULL = ((int, float, type(None)), "a number or null")
-VERDICT = ((bool, type(None)), "true, false or null")
-OBJECT = ((dict,), "an object")
-OBJECT_OR_NULL = ((dict, type(None)), "an object or null")
-LIST = ((list,), "a list")
+# The keys report reads from each JSON file of a run directory, checked by
+# the config's rules; keys a table does not list pass unread.
+ENVIRONMENT = Open({"python": (str, REQUIRED), "numpy": (str, REQUIRED),
+                    "blas": (Open({"name": (str, None), "version": (str, None)}), REQUIRED),
+                    "thread_vars": (Open(), REQUIRED), "blas_threads": ([int, NULLABLE], REQUIRED),
+                    "malloc": (Open(), NULLABLE)})
+MANIFEST = Open({"version": (str, REQUIRED), "command": (tuple(COMMANDS), REQUIRED),
+                 "environment": (ENVIRONMENT, REQUIRED)})
+# The manifest keys each command's report reads besides MANIFEST's.
+MANIFEST_KEYS = {
+    "train": {"resolved": (Open({"eta_times_K": (float, REQUIRED), "layers": (int, REQUIRED),
+                                 "samples": (int, REQUIRED)}), REQUIRED)},
+    "invariance": {"config": (Open({"invariance": (Open({"total_time": (float, REQUIRED)}),
+                                                   REQUIRED)}), REQUIRED)},
+    "variational-check": {"resolved": (Open({"eta_times_K": (float, REQUIRED)}), REQUIRED)},
+}
+ROW = Open({"metric": (str, REQUIRED), "run": (str, REQUIRED), "rel_dev": (float, NULLABLE),
+            "tolerance": (float, REQUIRED), "passed": (bool, NULLABLE)})
+CROSSING = Open({"time": (float, REQUIRED), "residual": (float, REQUIRED),
+                 "bound": (float, REQUIRED)})
+UNIT = Open({"selection": ([int], REQUIRED), "action_entropy": (float, REQUIRED),
+             "entropy_by_definition": (float, REQUIRED), "el_residual_max": (float, REQUIRED),
+             "el_order": (float, None), "net_identity_crossings": ([CROSSING], REQUIRED)})
+INVARIANCE_REPORT = Open({"rows": ([ROW], REQUIRED)})
+VARIATIONAL_REPORT = Open({"units": ([UNIT], REQUIRED)})
 
 
-def _fields(obj, where: str, keys, kinds=None) -> dict:
-    """obj, checked to be a JSON object that holds every one of keys, where
-    each key of kinds that obj holds has a value of the kind given there."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    for key in keys:
-        if key not in obj:
-            raise ValueError(f"{where} has no key {key}")
-    for key, (types, name) in (kinds or {}).items():
-        if key in obj and type(obj[key]) not in types:
-            raise ValueError(f"{where} key {key} must be {name}, not {json.dumps(obj[key])}")
-    return obj
+def _read_run_file(out_dir: Path, name: str, table: Open) -> dict:
+    """The JSON file name of the run directory out_dir, checked against table."""
+    return _check(load_config(out_dir / name), table, "", name)
 
 
-def _items(obj, where: str, keys, kinds=None) -> list:
-    """obj, checked to be a JSON list of objects that each pass _fields."""
-    if not isinstance(obj, list):
-        raise ValueError(f"{where} must be a JSON list")
-    return [_fields(item, f"{where}[{i}]", keys, kinds) for i, item in enumerate(obj)]
-
-
-def environment_line(manifest: dict) -> str:
-    """The manifest's environment block as one line."""
-    env = _fields(manifest["environment"], "manifest.json environment",
-                  ("python", "numpy", "blas", "thread_vars", "blas_threads", "malloc"),
-                  {"blas": OBJECT, "thread_vars": OBJECT, "blas_threads": LIST,
-                   "malloc": OBJECT_OR_NULL})
-    for i, t in enumerate(env["blas_threads"]):
-        if type(t) not in (int, type(None)):
-            raise ValueError(f"manifest.json environment blas_threads[{i}] must be "
-                             f"an integer or null, not {json.dumps(t)}")
+def environment_line(env: dict) -> str:
+    """A checked manifest environment block as one line."""
     blas = env["blas"]
     thread_vars = " ".join(f"{k}={'unset' if v is None else v}"
                            for k, v in env["thread_vars"].items())
@@ -523,24 +530,26 @@ def environment_line(manifest: dict) -> str:
     malloc = "unchanged" if env["malloc"] is None else " ".join(
         f"{k}={'refused' if v is None else v}" for k, v in env["malloc"].items())
     return (f"environment: Python {env['python']}, numpy {env['numpy']}, "
-            f"BLAS {blas.get('name')} {blas.get('version')}, {thread_vars}, "
+            f"BLAS {blas['name']} {blas['version']}, {thread_vars}, "
             f"malloc {malloc}, BLAS threads per run: {threads}")
 
 
 def report(out_dir: Path) -> int:
     """Print the summary of the run directory out_dir once all of it is read
-    and checked, and return its exit code: 1 when a check fails, else 0."""
+    and checked, and return its exit code: 1 when a check fails, else 0.
+
+    Each JSON file is read through _check against its table above, so the
+    config's rules hold there too: a number is finite and never a bool."""
     lines, passed = [], True
     say = lines.append
-    manifest = _fields(load_config(out_dir / "manifest.json"), "manifest.json",
-                       ("version", "command", "environment"))
+    manifest = _read_run_file(out_dir, "manifest.json", MANIFEST)
     command = manifest["command"]
+    manifest = _check(manifest, Open(MANIFEST_KEYS[command]), "", "manifest.json")
     say(f"ska {manifest['version']} {command} run in {out_dir}")
-    say(environment_line(manifest))
+    say(environment_line(manifest["environment"]))
 
     if command == "train":
-        resolved = _fields(manifest.get("resolved"), "manifest.json resolved",
-                           ("eta_times_K", "layers", "samples"))
+        resolved = manifest["resolved"]
         say(f"characteristic time eta*K = {resolved['eta_times_K']}")
         say(f"layers: {resolved['layers']}, samples: {resolved['samples']}")
         path = out_dir / "markers.csv"
@@ -551,27 +560,23 @@ def report(out_dir: Path) -> int:
         for n, line in enumerate(rows[1:], 2):
             try:
                 layer, kind, step, value = line.split(",")
-                layer, at, _ = int(layer), float(step), float(value)
+                layer, at, height = int(layer), float(step), float(value)
+                if not (math.isfinite(at) and math.isfinite(height)):
+                    raise ValueError
                 text = {"entropy_min": f"entropy min at step {at:g}",
                         "flow_peak": f"flow peak at step {at:g}",
                         "net_zero_crossing": f"net crossing at step {step} (t = {value})"}[kind]
             except (ValueError, KeyError):
                 raise ValueError(f"{path} line {n} is not a marker row "
-                                 f"(integer layer, known kind, numeric step and value): "
+                                 f"(integer layer, known kind, finite step and value): "
                                  f"{line!r}") from None
             by_layer.setdefault(layer, []).append(text)
         for layer in sorted(by_layer):
             say(f"layer {layer}: " + "; ".join(by_layer[layer]))
         say("no checks: a train run carries no verdict")
     elif command == "invariance":
-        cfg = _fields(manifest.get("config"), "manifest.json config", ("invariance",))
-        inv = _fields(cfg["invariance"], "manifest.json config.invariance", ("total_time",))
-        say(f"characteristic time eta*K = {inv['total_time']}")
-        result = _fields(load_config(out_dir / "invariance_report.json"),
-                         "invariance_report.json", ("rows",))
-        rows = _items(result["rows"], "invariance_report.json rows",
-                      ("metric", "run", "rel_dev", "tolerance", "passed"),
-                      {"rel_dev": NUMBER_OR_NULL, "tolerance": NUMBER, "passed": VERDICT})
+        say(f"characteristic time eta*K = {manifest['config']['invariance']['total_time']}")
+        rows = _read_run_file(out_dir, "invariance_report.json", INVARIANCE_REPORT)["rows"]
         if not rows:  # a family of two or more runs compares at least four rows
             raise ValueError("invariance_report.json rows is empty")
         for i, row in enumerate(rows):
@@ -594,26 +599,16 @@ def report(out_dir: Path) -> int:
                 f"against tol {w['tolerance']:.4f}")
         passed = family_passed(rows)
         say("PASS" if passed else "FAIL")
-    elif command == "variational-check":
-        resolved = _fields(manifest.get("resolved"), "manifest.json resolved", ("eta_times_K",))
-        say(f"characteristic time eta*K = {resolved['eta_times_K']}")
-        result = _fields(load_config(out_dir / "variational_report.json"),
-                         "variational_report.json", ("units",))
-        units = _items(result["units"], "variational_report.json units",
-                       ("selection", "action_entropy", "entropy_by_definition",
-                        "el_residual_max", "net_identity_crossings"),
-                       {"action_entropy": NUMBER, "entropy_by_definition": NUMBER,
-                        "el_residual_max": NUMBER, "el_order": NUMBER_OR_NULL})
+    else:  # variational-check, the last command MANIFEST allows
+        say(f"characteristic time eta*K = {manifest['resolved']['eta_times_K']}")
+        units = _read_run_file(out_dir, "variational_report.json", VARIATIONAL_REPORT)["units"]
         if not units:  # a variational-check records at least one unit
             raise ValueError("variational_report.json units is empty")
-        for i, unit in enumerate(units):
-            crossings = _items(unit["net_identity_crossings"],
-                               f"variational_report.json units[{i}].net_identity_crossings",
-                               ("time", "residual", "bound"),
-                               {"time": NUMBER, "residual": NUMBER, "bound": NUMBER})
+        for unit in units:
+            crossings = unit["net_identity_crossings"]
             # a unit fails when its EL order is under the floor, or when a
             # crossing's net-action residual is over its bound
-            order = unit.get("el_order")
+            order = unit["el_order"]
             low = order is not None and order < EL_ORDER_FLOOR
             over = [c["residual"] > c["bound"] for c in crossings]
             passed &= not (low or any(over))
@@ -628,8 +623,6 @@ def report(out_dir: Path) -> int:
             if not crossings:
                 say("  no net zero crossing in the window: net-action identity not checked")
         say("PASS" if passed else "FAIL")
-    else:
-        raise ValueError(f"unknown command {command!r} in manifest")
     print("\n".join(lines))
     return 0 if passed else 1
 

@@ -493,6 +493,9 @@ def _idx_data(limit):
 
 BAD_INPUTS = {
     "dt-nan": ("train", _with(TRAIN_CFG, "run", dt=float("nan")), "run.dt"),
+    # JSON reads 1 followed by 400 zeros as an int that no float holds
+    "dt-int-past-float": ("train", _with(TRAIN_CFG, "run", dt=10**400),
+                          "config key run.dt must be finite"),
     "init-std-scale-nan": ("train", _with(TRAIN_CFG, "network", init_std_scale=float("nan")),
                            "network.init_std_scale"),
     "input-width-mismatch": ("train", _with(TRAIN_CFG, "network", layer_sizes=[5, 3]),
@@ -672,10 +675,26 @@ VAR_MANIFEST = {**BASE_MANIFEST, "command": "variational-check",
                 "resolved": {"eta_times_K": 0.2}}
 VAR_UNIT = {"selection": [0, 0, 0], "action_entropy": 0.1, "entropy_by_definition": 0.1,
             "el_residual_max": 1e-6}
+INV_ROW = {"metric": "cosine", "run": "run1:eta=0.01", "rel_dev": 0.01, "tolerance": 0.02,
+           "passed": True}
 
 
 def _without(d, key):
     return {k: v for k, v in d.items() if k != key}
+
+
+def _rows(**changes):
+    return ("invariance_report.json", {"rows": [{**INV_ROW, **changes}]})
+
+
+def _crossing(**changes):
+    crossing = {"time": 0.5, "residual": 0.0, "bound": 0.1, **changes}
+    return ("variational_report.json",
+            {"units": [{**VAR_UNIT, "net_identity_crossings": [crossing]}]})
+
+
+def _environment(**changes):
+    return {**TRAIN_MANIFEST, "environment": {**BASE_MANIFEST["environment"], **changes}}
 
 
 # A finished run directory whose JSON parses but lacks a key report reads,
@@ -696,67 +715,60 @@ BAD_RUN_DIRS = {
                           "action_entropy"),
     # keys every manifest holds, missing from a run that is otherwise whole
     "train-no-environment": (_without(TRAIN_MANIFEST, "environment"), TRAIN_MARKERS,
-                             "manifest.json has no key environment"),
+                             "missing manifest.json key environment"),
     "train-no-version": (_without(TRAIN_MANIFEST, "version"), TRAIN_MARKERS,
-                         "manifest.json has no key version"),
+                         "missing manifest.json key version"),
     "train-no-malloc": ({**TRAIN_MANIFEST, "environment": _without(BASE_MANIFEST["environment"],
                                                                    "malloc")},
-                        TRAIN_MARKERS, "manifest.json environment has no key malloc"),
+                        TRAIN_MARKERS, "missing manifest.json key environment.malloc"),
     "variational-check-no-bound": (
         VAR_MANIFEST,
         ("variational_report.json",
          {"units": [{**VAR_UNIT, "net_identity_crossings": [{"time": 0.5, "residual": 0.0}]}]}),
-        "units[0].net_identity_crossings[0] has no key bound"),
+        "missing variational_report.json key units[0].net_identity_crossings[0].bound"),
     # keys present, but holding values report cannot format
-    "invariance-null-tolerance": (
-        INV_MANIFEST,
-        ("invariance_report.json",
-         {"rows": [{"metric": "cosine", "run": 1, "rel_dev": 0.01, "tolerance": None,
-                    "passed": True}]}),
-        "rows[0] key tolerance must be a number, not null"),
-    "invariance-text-verdict": (
-        INV_MANIFEST,
-        ("invariance_report.json",
-         {"rows": [{"metric": "cosine", "run": 1, "rel_dev": None, "tolerance": 0.02,
-                    "passed": "yes"}]}),
-        'key passed must be true, false or null, not "yes"'),
+    "invariance-null-tolerance": (INV_MANIFEST, _rows(tolerance=None),
+                                  "missing invariance_report.json key rows[0].tolerance"),
+    "invariance-text-verdict": (INV_MANIFEST, _rows(rel_dev=None, passed="yes"),
+                                "invariance_report.json key rows[0].passed must be bool"),
     # a JSON true or false is no number, though Python's bool is an int
-    "invariance-bool-numbers": (
-        INV_MANIFEST,
-        ("invariance_report.json",
-         {"rows": [{"metric": "cosine", "run": 1, "rel_dev": False, "tolerance": True,
-                    "passed": True}]}),
-        "rows[0] key rel_dev must be a number or null, not false"),
+    "invariance-bool-numbers": (INV_MANIFEST, _rows(rel_dev=False, tolerance=True),
+                                "invariance_report.json key rows[0].rel_dev must be float"),
     "variational-check-bool-order": (
         VAR_MANIFEST,
         ("variational_report.json",
          {"units": [{**VAR_UNIT, "el_order": True, "net_identity_crossings": []}]}),
-        "units[0] key el_order must be a number or null, not true"),
+        "variational_report.json key units[0].el_order must be float"),
     "variational-check-bool-bound": (
-        VAR_MANIFEST,
-        ("variational_report.json",
-         {"units": [{**VAR_UNIT, "net_identity_crossings": [{"time": 0.5, "residual": 0.0,
-                                                             "bound": True}]}]}),
-        "net_identity_crossings[0] key bound must be a number, not true"),
+        VAR_MANIFEST, _crossing(bound=True),
+        "variational_report.json key units[0].net_identity_crossings[0].bound must be float"),
     "train-environment-threads-text": (
-        {**TRAIN_MANIFEST, "environment": {**BASE_MANIFEST["environment"], "blas_threads": ["2"]}},
-        None, 'environment blas_threads[0] must be an integer or null, not "2"'),
+        _environment(blas_threads=["2"]), None,
+        "manifest.json key environment.blas_threads[0] must be int"),
     "train-environment-threads-bool": (
-        {**TRAIN_MANIFEST, "environment": {**BASE_MANIFEST["environment"],
-                                           "blas_threads": [1, True]}},
-        None, "environment blas_threads[1] must be an integer or null, not true"),
+        _environment(blas_threads=[1, True]), None,
+        "manifest.json key environment.blas_threads[1] must be int"),
     "train-environment-threads-not-list": (
-        {**TRAIN_MANIFEST, "environment": {**BASE_MANIFEST["environment"], "blas_threads": 1}},
-        None, "environment key blas_threads must be a list, not 1"),
+        _environment(blas_threads=1), None,
+        "manifest.json key environment.blas_threads must be a list"),
     "train-environment-malloc-text": (
-        {**TRAIN_MANIFEST, "environment": {**BASE_MANIFEST["environment"], "malloc": "glibc"}},
-        None, 'environment key malloc must be an object or null, not "glibc"'),
+        _environment(malloc="glibc"), None,
+        "manifest.json key environment.malloc must be an object"),
     "variational-check-text-time": (
+        VAR_MANIFEST, _crossing(time="0.5"),
+        "variational_report.json key units[0].net_identity_crossings[0].time must be float"),
+    # json reads NaN and Infinity as numbers, which a report must not judge
+    "variational-check-nan-order": (
         VAR_MANIFEST,
         ("variational_report.json",
-         {"units": [{**VAR_UNIT, "net_identity_crossings": [{"time": "0.5", "residual": 0.0,
-                                                             "bound": 0.1}]}]}),
-        'net_identity_crossings[0] key time must be a number, not "0.5"'),
+         {"units": [{**VAR_UNIT, "el_order": float("nan"), "net_identity_crossings": []}]}),
+        "variational_report.json key units[0].el_order must be finite"),
+    "variational-check-nan-residual": (
+        VAR_MANIFEST, _crossing(residual=float("nan")),
+        "variational_report.json key units[0].net_identity_crossings[0].residual must be finite"),
+    "invariance-infinite-tolerance": (
+        INV_MANIFEST, _rows(rel_dev=0.5, tolerance=float("inf")),
+        "invariance_report.json key rows[0].tolerance must be finite"),
     "train-markers-missing": (TRAIN_MANIFEST, None, "markers.csv: No such file or directory"),
     "train-markers-no-header": (TRAIN_MANIFEST, ("markers.csv", "0,entropy_min,3.0,0.1\n"),
                                 "markers.csv does not start with the header"),
@@ -769,6 +781,9 @@ BAD_RUN_DIRS = {
     "train-markers-unknown-kind": (TRAIN_MANIFEST,
                                    ("markers.csv", f"{MARKERS_HEADER}\n0,flow_dip,2.0,0.5\n"),
                                    "markers.csv line 2 is not a marker row"),
+    "train-markers-non-finite": (TRAIN_MANIFEST,
+                                 ("markers.csv", f"{MARKERS_HEADER}\n0,entropy_min,nan,inf\n"),
+                                 "markers.csv line 2 is not a marker row"),
 }
 
 
@@ -837,6 +852,57 @@ def test_boundary_values_end_in_a_documented_outcome(tmp_path, capsys):
             err = capsys.readouterr().err
             if rc not in (0, 1, 2) or err.count("error:") > 1:
                 failures.append(f"{command} {where}: exit {rc}, stderr {err!r}")
+    assert not failures, failures
+
+
+# A small run of each command, and every number report prints or judges in
+# the JSON files it writes, as a key path in each file.
+RUN_FILE_CFGS = {"train": TRAIN_CFG, "invariance": INV_CFG,
+                 "variational-check": {"seed": 4, "run": {"dt": 0.05, "steps": 120}}}
+BLAS_THREADS = ("environment", "blas_threads", 0)
+REPORT_NUMBERS = {
+    "train": {"manifest.json": [("resolved", "eta_times_K"), ("resolved", "layers"),
+                                ("resolved", "samples"), BLAS_THREADS]},
+    "invariance": {"manifest.json": [("config", "invariance", "total_time"), BLAS_THREADS],
+                   "invariance_report.json": [("rows", 0, "rel_dev"), ("rows", 0, "tolerance")]},
+    "variational-check": {
+        "manifest.json": [("resolved", "eta_times_K"), BLAS_THREADS],
+        "variational_report.json": [
+            *(("units", 0, key) for key in ("action_entropy", "entropy_by_definition",
+                                            "el_residual_max", "el_order")),
+            ("units", 0, "selection", 0),
+            *(("units", 0, "net_identity_crossings", 0, key)
+              for key in ("time", "residual", "bound"))]},
+}
+
+
+def test_report_rejects_a_run_file_number_that_is_not_a_finite_number(tmp_path, capsys):
+    """Each number of REPORT_NUMBERS set to NaN, Infinity, true and "x" in
+    turn: report exits 2 with one error line and prints nothing, as the
+    config resolver does for a config number."""
+    failures = []
+    for command, files in REPORT_NUMBERS.items():
+        out = tmp_path / command
+        config = _write_cfg(tmp_path, RUN_FILE_CFGS[command])
+        charts = ["--no-svg"] if command == "train" else []
+        assert main([command, "--config", config, "--out", str(out), *charts]) == 0
+        for name, paths in files.items():
+            whole = (out / name).read_text()
+            for path in paths:
+                for bad in (float("nan"), float("inf"), True, "x"):
+                    data = json.loads(whole)
+                    target = data
+                    for key in path[:-1]:
+                        target = target[key]
+                    target[path[-1]] = bad
+                    (out / name).write_text(json.dumps(data))
+                    capsys.readouterr()
+                    rc = main(["report", "--out", str(out)])
+                    printed, err = capsys.readouterr()
+                    if (rc, printed, err.count("\n"), err[:6]) != (2, "", 1, "error:"):
+                        failures.append(f"{command} {name} {path} = {bad!r}: exit {rc}, "
+                                        f"stdout {printed!r}, stderr {err!r}")
+            (out / name).write_text(whole)
     assert not failures, failures
 
 
