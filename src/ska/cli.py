@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, charts
+from . import __version__, charts, variational
 from .data import Dataset, constant_dataset, from_idx, glyph_dataset, synthetic_blobs
 from .dynamics import NetworkConfig, bounded_steps, init_network, run
 from .invariance import (
@@ -33,7 +33,7 @@ from .invariance import (
     row_passed,
     run_family,
 )
-from .linalg import keep_heap
+from .linalg import _HEAP_POLICY, keep_heap
 from .metrics import (
     COLUMNS,
     TrajectoryTrace,
@@ -41,20 +41,9 @@ from .metrics import (
     find_flow_peak,
     find_zero_crossings,
 )
-from .variational import (
-    action_entropy,
-    el_residual,
-    entropy_by_definition,
-    extract_unit_trajectories,
-    net_action_identity,
-)
 
 # Environment variables that set BLAS thread counts, recorded in the manifest.
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# Least Euler-Lagrange order under step halving that a variational-check
-# passes: the residual of a second-order central difference should fall
-# about 4x.
-EL_ORDER_FLOOR = 1.8
 
 TRACE_HEADER = ",".join(("step", "time", "layer") + COLUMNS)
 MARKERS_HEADER = "layer,kind,step,value"
@@ -64,6 +53,7 @@ MARKERS_HEADER = "layer,kind,step,value"
 
 REQUIRED = object()  # table default: the key must be given
 NULLABLE = object()  # table default: the key must be given, and may be null
+OPTIONAL = object()  # table default: the key may be null, and stays absent when absent
 SEED = object()  # table default: the run's top-level seed
 
 
@@ -75,7 +65,7 @@ class Open(dict):
 # Python type, a tuple of the allowed strings, a list [type] of that type
 # ([type, NULLABLE] when an item may be null), or a nested table. A float
 # must be finite, an int is accepted where a float is expected, and a bool
-# is never a number. A null value counts as absent.
+# is never a number. A null value counts as absent, save for an OPTIONAL key.
 SECTIONS = {
     "network": {"layer_sizes": ([int], REQUIRED), "init_std_scale": (float, 1.0)},
     "run": {"dt": (float, REQUIRED), "steps": (int, REQUIRED)},
@@ -132,7 +122,7 @@ def _value(value, kind, default, path: str, label: str = "config"):
     if value is None:
         if default is REQUIRED:
             raise ValueError(f"missing {label} key {path}")
-        if default is None or default is NULLABLE:
+        if default is None or default is NULLABLE or default is OPTIONAL:
             return None
         value = default
     return _check(value, kind, path, label)
@@ -152,7 +142,8 @@ def _check(value, kind, path: str, label: str = "config"):
         if absent:
             raise ValueError(f"missing {label} key {_join(path, absent[0])}")
         checked = {key: _value(value.get(key), sub, default, _join(path, key), label)
-                   for key, (sub, default) in kind.items()}
+                   for key, (sub, default) in kind.items()
+                   if default is not OPTIONAL or key in value}
         return {**value, **checked} if isinstance(kind, Open) else checked
     if isinstance(kind, list):
         if not isinstance(value, list):
@@ -434,55 +425,17 @@ def cmd_invariance(args, c: dict, t0: float) -> None:
 
 
 def cmd_variational(args, c: dict, t0: float) -> None:
+    """The run, and with dt_halving the same window at dt/2, recording the
+    configured units; variational_report.json holds unit_reports of them."""
     out_dir = args.out
     ds = build_dataset(c["data"])
     dt, steps = c["run"]["dt"], c["run"]["steps"]
     units, halving = c["variational"]["units"], c["variational"]["dt_halving"]
-    trace = _run(c, ds, dt, steps, units)
-    traces = [trace]
-    trajs = extract_unit_trajectories(trace, units)
-    trajs_half = None
+    traces = [_run(c, ds, dt, steps, units)]
     if halving:
         traces.append(_run(c, ds, dt / 2.0, steps * 2, units))
-        trajs_half = extract_unit_trajectories(traces[1], units)
-
-    unit_reports = []
-    for i, sel in enumerate(units):
-        traj = trajs[i]
-        norm = float(np.abs(el_residual(traj)).max())
-        entry = {
-            "selection": sel,
-            "action_entropy": float(action_entropy(traj)),
-            "entropy_by_definition": float(entropy_by_definition(traj)),
-            "el_residual_max": norm,
-        }
-        if trajs_half is not None:
-            norm_h = float(np.abs(el_residual(trajs_half[i])).max())
-            entry["el_residual_max_half"] = norm_h
-            entry["el_order"] = float(math.log2(norm / norm_h)) if norm > 0 and norm_h > 0 else None
-        # the net-action residual at a crossing is a leftover of the last
-        # few increments of z, so it is held to 10 * dt * max|zdot|
-        zdot_max = float(np.abs(np.diff(traj.z)).max()) / dt
-        bound = 10.0 * dt * zdot_max
-        crossings = []
-        for pos in find_zero_crossings(trace, sel[0]):
-            ct = float(pos * trace.dt)
-            if ct <= float(traj.t[-1]):
-                crossings.append({
-                    "step": float(pos),
-                    "time": ct,
-                    "residual": float(net_action_identity(traj, ct)),
-                    "bound": bound,
-                })
-        entry["net_identity_crossings"] = crossings
-        unit_reports.append(entry)
-
-    payload = {
-        "dt": dt,
-        "steps": steps,
-        "dt_halving": halving,
-        "units": unit_reports,
-    }
+    payload = {"dt": dt, "steps": steps, "dt_halving": halving,
+               "units": variational.unit_reports(units, *traces)}
     write_json(out_dir / "variational_report.json", payload)
     resolved = {"eta_times_K": dt * steps, "recorded_units": len(units)}
     artifacts = ["variational_report.json", "manifest.json"]
@@ -490,11 +443,15 @@ def cmd_variational(args, c: dict, t0: float) -> None:
 
 
 # The keys report reads from each JSON file of a run directory, checked by
-# the config's rules; keys a table does not list pass unread.
+# the config's rules; keys an Open table does not list pass unread. report
+# prints every key of thread_vars and malloc, listed in write_json's order.
 ENVIRONMENT = Open({"python": (str, REQUIRED), "numpy": (str, REQUIRED),
                     "blas": (Open({"name": (str, None), "version": (str, None)}), REQUIRED),
-                    "thread_vars": (Open(), REQUIRED), "blas_threads": ([int, NULLABLE], REQUIRED),
-                    "malloc": (Open(), NULLABLE)})
+                    "thread_vars": ({var: (str, OPTIONAL) for var in sorted(THREAD_VARS)},
+                                    REQUIRED),
+                    "blas_threads": ([int, NULLABLE], REQUIRED),
+                    "malloc": ({name: (int, OPTIONAL) for name, _, _ in sorted(_HEAP_POLICY)},
+                               NULLABLE)})
 MANIFEST = Open({"version": (str, REQUIRED), "command": (tuple(COMMANDS), REQUIRED),
                  "environment": (ENVIRONMENT, REQUIRED)})
 # The manifest keys each command's report reads besides MANIFEST's.
@@ -536,10 +493,13 @@ def environment_line(env: dict) -> str:
 
 def report(out_dir: Path) -> int:
     """Print the summary of the run directory out_dir once all of it is read
-    and checked, and return its exit code: 1 when a check fails, else 0.
+    and checked, and return its exit code: 1 when a check fails or a run
+    checked nothing, else 0.
 
     Each JSON file is read through _check against its table above, so the
-    config's rules hold there too: a number is finite and never a bool."""
+    config's rules hold there too: a number is finite and never a bool. The
+    verdicts are the library's: row_passed and family_passed judge a family,
+    ska.variational's unit_verdicts and unit_passed a unit."""
     lines, passed = [], True
     say = lines.append
     manifest = _read_run_file(out_dir, "manifest.json", MANIFEST)
@@ -597,6 +557,8 @@ def report(out_dir: Path) -> int:
             w = max(measured, key=lambda r: r["rel_dev"] - r["tolerance"])
             say(f"worst row: {w['metric']} {w['run']}, rel_dev {w['rel_dev']:.4f} "
                 f"against tol {w['tolerance']:.4f}")
+        else:
+            say("no row was comparable: the family checked nothing")
         passed = family_passed(rows)
         say("PASS" if passed else "FAIL")
     else:  # variational-check, the last command MANIFEST allows
@@ -605,18 +567,16 @@ def report(out_dir: Path) -> int:
         if not units:  # a variational-check records at least one unit
             raise ValueError("variational_report.json units is empty")
         for unit in units:
-            crossings = unit["net_identity_crossings"]
-            # a unit fails when its EL order is under the floor, or when a
-            # crossing's net-action residual is over its bound
-            order = unit["el_order"]
-            low = order is not None and order < EL_ORDER_FLOOR
-            over = [c["residual"] > c["bound"] for c in crossings]
-            passed &= not (low or any(over))
+            crossings, order = unit["net_identity_crossings"], unit["el_order"]
+            low, *over = (verdict is False for verdict in variational.unit_verdicts(unit))
+            ok = variational.unit_passed(unit)
+            passed &= ok
             say(f"unit {unit['selection']}: action {unit['action_entropy']:.6g}, "
                 f"entropy {unit['entropy_by_definition']:.6g}, "
                 f"el residual {unit['el_residual_max']:.3g}"
                 + (f", order {order:.2f}" if order is not None else "")
-                + (f" below {EL_ORDER_FLOOR} FAIL" if low else ""))
+                + (f" below {variational.EL_ORDER_FLOOR} FAIL" if low else "")
+                + (", nothing checked FAIL" if not (ok or low or any(over)) else ""))
             for c, bad in zip(crossings, over):
                 say(f"  crossing t = {c['time']:.4g}: net identity residual {c['residual']:.3g}, "
                     f"bound {c['bound']:.3g}" + (" FAIL" if bad else ""))

@@ -117,8 +117,10 @@ def row_passed(rel_dev, tolerance):
 
 
 def family_passed(rows) -> bool:
-    """A family's verdict: an incomparable row never fails it."""
-    return all(row["passed"] is not False for row in rows)
+    """A family's verdict: some row is comparable and no row fails. An
+    incomparable row never fails it, but a family of only those checked nothing."""
+    verdicts = [row["passed"] for row in rows]
+    return True in verdicts and False not in verdicts
 
 
 def compare(aligned: AlignedFamily) -> dict:

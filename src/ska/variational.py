@@ -20,12 +20,17 @@ crossing, which is bounded by the one-step increment there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import sigmoid
-from .metrics import LN2, TrajectoryTrace
+from .metrics import LN2, TrajectoryTrace, find_zero_crossings
+
+# Least Euler-Lagrange order under step halving that a unit passes: the
+# residual of a second-order central difference should fall about 4x.
+EL_ORDER_FLOOR = 1.8
 
 
 @dataclass
@@ -131,3 +136,50 @@ def extract_unit_trajectories(trace: TrajectoryTrace, selections) -> list:
             )
         out.append(UnitTrajectory(trace.unit_paths[key], trace.dt))
     return out
+
+
+def unit_reports(units, trace: TrajectoryTrace, trace_half: TrajectoryTrace | None = None) -> list:
+    """The units list of variational_report.json, as unit_passed judges it:
+    per unit recorded on trace, its entropies, its max EL residual and, with
+    trace_half (the run at dt/2), that residual's order, then the net-action
+    residual at each net zero crossing in its window. That is a leftover of
+    the last few increments of z, so it is held to 10 * dt * max|zdot|."""
+    trajs = extract_unit_trajectories(trace, units)
+    halves = None if trace_half is None else extract_unit_trajectories(trace_half, units)
+    reports = []
+    for i, (sel, traj) in enumerate(zip(units, trajs)):
+        norm = float(np.abs(el_residual(traj)).max())
+        entry = {"selection": sel, "action_entropy": float(action_entropy(traj)),
+                 "entropy_by_definition": float(entropy_by_definition(traj)),
+                 "el_residual_max": norm}
+        if halves is not None:
+            norm_h = float(np.abs(el_residual(halves[i])).max())
+            entry["el_residual_max_half"] = norm_h
+            entry["el_order"] = float(math.log2(norm / norm_h)) if norm > 0 and norm_h > 0 else None
+        zdot_max = float(np.abs(np.diff(traj.z)).max()) / traj.dt
+        bound = 10.0 * traj.dt * zdot_max
+        times = [(float(pos), float(pos * traj.dt)) for pos in find_zero_crossings(trace, sel[0])]
+        entry["net_identity_crossings"] = [
+            {"step": step, "time": ct, "residual": float(net_action_identity(traj, ct)),
+             "bound": bound} for step, ct in times if ct <= float(traj.t[-1])]
+        reports.append(entry)
+    return reports
+
+
+def unit_verdicts(unit: dict) -> list:
+    """The checks of a variational_report.json unit entry, each True, False or
+    None (nothing checked): its EL order against EL_ORDER_FLOOR (None when not
+    measured), then each crossing's residual <= bound (None when that holds
+    under a bound that is not positive)."""
+    order = unit.get("el_order")
+    crossings = [False if c["residual"] > c["bound"] else True if c["bound"] > 0 else None
+                 for c in unit["net_identity_crossings"]]
+    return [None if order is None else order >= EL_ORDER_FLOOR, *crossings]
+
+
+def unit_passed(unit: dict) -> bool:
+    """A unit's verdict: something was checked and nothing failed. A unit with
+    no net zero crossing in the window is judged on its order alone, and one
+    with no order either fails."""
+    verdicts = unit_verdicts(unit)
+    return True in verdicts and False not in verdicts

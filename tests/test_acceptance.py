@@ -25,6 +25,7 @@ from ska import data as ska_data
 from ska.cli import main as cli_main
 from ska.dynamics import NetworkConfig
 from ska.invariance import compare, resample_common_grid, run_family
+from ska.variational import EL_ORDER_FLOOR, unit_reports
 
 from conftest import ACCEPTANCE_LINES
 from test_variational import entropy_primitive, sample_path
@@ -147,7 +148,7 @@ def test_acceptance_4_euler_lagrange_orders():
         r1 = np.abs(ska.el_residual(sample_path(f, 3.0, 0.01))).max()
         r2 = np.abs(ska.el_residual(sample_path(f, 3.0, 0.005))).max()
         order = math.log2(r1 / r2)
-        c.check(order >= 1.8, f"{name} path: order {order:.3f} < 1.8")
+        c.check(order >= EL_ORDER_FLOOR, f"{name} path: order {order:.3f} < {EL_ORDER_FLOOR}")
 
     def scalar_unit(dt, steps):
         cfg = NetworkConfig(layer_sizes=(1, 1), dt=dt, steps=steps, seed=0)
@@ -175,28 +176,24 @@ def _scalar_run(dt, total_time=6.0, w0=-0.5):
     return ska.run(net, ska.constant_dataset(1, 1, 1.0), record_units=[(0, 0, 0)])
 
 
-def _crossing_residual(trace):
-    crossings = ska.find_zero_crossings(trace, 0)
-    if not crossings:
-        return None, None
-    t_star = crossings[0] * trace.dt
-    (traj,) = ska.extract_unit_trajectories(trace, [(0, 0, 0)])
-    zdot_max = float(np.abs(np.diff(traj.z)).max()) / trace.dt
-    return ska.net_action_identity(traj, t_star), zdot_max
+def _first_crossing(trace):
+    """The variational report's entry for the unit's first net zero crossing, or None."""
+    (unit,) = unit_reports([[0, 0, 0]], trace)
+    return next(iter(unit["net_identity_crossings"]), None)
 
 
 def test_acceptance_5_net_action_identity():
     c = Criterion(5, "net-action identity at the crossing")
     dt = 0.05
-    res, zdot_max = _crossing_residual(_scalar_run(dt))
-    c.check(res is not None, "no zero crossing detected")
-    if res is not None:
-        bound = 10.0 * dt * zdot_max
+    crossing = _first_crossing(_scalar_run(dt))
+    c.check(crossing is not None, "no zero crossing detected")
+    if crossing is not None:
+        res, bound = crossing["residual"], crossing["bound"]
         c.check(res <= bound, f"residual {res:.3e} > bound {bound:.3e}")
-        res_half, _ = _crossing_residual(_scalar_run(dt / 2))
-        c.check(res_half is not None, "no crossing at dt/2")
-        if res_half is not None:
-            ratio = res / res_half
+        half = _first_crossing(_scalar_run(dt / 2))
+        c.check(half is not None, "no crossing at dt/2")
+        if half is not None:
+            ratio = res / half["residual"]
             c.check(1.5 <= ratio <= 2.5, f"halving ratio {ratio:.3f} outside [1.5, 2.5]")
     c.check(time.perf_counter() - c.t0 < 10.0, "runtime >= 10 s")
     c.finish()

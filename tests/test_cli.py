@@ -406,7 +406,7 @@ def test_variational_check_applies_the_report_verdict(tmp_path, capsys, monkeypa
                                                        floor, rc, verdict):
     """variational-check and report share one rule: the single-unit config's
     EL order, 1.99, passes the 1.8 floor and fails one of 2.5."""
-    monkeypatch.setattr("ska.cli.EL_ORDER_FLOOR", floor)
+    monkeypatch.setattr("ska.variational.EL_ORDER_FLOOR", floor)
     out = tmp_path / "var"
     config = str(Path(__file__).resolve().parents[1] / "configs" / "single_unit.json")
     assert main(["variational-check", "--config", config, "--out", str(out)]) == rc
@@ -435,6 +435,44 @@ def test_a_unit_without_a_crossing_says_so(tmp_path, capsys, seed, crossings):
     assert checked == reported
     assert [l for l in reported if note in l] == [f"  {note}"] * noted
     assert checked[-1].endswith("PASS") and reported[-1] == "PASS"
+
+
+STILL_FAMILY = {"network": {"layer_sizes": [4, 3], "init_std_scale": 0},
+                "data": {"source": "synthetic", "n": 8, "dim": 4, "classes": 2},
+                "invariance": {"eta_list": [0.1, 0.05], "total_time": 1}}
+NO_ROW = "no row was comparable: the family checked nothing"
+# Runs that check nothing: a family none of whose rows is comparable, and a
+# unit with neither a measured EL order nor a crossing under a positive bound.
+VACUOUS_RUNS = {
+    "family-still": ("invariance", STILL_FAMILY, (), NO_ROW),
+    # runs that saturate after one step
+    "family-saturated": ("invariance", {**STILL_FAMILY, "network": {"layer_sizes": [4, 3]},
+                                        "invariance": {"eta_list": [1e6, 5e5], "total_time": 1e7}},
+                         (), NO_ROW),
+    "unit-no-order-no-crossing": (
+        "variational-check",
+        {"seed": 4, "run": {"dt": 0.05, "steps": 120}, "variational": {"dt_halving": False}},
+        ("--seed", "0"), "el residual 3.93e-06, nothing checked FAIL"),
+    # the path never moves: no order, and the zero net crosses under a zero bound
+    "unit-still": ("variational-check",
+                   {"seed": 4, "network": {"layer_sizes": [1, 1], "init_std_scale": 0},
+                    "run": {"dt": 0.05, "steps": 120}},
+                   (), "el residual 0, nothing checked FAIL"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VACUOUS_RUNS))
+def test_a_run_that_checked_nothing_fails(tmp_path, capsys, name):
+    """A PASS must have checked something: each of these runs exits 1, and
+    its report says that nothing was checked."""
+    command, cfg, extra, needle = VACUOUS_RUNS[name]
+    out = str(tmp_path / "out")
+    assert main([command, "--config", _write_cfg(tmp_path, cfg), "--out", out, *extra]) == 1
+    ran = capsys.readouterr().out.splitlines()
+    assert main(["report", "--out", out]) == 1
+    assert capsys.readouterr().out.splitlines() == ran
+    assert ran[-1] == "FAIL"
+    assert any(line.endswith(needle) for line in ran), ran
 
 
 def test_manifest_records_the_environment(tmp_path, capsys, monkeypatch):
@@ -754,6 +792,15 @@ BAD_RUN_DIRS = {
     "train-environment-malloc-text": (
         _environment(malloc="glibc"), None,
         "manifest.json key environment.malloc must be an object"),
+    "train-environment-malloc-nan": (
+        _environment(malloc={"mmap_threshold": float("nan"), "trim_threshold": 1 << 30}), None,
+        "manifest.json key environment.malloc.mmap_threshold must be int"),
+    "train-environment-malloc-unknown": (
+        _environment(malloc={"arena_max": 1}), None,
+        "unknown manifest.json key environment.malloc.arena_max"),
+    "train-environment-thread-var-infinite": (
+        _environment(thread_vars={"OMP_NUM_THREADS": float("inf")}), None,
+        "manifest.json key environment.thread_vars.OMP_NUM_THREADS must be str"),
     "variational-check-text-time": (
         VAR_MANIFEST, _crossing(time="0.5"),
         "variational_report.json key units[0].net_identity_crossings[0].time must be float"),
@@ -785,6 +832,18 @@ BAD_RUN_DIRS = {
                                  ("markers.csv", f"{MARKERS_HEADER}\n0,entropy_min,nan,inf\n"),
                                  "markers.csv line 2 is not a marker row"),
 }
+
+
+def test_report_prints_the_environment_keys_the_manifest_holds(tmp_path, capsys):
+    """A thread variable or malloc threshold absent from the manifest stays
+    absent from the environment line; a null one reads unset or refused."""
+    env = {"thread_vars": {"MKL_NUM_THREADS": None, "OMP_NUM_THREADS": "1"},
+           "malloc": {"trim_threshold": None}}
+    (tmp_path / "manifest.json").write_text(json.dumps(_environment(**env)))
+    (tmp_path / TRAIN_MARKERS[0]).write_text(TRAIN_MARKERS[1])
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("environment:")]
+    assert ", MKL_NUM_THREADS=unset OMP_NUM_THREADS=1, malloc trim_threshold=refused, " in line
 
 
 @pytest.mark.parametrize("command", sorted(BAD_RUN_DIRS))
@@ -933,7 +992,7 @@ SINGLE_UNIT = str(Path(__file__).resolve().parents[1] / "configs" / "single_unit
     ("invariance", INV_CFG, (), {}, 0),
     ("invariance", INV_CFG, (), {"ska.invariance.TOLERANCE": 1e-9}, 1),
     ("variational-check", SINGLE_UNIT, (), {}, 0),
-    ("variational-check", SINGLE_UNIT, (), {"ska.cli.EL_ORDER_FLOOR": 2.5}, 1),
+    ("variational-check", SINGLE_UNIT, (), {"ska.variational.EL_ORDER_FLOOR": 2.5}, 1),
     ("variational-check", SINGLE_UNIT, ("--seed", "0"), {}, 0),
 ], ids=["train", "invariance", "invariance-tight", "unit", "unit-floor-2.5", "unit-no-crossing"])
 def test_a_command_prints_the_report_of_its_run(tmp_path, capsys, monkeypatch,

@@ -17,6 +17,7 @@ from ska.invariance import (
     COMPARE_METRICS,
     _interp_column,
     compare,
+    family_passed,
     resample_common_grid,
     run_family,
     steps_for,
@@ -169,6 +170,28 @@ def test_compare_flags_zero_range_layers_incomparable():
     assert row["passed"] is None
     assert math.isnan(row["rel_dev"])
     assert report["all_pass"]  # incomparable never fails a family
+
+
+@pytest.mark.parametrize("verdicts,passed", [
+    ([True, None], True),
+    ([True, True], True),
+    ([True, False, None], False),
+    ([None, None], False),
+    ([], False),
+], ids=["one-incomparable", "all-pass", "one-fails", "none-comparable", "no-rows"])
+def test_family_passed_needs_a_comparable_row(verdicts, passed):
+    """An incomparable row never fails a family, but a family with no
+    comparable row checked nothing, and fails."""
+    assert family_passed([{"passed": v} for v in verdicts]) is passed
+
+
+def test_a_still_family_compares_no_row():
+    """Zero weights never move, so every compared metric is constant across
+    the reference run: each row is incomparable and the family fails."""
+    ds = _toy_dataset(n=8, d=4, seed=1)
+    report = compare(resample_common_grid(run_family(ds, (4, 3), 0.0, 0, 1.0, (0.1, 0.05))))
+    assert [r["passed"] for r in report["rows"]] == [None] * len(COMPARE_METRICS)
+    assert report["all_pass"] is False
 
 
 def test_resample_rejects_disjoint_windows():

@@ -14,7 +14,7 @@ import pytest
 import ska
 from ska.dynamics import LN2, NetworkConfig, sigmoid
 from ska.metrics import crossing_positions
-from ska.variational import UnitTrajectory
+from ska.variational import EL_ORDER_FLOOR, UnitTrajectory, unit_passed, unit_reports
 
 L12 = -0.3932238664829637
 H1 = -0.16005846201683078
@@ -170,3 +170,63 @@ def test_extract_unit_trajectories_from_run():
         np.testing.assert_allclose(np.diff(tr.t), 0.05)
     with pytest.raises(KeyError, match="not recorded"):
         ska.extract_unit_trajectories(trace, [(1, 1, 1)])
+
+
+# ------------------------------------------------------------- verdict ---
+
+
+def _unit(order=None, *crossings):
+    """A variational_report.json unit entry with order (key absent when None)
+    and one crossing per (residual, bound) pair."""
+    unit = {"net_identity_crossings": [{"time": 1.0, "residual": r, "bound": b}
+                                       for r, b in crossings]}
+    return unit if order is None else {**unit, "el_order": order}
+
+
+@pytest.mark.parametrize("unit,passed", [
+    (_unit(1.99), True),  # no crossing in the window: judged on its order alone
+    (_unit(EL_ORDER_FLOOR), True),
+    (_unit(None, (0.01, 0.1)), True),
+    (_unit(1.99, (0.01, 0.1), (0.0, 0.0)), True),
+    (_unit(1.2, (0.01, 0.1)), False),
+    (_unit(1.99, (0.5, 0.1)), False),
+    (_unit(1.99, (0.01, 0.0)), False),  # a residual over a zero bound still fails
+    (_unit(), False),  # neither an order nor a crossing: nothing checked
+    (_unit(None, (0.0, 0.0), (0.0, 0.0)), False),  # only zero bounds: nothing checked
+], ids=["order-only", "order-at-floor", "crossing-only", "zero-bound-beside-checks",
+        "low-order", "residual-over-bound", "residual-over-zero-bound", "nothing",
+        "zero-bounds-only"])
+def test_unit_passed_needs_something_checked_and_nothing_failed(unit, passed):
+    assert unit_passed(unit) is passed
+
+
+def test_a_still_path_checks_nothing():
+    """A zero weight never moves its unit: both EL residuals are 0, so no
+    order is measured, and the identically zero net crosses at every step
+    under a zero bound. unit_reports records that, and unit_passed fails it."""
+    traces = []
+    for dt, steps in ((0.05, 20), (0.025, 40)):
+        cfg = NetworkConfig(layer_sizes=(1, 1), dt=dt, steps=steps, seed=4, init_std_scale=0.0)
+        traces.append(ska.run(ska.init_network(cfg), ska.constant_dataset(1, 1, 1.0),
+                              record_units=[(0, 0, 0)]))
+    (unit,) = unit_reports([[0, 0, 0]], *traces)
+    assert unit["el_residual_max"] == unit["el_residual_max_half"] == 0
+    assert unit["el_order"] is None
+    assert unit["net_identity_crossings"]
+    assert all(c["residual"] == c["bound"] == 0 for c in unit["net_identity_crossings"])
+    assert unit_passed(unit) is False
+
+
+def test_unit_reports_holds_each_crossing_to_its_bound():
+    """The net-action bound is 10 * dt * max|zdot| over the recorded path,
+    and a crossing's residual is net_action_identity at its time."""
+    cfg = NetworkConfig(layer_sizes=(1, 1), dt=0.05, steps=120, seed=4)
+    trace = ska.run(ska.init_network(cfg), ska.constant_dataset(1, 1, 1.0),
+                    record_units=[(0, 0, 0)])
+    (unit,) = unit_reports([[0, 0, 0]], trace)
+    (traj,) = ska.extract_unit_trajectories(trace, [(0, 0, 0)])
+    assert "el_order" not in unit
+    (crossing,) = unit["net_identity_crossings"]
+    assert crossing["bound"] == 10.0 * 0.05 * (float(np.abs(np.diff(traj.z)).max()) / 0.05)
+    assert crossing["residual"] == ska.net_action_identity(traj, crossing["time"])
+    assert crossing["residual"] < crossing["bound"] and unit_passed(unit)
