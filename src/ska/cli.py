@@ -53,7 +53,6 @@ MARKERS_HEADER = "layer,kind,step,value"
 
 REQUIRED = object()  # table default: the key must be given
 NULLABLE = object()  # table default: the key must be given, and may be null
-OPTIONAL = object()  # table default: the key may be null, and stays absent when absent
 SEED = object()  # table default: the run's top-level seed
 
 
@@ -65,7 +64,7 @@ class Open(dict):
 # Python type, a tuple of the allowed strings, a list [type] of that type
 # ([type, NULLABLE] when an item may be null), or a nested table. A float
 # must be finite, an int is accepted where a float is expected, and a bool
-# is never a number. A null value counts as absent, save for an OPTIONAL key.
+# is never a number. A null value counts as absent.
 SECTIONS = {
     "network": {"layer_sizes": ([int], REQUIRED), "init_std_scale": (float, 1.0)},
     "run": {"dt": (float, REQUIRED), "steps": (int, REQUIRED)},
@@ -122,7 +121,7 @@ def _value(value, kind, default, path: str, label: str = "config"):
     if value is None:
         if default is REQUIRED:
             raise ValueError(f"missing {label} key {path}")
-        if default is None or default is NULLABLE or default is OPTIONAL:
+        if default is None or default is NULLABLE:
             return None
         value = default
     return _check(value, kind, path, label)
@@ -142,8 +141,7 @@ def _check(value, kind, path: str, label: str = "config"):
         if absent:
             raise ValueError(f"missing {label} key {_join(path, absent[0])}")
         checked = {key: _value(value.get(key), sub, default, _join(path, key), label)
-                   for key, (sub, default) in kind.items()
-                   if default is not OPTIONAL or key in value}
+                   for key, (sub, default) in kind.items()}
         return {**value, **checked} if isinstance(kind, Open) else checked
     if isinstance(kind, list):
         if not isinstance(value, list):
@@ -299,12 +297,13 @@ def environment(traces) -> dict:
 
 def write_manifest(out_dir: Path, command: str, config: dict, resolved: dict,
                    artifacts: list, t0: float, traces) -> None:
+    """Write manifest.json; the command's resolved block gains the net's layers."""
     manifest = {
         "tool": "ska",
         "version": __version__,
         "command": command,
         "config": config,
-        "resolved": resolved,
+        "resolved": {**resolved, "layers": len(config["network"]["layer_sizes"]) - 1},
         "artifacts": sorted(artifacts),
         "environment": environment(traces),
         "duration_seconds": round(time.perf_counter() - t0, 3),
@@ -386,7 +385,6 @@ def cmd_train(args, c: dict, t0: float) -> None:
         "eta": c["run"]["dt"],
         "steps": c["run"]["steps"],
         "eta_times_K": c["run"]["dt"] * c["run"]["steps"],
-        "layers": len(c["network"]["layer_sizes"]) - 1,
         "samples": ds.n,
     }
     write_manifest(out_dir, "train", c, resolved, artifacts, t0, [trace])
@@ -394,8 +392,8 @@ def cmd_train(args, c: dict, t0: float) -> None:
 
 def cmd_invariance(args, c: dict, t0: float) -> None:
     out_dir = args.out
-    traces = run_family(build_dataset(c["data"]), **c["network"], **c["invariance"],
-                        seed=c["seed"])
+    ds = build_dataset(c["data"])
+    traces = run_family(ds, **c["network"], **c["invariance"], seed=c["seed"])
     aligned = resample_common_grid(traces)
     result = compare(aligned)
     artifacts = ["aligned.csv", "invariance_report.csv", "invariance_report.json", "manifest.json"]
@@ -418,7 +416,8 @@ def cmd_invariance(args, c: dict, t0: float) -> None:
               ([words[row[k]] if k == "passed" else row[k] for k in columns]
                for row in result["rows"]))
 
-    resolved = {"runs": [{"label": label, "eta": t.dt, "steps": t.n_steps,
+    resolved = {"eta_times_K": c["invariance"]["total_time"], "samples": ds.n,
+                "runs": [{"label": label, "eta": t.dt, "steps": t.n_steps,
                           "eta_times_K": t.dt * t.n_steps}
                          for label, t in zip(aligned.labels, traces)]}
     write_manifest(out_dir, "invariance", c, resolved, artifacts, t0, traces)
@@ -437,38 +436,33 @@ def cmd_variational(args, c: dict, t0: float) -> None:
     payload = {"dt": dt, "steps": steps, "dt_halving": halving,
                "units": variational.unit_reports(units, *traces)}
     write_json(out_dir / "variational_report.json", payload)
-    resolved = {"eta_times_K": dt * steps, "recorded_units": len(units)}
+    resolved = {"eta_times_K": dt * steps, "samples": ds.n, "recorded_units": len(units)}
     artifacts = ["variational_report.json", "manifest.json"]
     write_manifest(out_dir, "variational-check", c, resolved, artifacts, t0, traces)
 
 
 # The keys report reads from each JSON file of a run directory, checked by
-# the config's rules; keys an Open table does not list pass unread. report
-# prints every key of thread_vars and malloc, listed in write_json's order.
+# the config's rules; keys an Open table does not list pass unread. The
+# commands write every key listed here, null where nothing was measured.
 ENVIRONMENT = Open({"python": (str, REQUIRED), "numpy": (str, REQUIRED),
-                    "blas": (Open({"name": (str, None), "version": (str, None)}), REQUIRED),
-                    "thread_vars": ({var: (str, OPTIONAL) for var in sorted(THREAD_VARS)},
+                    "blas": (Open({"name": (str, NULLABLE), "version": (str, NULLABLE)}),
+                             REQUIRED),
+                    "thread_vars": ({var: (str, NULLABLE) for var in sorted(THREAD_VARS)},
                                     REQUIRED),
                     "blas_threads": ([int, NULLABLE], REQUIRED),
-                    "malloc": ({name: (int, OPTIONAL) for name, _, _ in sorted(_HEAP_POLICY)},
+                    "malloc": ({name: (int, NULLABLE) for name, _, _ in sorted(_HEAP_POLICY)},
                                NULLABLE)})
+RESOLVED = Open({"eta_times_K": (float, REQUIRED), "layers": (int, REQUIRED),
+                 "samples": (int, REQUIRED)})
 MANIFEST = Open({"version": (str, REQUIRED), "command": (tuple(COMMANDS), REQUIRED),
-                 "environment": (ENVIRONMENT, REQUIRED)})
-# The manifest keys each command's report reads besides MANIFEST's.
-MANIFEST_KEYS = {
-    "train": {"resolved": (Open({"eta_times_K": (float, REQUIRED), "layers": (int, REQUIRED),
-                                 "samples": (int, REQUIRED)}), REQUIRED)},
-    "invariance": {"config": (Open({"invariance": (Open({"total_time": (float, REQUIRED)}),
-                                                   REQUIRED)}), REQUIRED)},
-    "variational-check": {"resolved": (Open({"eta_times_K": (float, REQUIRED)}), REQUIRED)},
-}
+                 "resolved": (RESOLVED, REQUIRED), "environment": (ENVIRONMENT, REQUIRED)})
 ROW = Open({"metric": (str, REQUIRED), "run": (str, REQUIRED), "rel_dev": (float, NULLABLE),
             "tolerance": (float, REQUIRED), "passed": (bool, NULLABLE)})
 CROSSING = Open({"time": (float, REQUIRED), "residual": (float, REQUIRED),
                  "bound": (float, REQUIRED)})
 UNIT = Open({"selection": ([int], REQUIRED), "action_entropy": (float, REQUIRED),
              "entropy_by_definition": (float, REQUIRED), "el_residual_max": (float, REQUIRED),
-             "el_order": (float, None), "net_identity_crossings": ([CROSSING], REQUIRED)})
+             "el_order": (float, NULLABLE), "net_identity_crossings": ([CROSSING], REQUIRED)})
 INVARIANCE_REPORT = Open({"rows": ([ROW], REQUIRED)})
 VARIATIONAL_REPORT = Open({"units": ([UNIT], REQUIRED)})
 
@@ -503,15 +497,13 @@ def report(out_dir: Path) -> int:
     lines, passed = [], True
     say = lines.append
     manifest = _read_run_file(out_dir, "manifest.json", MANIFEST)
-    command = manifest["command"]
-    manifest = _check(manifest, Open(MANIFEST_KEYS[command]), "", "manifest.json")
+    command, resolved = manifest["command"], manifest["resolved"]
     say(f"ska {manifest['version']} {command} run in {out_dir}")
     say(environment_line(manifest["environment"]))
+    say(f"characteristic time eta*K = {resolved['eta_times_K']}")
+    say(f"layers: {resolved['layers']}, samples: {resolved['samples']}")
 
     if command == "train":
-        resolved = manifest["resolved"]
-        say(f"characteristic time eta*K = {resolved['eta_times_K']}")
-        say(f"layers: {resolved['layers']}, samples: {resolved['samples']}")
         path = out_dir / "markers.csv"
         rows = _read(path).splitlines()
         if rows[:1] != [MARKERS_HEADER]:
@@ -535,7 +527,6 @@ def report(out_dir: Path) -> int:
             say(f"layer {layer}: " + "; ".join(by_layer[layer]))
         say("no checks: a train run carries no verdict")
     elif command == "invariance":
-        say(f"characteristic time eta*K = {manifest['config']['invariance']['total_time']}")
         rows = _read_run_file(out_dir, "invariance_report.json", INVARIANCE_REPORT)["rows"]
         if not rows:  # a family of two or more runs compares at least four rows
             raise ValueError("invariance_report.json rows is empty")
@@ -562,7 +553,6 @@ def report(out_dir: Path) -> int:
         passed = family_passed(rows)
         say("PASS" if passed else "FAIL")
     else:  # variational-check, the last command MANIFEST allows
-        say(f"characteristic time eta*K = {manifest['resolved']['eta_times_K']}")
         units = _read_run_file(out_dir, "variational_report.json", VARIATIONAL_REPORT)["units"]
         if not units:  # a variational-check records at least one unit
             raise ValueError("variational_report.json units is empty")

@@ -166,19 +166,18 @@ def _raise_not_finite(k: int, layer: int, **values) -> None:
 def crossing_positions(values: np.ndarray) -> list:
     """Zero crossings of a sequence, in fractional 0-based positions.
 
-    An exact zero at position i is reported as float(i). A sign change
-    between two nonzero neighbors i-1, i is reported at the linear
-    interpolation i-1 + |v[i-1]| / (|v[i-1]| + |v[i]|).
+    A crossing is a change of sign, exact zeros skipped. One between two
+    nonzero neighbors i, i+1 is reported at the linear interpolation
+    i + |v[i]| / (|v[i]| + |v[i+1]|); one across a run of zeros at the
+    index of its first zero. A run of zeros between values of one sign
+    (a touch), or at either end, is no crossing.
     """
     v = np.asarray(values, dtype=np.float64)
-    out = []
-    for i in range(len(v)):
-        if v[i] == 0.0:
-            out.append(float(i))
-        elif i > 0 and v[i - 1] != 0.0 and np.sign(v[i]) != np.sign(v[i - 1]):
-            a, b = abs(v[i - 1]), abs(v[i])
-            out.append(i - 1 + a / (a + b))
-    return out
+    nz = np.flatnonzero(v)
+    flips = np.flatnonzero((v[nz[:-1]] > 0.0) != (v[nz[1:]] > 0.0))
+    i, j = nz[flips], nz[flips + 1]
+    a, b = np.abs(v[i]), np.abs(v[j])
+    return np.where(j == i + 1, i + a / (a + b), i + 1.0).tolist()
 
 
 def find_zero_crossings(trace: TrajectoryTrace, layer: int) -> list:

@@ -141,21 +141,20 @@ def extract_unit_trajectories(trace: TrajectoryTrace, selections) -> list:
 def unit_reports(units, trace: TrajectoryTrace, trace_half: TrajectoryTrace | None = None) -> list:
     """The units list of variational_report.json, as unit_passed judges it:
     per unit recorded on trace, its entropies, its max EL residual and, with
-    trace_half (the run at dt/2), that residual's order, then the net-action
-    residual at each net zero crossing in its window. That is a leftover of
-    the last few increments of z, so it is held to 10 * dt * max|zdot|."""
+    trace_half (the run at dt/2), that residual at dt/2 and its order (both
+    None without it), then the net-action residual at each net zero crossing
+    in its window. That is a leftover of the last few increments of z, so it
+    is held to 10 * dt * max|zdot|."""
     trajs = extract_unit_trajectories(trace, units)
-    halves = None if trace_half is None else extract_unit_trajectories(trace_half, units)
+    halves = extract_unit_trajectories(trace_half, units) if trace_half else [None] * len(units)
     reports = []
-    for i, (sel, traj) in enumerate(zip(units, trajs)):
+    for sel, traj, half in zip(units, trajs, halves):
         norm = float(np.abs(el_residual(traj)).max())
+        norm_h = None if half is None else float(np.abs(el_residual(half)).max())
         entry = {"selection": sel, "action_entropy": float(action_entropy(traj)),
                  "entropy_by_definition": float(entropy_by_definition(traj)),
-                 "el_residual_max": norm}
-        if halves is not None:
-            norm_h = float(np.abs(el_residual(halves[i])).max())
-            entry["el_residual_max_half"] = norm_h
-            entry["el_order"] = float(math.log2(norm / norm_h)) if norm > 0 and norm_h > 0 else None
+                 "el_residual_max": norm, "el_residual_max_half": norm_h,
+                 "el_order": float(math.log2(norm / norm_h)) if norm and norm_h else None}
         zdot_max = float(np.abs(np.diff(traj.z)).max()) / traj.dt
         bound = 10.0 * traj.dt * zdot_max
         times = [(float(pos), float(pos * traj.dt)) for pos in find_zero_crossings(trace, sel[0])]
@@ -171,7 +170,7 @@ def unit_verdicts(unit: dict) -> list:
     None (nothing checked): its EL order against EL_ORDER_FLOOR (None when not
     measured), then each crossing's residual <= bound (None when that holds
     under a bound that is not positive)."""
-    order = unit.get("el_order")
+    order = unit["el_order"]
     crossings = [False if c["residual"] > c["bound"] else True if c["bound"] > 0 else None
                  for c in unit["net_identity_crossings"]]
     return [None if order is None else order >= EL_ORDER_FLOOR, *crossings]

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import ska
-from ska.cli import MARKERS_HEADER, TRACE_HEADER, main, write_trace_csv
+from ska.cli import (MANIFEST, MARKERS_HEADER, THREAD_VARS, TRACE_HEADER, _check, main,
+                     write_trace_csv)
 from ska.linalg import keep_heap
 
 TRAIN_CFG = {
@@ -702,17 +703,17 @@ def test_corrupt_manifest_exits_2_with_one_line(tmp_path, capsys):
 
 # The keys every manifest holds whatever its command.
 BASE_MANIFEST = {"version": ska.__version__,
-                 "environment": {"python": "3", "numpy": "2", "blas": {}, "thread_vars": {},
+                 "resolved": {"eta_times_K": 0.3, "layers": 2, "samples": 24},
+                 "environment": {"python": "3", "numpy": "2",
+                                 "blas": {"name": None, "version": None},
+                                 "thread_vars": dict.fromkeys(THREAD_VARS),
                                  "blas_threads": [], "malloc": None}}
-TRAIN_MANIFEST = {**BASE_MANIFEST, "command": "train",
-                  "resolved": {"eta_times_K": 0.3, "layers": 2, "samples": 24}}
+TRAIN_MANIFEST = {**BASE_MANIFEST, "command": "train"}
 TRAIN_MARKERS = ("markers.csv", f"{MARKERS_HEADER}\n0,entropy_min,3.0,0.1\n")
-INV_MANIFEST = {**BASE_MANIFEST, "command": "invariance",
-                "config": {"invariance": {"total_time": 0.2}}}
-VAR_MANIFEST = {**BASE_MANIFEST, "command": "variational-check",
-                "resolved": {"eta_times_K": 0.2}}
+INV_MANIFEST = {**BASE_MANIFEST, "command": "invariance"}
+VAR_MANIFEST = {**BASE_MANIFEST, "command": "variational-check"}
 VAR_UNIT = {"selection": [0, 0, 0], "action_entropy": 0.1, "entropy_by_definition": 0.1,
-            "el_residual_max": 1e-6}
+            "el_residual_max": 1e-6, "el_order": None}
 INV_ROW = {"metric": "cosine", "run": "run1:eta=0.01", "rel_dev": 0.01, "tolerance": 0.02,
            "passed": True}
 
@@ -749,7 +750,8 @@ BAD_RUN_DIRS = {
     "variational-check-no-units": (VAR_MANIFEST, ("variational_report.json", {"units": []}),
                                    "variational_report.json units is empty"),
     "variational-check": (VAR_MANIFEST,
-                          ("variational_report.json", {"units": [{"selection": [0, 0, 0]}]}),
+                          ("variational_report.json",
+                           {"units": [{"selection": [0, 0, 0], "el_order": None}]}),
                           "action_entropy"),
     # keys every manifest holds, missing from a run that is otherwise whole
     "train-no-environment": (_without(TRAIN_MANIFEST, "environment"), TRAIN_MARKERS,
@@ -759,6 +761,20 @@ BAD_RUN_DIRS = {
     "train-no-malloc": ({**TRAIN_MANIFEST, "environment": _without(BASE_MANIFEST["environment"],
                                                                    "malloc")},
                         TRAIN_MARKERS, "missing manifest.json key environment.malloc"),
+    # every command writes each of these keys, as null where nothing was measured
+    "invariance-no-samples": ({**INV_MANIFEST, "resolved": _without(BASE_MANIFEST["resolved"],
+                                                                    "samples")},
+                              ("invariance_report.json", {"rows": [INV_ROW]}),
+                              "missing manifest.json key resolved.samples"),
+    "train-no-thread-var": (
+        _environment(thread_vars=_without(BASE_MANIFEST["environment"]["thread_vars"],
+                                          "MKL_NUM_THREADS")), TRAIN_MARKERS,
+        "missing manifest.json key environment.thread_vars.MKL_NUM_THREADS"),
+    "variational-check-no-order": (
+        VAR_MANIFEST, ("variational_report.json",
+                       {"units": [{**_without(VAR_UNIT, "el_order"),
+                                   "net_identity_crossings": []}]}),
+        "missing variational_report.json key units[0].el_order"),
     "variational-check-no-bound": (
         VAR_MANIFEST,
         ("variational_report.json",
@@ -799,7 +815,8 @@ BAD_RUN_DIRS = {
         _environment(malloc={"arena_max": 1}), None,
         "unknown manifest.json key environment.malloc.arena_max"),
     "train-environment-thread-var-infinite": (
-        _environment(thread_vars={"OMP_NUM_THREADS": float("inf")}), None,
+        _environment(thread_vars={**dict.fromkeys(THREAD_VARS), "OMP_NUM_THREADS": float("inf")}),
+        None,
         "manifest.json key environment.thread_vars.OMP_NUM_THREADS must be str"),
     "variational-check-text-time": (
         VAR_MANIFEST, _crossing(time="0.5"),
@@ -835,15 +852,17 @@ BAD_RUN_DIRS = {
 
 
 def test_report_prints_the_environment_keys_the_manifest_holds(tmp_path, capsys):
-    """A thread variable or malloc threshold absent from the manifest stays
-    absent from the environment line; a null one reads unset or refused."""
-    env = {"thread_vars": {"MKL_NUM_THREADS": None, "OMP_NUM_THREADS": "1"},
-           "malloc": {"trim_threshold": None}}
+    """Every thread variable and malloc threshold of the manifest is on the
+    environment line, in sorted order; a null one reads unset or refused."""
+    env = {"thread_vars": {"MKL_NUM_THREADS": None, "OMP_NUM_THREADS": "1",
+                           "OPENBLAS_NUM_THREADS": None},
+           "malloc": {"mmap_threshold": 1 << 25, "trim_threshold": None}}
     (tmp_path / "manifest.json").write_text(json.dumps(_environment(**env)))
     (tmp_path / TRAIN_MARKERS[0]).write_text(TRAIN_MARKERS[1])
     assert main(["report", "--out", str(tmp_path)]) == 0
     (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("environment:")]
-    assert ", MKL_NUM_THREADS=unset OMP_NUM_THREADS=1, malloc trim_threshold=refused, " in line
+    assert (", MKL_NUM_THREADS=unset OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=unset, "
+            "malloc mmap_threshold=33554432 trim_threshold=refused, ") in line
 
 
 @pytest.mark.parametrize("command", sorted(BAD_RUN_DIRS))
@@ -918,14 +937,14 @@ def test_boundary_values_end_in_a_documented_outcome(tmp_path, capsys):
 # the JSON files it writes, as a key path in each file.
 RUN_FILE_CFGS = {"train": TRAIN_CFG, "invariance": INV_CFG,
                  "variational-check": {"seed": 4, "run": {"dt": 0.05, "steps": 120}}}
-BLAS_THREADS = ("environment", "blas_threads", 0)
+MANIFEST_NUMBERS = [("resolved", "eta_times_K"), ("resolved", "layers"),
+                    ("resolved", "samples"), ("environment", "blas_threads", 0)]
 REPORT_NUMBERS = {
-    "train": {"manifest.json": [("resolved", "eta_times_K"), ("resolved", "layers"),
-                                ("resolved", "samples"), BLAS_THREADS]},
-    "invariance": {"manifest.json": [("config", "invariance", "total_time"), BLAS_THREADS],
+    "train": {"manifest.json": MANIFEST_NUMBERS},
+    "invariance": {"manifest.json": MANIFEST_NUMBERS,
                    "invariance_report.json": [("rows", 0, "rel_dev"), ("rows", 0, "tolerance")]},
     "variational-check": {
-        "manifest.json": [("resolved", "eta_times_K"), BLAS_THREADS],
+        "manifest.json": MANIFEST_NUMBERS,
         "variational_report.json": [
             *(("units", 0, key) for key in ("action_entropy", "entropy_by_definition",
                                             "el_residual_max", "el_order")),
@@ -963,6 +982,29 @@ def test_report_rejects_a_run_file_number_that_is_not_a_finite_number(tmp_path, 
                                         f"stdout {printed!r}, stderr {err!r}")
             (out / name).write_text(whole)
     assert not failures, failures
+
+
+# The characteristic time, layer count and sample count of each run of
+# RUN_FILE_CFGS.
+RUN_FILE_RESOLVED = {"train": (0.05 * 6, 2, 24), "invariance": (0.2, 1, 16),
+                     "variational-check": (0.05 * 120, 1, 1)}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_FILE_CFGS))
+def test_every_manifest_has_one_shape(tmp_path, capsys, command):
+    """Each command's manifest passes MANIFEST alone, and its report prints
+    the characteristic time and the layers line as lines 3 and 4."""
+    out = tmp_path / "out"
+    charts = ["--no-svg"] if command == "train" else []
+    config = _write_cfg(tmp_path, RUN_FILE_CFGS[command])
+    assert main([command, "--config", config, "--out", str(out), *charts]) == 0
+    manifest = _check(json.loads((out / "manifest.json").read_text()), MANIFEST, "",
+                      "manifest.json")
+    T, layers, samples = RUN_FILE_RESOLVED[command]
+    resolved = manifest["resolved"]
+    assert [resolved[k] for k in ("eta_times_K", "layers", "samples")] == [T, layers, samples]
+    assert capsys.readouterr().out.splitlines()[2:4] == [
+        f"characteristic time eta*K = {T}", f"layers: {layers}, samples: {samples}"]
 
 
 # ------------------------------------------------------------ entry point ---

@@ -240,10 +240,14 @@ def test_crossing_positions_interpolates_sign_changes():
 
 
 def test_crossing_positions_exact_zeros():
-    # an exact zero is one crossing, not an extra interpolated pair
+    # a sign change across zeros is one crossing, at the first zero
     assert crossing_positions(np.array([1.0, 0.0, -1.0])) == [1.0]
-    assert crossing_positions(np.array([0.0, 2.0])) == [0.0]
-    assert crossing_positions(np.array([0.0, 0.0])) == [0.0, 1.0]
+    assert crossing_positions(np.array([2.0, 0.0, 0.0, -1.0, 0.0, 3.0])) == [1.0, 4.0]
+    # a touch, a run of zeros at either end and an all-zero run cross nothing
+    assert crossing_positions(np.array([1.0, 0.0, 0.0, 2.0])) == []
+    assert crossing_positions(np.array([0.0, 2.0, 0.0])) == []
+    assert crossing_positions(np.array([0.0, 0.0])) == []
+    assert crossing_positions(np.array([])) == []
 
 
 def test_find_zero_crossings_reports_step_coordinates():

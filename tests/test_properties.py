@@ -73,8 +73,12 @@ signed = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
 def test_crossing_positions_matches_its_docstring(values):
     got = crossing_positions(np.array(values))
     assert got == sorted(got) and len(set(got)) == len(got)
-    # exact zeros are reported at their own index, and only they are integral
-    assert [p for p in got if p == int(p)] == [float(i) for i, v in enumerate(values) if v == 0.0]
+    # a sign change across a run of zeros is reported at its first zero, and
+    # only such positions are integral
+    nonzero = [i for i, v in enumerate(values) if v != 0.0]
+    across = [float(i + 1) for i, j in zip(nonzero, nonzero[1:])
+              if j > i + 1 and values[i] * values[j] < 0.0]
+    assert [p for p in got if p == int(p)] == across
     # every sign change between nonzero neighbours gives one position strictly
     # between them, where the line through the two neighbours is zero
     changes = [i for i in range(1, len(values))
@@ -84,6 +88,7 @@ def test_crossing_positions_matches_its_docstring(values):
     for p, i in zip(interpolated, changes):
         a, b = values[i - 1], values[i]
         assert abs(a + (p - (i - 1)) * (b - a)) <= 1e-9 * max(abs(a), abs(b))
+        assert p == i - 1 + abs(a) / (abs(a) + abs(b))
 
 
 # ------------------------------------------------- one-element kernels ---

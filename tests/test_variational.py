@@ -176,11 +176,10 @@ def test_extract_unit_trajectories_from_run():
 
 
 def _unit(order=None, *crossings):
-    """A variational_report.json unit entry with order (key absent when None)
-    and one crossing per (residual, bound) pair."""
-    unit = {"net_identity_crossings": [{"time": 1.0, "residual": r, "bound": b}
-                                       for r, b in crossings]}
-    return unit if order is None else {**unit, "el_order": order}
+    """A variational_report.json unit entry with order (None when not
+    measured) and one crossing per (residual, bound) pair."""
+    crossings = [{"time": 1.0, "residual": r, "bound": b} for r, b in crossings]
+    return {"el_order": order, "net_identity_crossings": crossings}
 
 
 @pytest.mark.parametrize("unit,passed", [
@@ -202,8 +201,8 @@ def test_unit_passed_needs_something_checked_and_nothing_failed(unit, passed):
 
 def test_a_still_path_checks_nothing():
     """A zero weight never moves its unit: both EL residuals are 0, so no
-    order is measured, and the identically zero net crosses at every step
-    under a zero bound. unit_reports records that, and unit_passed fails it."""
+    order is measured, and its identically zero net never changes sign, so
+    it has no crossing. unit_reports records that, and unit_passed fails it."""
     traces = []
     for dt, steps in ((0.05, 20), (0.025, 40)):
         cfg = NetworkConfig(layer_sizes=(1, 1), dt=dt, steps=steps, seed=4, init_std_scale=0.0)
@@ -212,8 +211,7 @@ def test_a_still_path_checks_nothing():
     (unit,) = unit_reports([[0, 0, 0]], *traces)
     assert unit["el_residual_max"] == unit["el_residual_max_half"] == 0
     assert unit["el_order"] is None
-    assert unit["net_identity_crossings"]
-    assert all(c["residual"] == c["bound"] == 0 for c in unit["net_identity_crossings"])
+    assert unit["net_identity_crossings"] == []
     assert unit_passed(unit) is False
 
 
@@ -225,7 +223,7 @@ def test_unit_reports_holds_each_crossing_to_its_bound():
                     record_units=[(0, 0, 0)])
     (unit,) = unit_reports([[0, 0, 0]], trace)
     (traj,) = ska.extract_unit_trajectories(trace, [(0, 0, 0)])
-    assert "el_order" not in unit
+    assert unit["el_residual_max_half"] is None and unit["el_order"] is None
     (crossing,) = unit["net_identity_crossings"]
     assert crossing["bound"] == 10.0 * 0.05 * (float(np.abs(np.diff(traj.z)).max()) / 0.05)
     assert crossing["residual"] == ska.net_action_identity(traj, crossing["time"])
