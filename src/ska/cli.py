@@ -54,6 +54,7 @@ MARKERS_HEADER = "layer,kind,step,value"
 REQUIRED = object()  # table default: the key must be given
 NULLABLE = object()  # table default: the key must be given, and may be null
 SEED = object()  # table default: the run's top-level seed
+MISSING = object()  # the value _check passes _value for an absent key
 
 
 class Open(dict):
@@ -64,7 +65,8 @@ class Open(dict):
 # Python type, a tuple of the allowed strings, a list [type] of that type
 # ([type, NULLABLE] when an item may be null), or a nested table. A float
 # must be finite, an int is accepted where a float is expected, and a bool
-# is never a number. A null value counts as absent.
+# is never a number. A null value counts as absent, but a NULLABLE key must
+# be present. Keys are checked in table order, so the first bad one is named.
 SECTIONS = {
     "network": {"layer_sizes": ([int], REQUIRED), "init_std_scale": (float, 1.0)},
     "run": {"dt": (float, REQUIRED), "steps": (int, REQUIRED)},
@@ -81,14 +83,6 @@ SOURCES = {
     "mnist": {"images": (str, REQUIRED), "limit": (int, None)},
 }
 DATA = {"source": (tuple(SOURCES), REQUIRED)}
-
-# The sections each command reads, each with its default.
-COMMANDS = {
-    "train": {"network": REQUIRED, "run": REQUIRED, "data": REQUIRED},
-    "invariance": {"network": REQUIRED, "data": REQUIRED, "invariance": REQUIRED},
-    "variational-check": {"network": {"layer_sizes": [1, 1]}, "run": REQUIRED,
-                          "data": {"source": "constant"}, "variational": {}},
-}
 
 
 def _read(path) -> str:
@@ -117,9 +111,10 @@ def _join(path: str, key: str) -> str:
 
 
 def _value(value, kind, default, path: str, label: str = "config"):
-    """A value, or its default when absent, checked against its type."""
-    if value is None:
-        if default is REQUIRED:
+    """A value (MISSING when its key is absent), or its default when absent
+    or null, checked against its type."""
+    if value is MISSING or value is None:
+        if default is REQUIRED or (default is NULLABLE and value is MISSING):
             raise ValueError(f"missing {label} key {path}")
         if default is None or default is NULLABLE:
             return None
@@ -137,10 +132,7 @@ def _check(value, kind, path: str, label: str = "config"):
         unknown = [] if isinstance(kind, Open) else [k for k in value if k not in kind]
         if unknown:
             raise ValueError(f"unknown {label} key {_join(path, unknown[0])}")
-        absent = [k for k, (_, default) in kind.items() if default is NULLABLE and k not in value]
-        if absent:
-            raise ValueError(f"missing {label} key {_join(path, absent[0])}")
-        checked = {key: _value(value.get(key), sub, default, _join(path, key), label)
+        checked = {key: _value(value.get(key, MISSING), sub, default, _join(path, key), label)
                    for key, (sub, default) in kind.items()}
         return {**value, **checked} if isinstance(kind, Open) else checked
     if isinstance(kind, list):
@@ -194,7 +186,7 @@ def resolve_config(args) -> dict:
     Commands run on this dict and their manifests echo it as "config", so
     the echo re-resolves to itself.
     """
-    sections = COMMANDS[args.command]
+    _, _, sections = COMMANDS[args.command]
     table = {"seed": (int, 0), **{name: (SECTIONS.get(name, dict), default)
                                   for name, default in sections.items()}}
     c = _check(load_config(args.config), table, "")
@@ -297,14 +289,14 @@ def environment(traces) -> dict:
 
 def write_manifest(out_dir: Path, command: str, config: dict, resolved: dict,
                    artifacts: list, t0: float, traces) -> None:
-    """Write manifest.json; the command's resolved block gains the net's layers."""
+    """Write manifest.json, listed in its own artifacts; resolved gains the net's layers."""
     manifest = {
         "tool": "ska",
         "version": __version__,
         "command": command,
         "config": config,
         "resolved": {**resolved, "layers": len(config["network"]["layer_sizes"]) - 1},
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted([*artifacts, "manifest.json"]),
         "environment": environment(traces),
         "duration_seconds": round(time.perf_counter() - t0, 3),
     }
@@ -370,12 +362,12 @@ def _run(c: dict, ds: Dataset, dt: float, steps: int, record_units=None) -> Traj
     return run(init_network(config), ds, record_units=record_units)
 
 
-def cmd_train(args, c: dict, t0: float) -> None:
+def cmd_train(args, c: dict) -> tuple:
     out_dir = args.out
     ds = build_dataset(c["data"])
     trace = _run(c, ds, c["run"]["dt"], c["run"]["steps"])
 
-    artifacts = ["trace.csv", "markers.csv", "manifest.json"]
+    artifacts = ["trace.csv", "markers.csv"]
     write_trace_csv(out_dir / "trace.csv", trace)
     write_markers_csv(out_dir / "markers.csv", trace)
     if args.svg:
@@ -387,16 +379,16 @@ def cmd_train(args, c: dict, t0: float) -> None:
         "eta_times_K": c["run"]["dt"] * c["run"]["steps"],
         "samples": ds.n,
     }
-    write_manifest(out_dir, "train", c, resolved, artifacts, t0, [trace])
+    return resolved, artifacts, [trace]
 
 
-def cmd_invariance(args, c: dict, t0: float) -> None:
+def cmd_invariance(args, c: dict) -> tuple:
     out_dir = args.out
     ds = build_dataset(c["data"])
     traces = run_family(ds, **c["network"], **c["invariance"], seed=c["seed"])
     aligned = resample_common_grid(traces)
     result = compare(aligned)
-    artifacts = ["aligned.csv", "invariance_report.csv", "invariance_report.json", "manifest.json"]
+    artifacts = ["aligned.csv", "invariance_report.csv", "invariance_report.json"]
     for i, trace in enumerate(traces):
         name = f"trace_run{i}_eta{trace.dt:g}.csv"
         write_trace_csv(out_dir / name, trace)
@@ -420,10 +412,10 @@ def cmd_invariance(args, c: dict, t0: float) -> None:
                 "runs": [{"label": label, "eta": t.dt, "steps": t.n_steps,
                           "eta_times_K": t.dt * t.n_steps}
                          for label, t in zip(aligned.labels, traces)]}
-    write_manifest(out_dir, "invariance", c, resolved, artifacts, t0, traces)
+    return resolved, artifacts, traces
 
 
-def cmd_variational(args, c: dict, t0: float) -> None:
+def cmd_variational(args, c: dict) -> tuple:
     """The run, and with dt_halving the same window at dt/2, recording the
     configured units; variational_report.json holds unit_reports of them."""
     out_dir = args.out
@@ -437,8 +429,21 @@ def cmd_variational(args, c: dict, t0: float) -> None:
                "units": variational.unit_reports(units, *traces)}
     write_json(out_dir / "variational_report.json", payload)
     resolved = {"eta_times_K": dt * steps, "samples": ds.n, "recorded_units": len(units)}
-    artifacts = ["variational_report.json", "manifest.json"]
-    write_manifest(out_dir, "variational-check", c, resolved, artifacts, t0, traces)
+    return resolved, ["variational_report.json"], traces
+
+
+# Each command's runner, help line and the config sections it reads, each
+# with its default. A runner writes its artifacts into args.out and returns
+# the manifest's resolved block, the names of the files it wrote and its traces.
+COMMANDS = {
+    "train": (cmd_train, "single run with trace, markers, charts",
+              {"network": REQUIRED, "run": REQUIRED, "data": REQUIRED}),
+    "invariance": (cmd_invariance, "fixed eta*K family comparison",
+                   {"network": REQUIRED, "data": REQUIRED, "invariance": REQUIRED}),
+    "variational-check": (cmd_variational, "unit-trajectory identity checks",
+                          {"network": {"layer_sizes": [1, 1]}, "run": REQUIRED,
+                           "data": {"source": "constant"}, "variational": {}}),
+}
 
 
 # The keys report reads from each JSON file of a run directory, checked by
@@ -474,14 +479,15 @@ def _read_run_file(out_dir: Path, name: str, table: Open) -> dict:
 
 def environment_line(env: dict) -> str:
     """A checked manifest environment block as one line."""
-    blas = env["blas"]
+    name, version = env["blas"]["name"], env["blas"]["version"]
+    blas = ("unknown" if name is None else name) + ("" if version is None else f" {version}")
     thread_vars = " ".join(f"{k}={'unset' if v is None else v}"
                            for k, v in env["thread_vars"].items())
     threads = " ".join("?" if t is None else str(t) for t in env["blas_threads"])
     malloc = "unchanged" if env["malloc"] is None else " ".join(
         f"{k}={'refused' if v is None else v}" for k, v in env["malloc"].items())
     return (f"environment: Python {env['python']}, numpy {env['numpy']}, "
-            f"BLAS {blas['name']} {blas['version']}, {thread_vars}, "
+            f"BLAS {blas}, {thread_vars}, "
             f"malloc {malloc}, BLAS threads per run: {threads}")
 
 
@@ -588,24 +594,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ska {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name, (_, help_line, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-
-    p_train = sub.add_parser("train", help="single run with trace, markers, charts")
-    add_common(p_train)
-    p_train.add_argument("--svg", action=argparse.BooleanOptionalAction, default=True,
-                         help="write SVG charts (default on)")
-    p_train.set_defaults(func=cmd_train)
-
-    p_inv = sub.add_parser("invariance", help="fixed eta*K family comparison")
-    add_common(p_inv)
-    p_inv.set_defaults(func=cmd_invariance)
-
-    p_var = sub.add_parser("variational-check", help="unit-trajectory identity checks")
-    add_common(p_var)
-    p_var.set_defaults(func=cmd_variational)
+        if name == "train":
+            p.add_argument("--svg", action=argparse.BooleanOptionalAction, default=True,
+                           help="write SVG charts (default on)")
 
     p_rep = sub.add_parser("report", help="summarize a finished run directory")
     p_rep.add_argument("--out", type=Path, required=True, help="directory holding manifest.json")
@@ -631,7 +627,9 @@ def main(argv=None) -> int:
             if args.command != "report":
                 c = resolve_config(args)
                 args.out.mkdir(parents=True, exist_ok=True)
-                args.func(args, c, t0)
+                runner, _, _ = COMMANDS[args.command]
+                resolved, artifacts, traces = runner(args, c)
+                write_manifest(args.out, args.command, c, resolved, artifacts, t0, traces)
             return report(args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -644,7 +642,3 @@ def main(argv=None) -> int:
         except OSError:
             pass
     return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

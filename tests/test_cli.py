@@ -635,11 +635,12 @@ def test_exit_2_removes_only_the_empty_out_dir_it_made(tmp_path, capsys, monkeyp
     assert out.is_dir()
     out.rmdir()
 
-    def write_then_fail(args, c, t0):
+    def write_then_fail(args, c):
         (args.out / "partial.csv").write_text("")
         raise ValueError("stopped after a write")
 
-    monkeypatch.setattr(ska.cli, "cmd_train", write_then_fail)
+    _, help_line, sections = ska.cli.COMMANDS["train"]
+    monkeypatch.setitem(ska.cli.COMMANDS, "train", (write_then_fail, help_line, sections))
     assert main(["train", "--config", _write_cfg(tmp_path, TRAIN_CFG), "--out", str(out)]) == 2
     assert (out / "partial.csv").is_file()
 
@@ -753,6 +754,11 @@ BAD_RUN_DIRS = {
                           ("variational_report.json",
                            {"units": [{"selection": [0, 0, 0], "el_order": None}]}),
                           "action_entropy"),
+    # a table's keys are read in its order, so the first absent one is named
+    # whether it is REQUIRED or NULLABLE
+    "variational-check-selection-only": (
+        VAR_MANIFEST, ("variational_report.json", {"units": [{"selection": [0, 0, 0]}]}),
+        "missing variational_report.json key units[0].action_entropy"),
     # keys every manifest holds, missing from a run that is otherwise whole
     "train-no-environment": (_without(TRAIN_MANIFEST, "environment"), TRAIN_MARKERS,
                              "missing manifest.json key environment"),
@@ -853,7 +859,8 @@ BAD_RUN_DIRS = {
 
 def test_report_prints_the_environment_keys_the_manifest_holds(tmp_path, capsys):
     """Every thread variable and malloc threshold of the manifest is on the
-    environment line, in sorted order; a null one reads unset or refused."""
+    environment line, in sorted order; a null one reads unset or refused. A
+    null BLAS name reads unknown, and a null BLAS version is left out."""
     env = {"thread_vars": {"MKL_NUM_THREADS": None, "OMP_NUM_THREADS": "1",
                            "OPENBLAS_NUM_THREADS": None},
            "malloc": {"mmap_threshold": 1 << 25, "trim_threshold": None}}
@@ -861,7 +868,8 @@ def test_report_prints_the_environment_keys_the_manifest_holds(tmp_path, capsys)
     (tmp_path / TRAIN_MARKERS[0]).write_text(TRAIN_MARKERS[1])
     assert main(["report", "--out", str(tmp_path)]) == 0
     (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("environment:")]
-    assert (", MKL_NUM_THREADS=unset OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=unset, "
+    assert (", numpy 2, BLAS unknown, MKL_NUM_THREADS=unset OMP_NUM_THREADS=1 "
+            "OPENBLAS_NUM_THREADS=unset, "
             "malloc mmap_threshold=33554432 trim_threshold=refused, ") in line
 
 

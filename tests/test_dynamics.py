@@ -7,16 +7,18 @@ gradient(1) = -(1 * sigmoid'(1)) / ln 2 = -0.2836510610670778
 h(1)        = -0.16005846201683078
 """
 
+import json
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ska
 from ska.dynamics import LN2, MAX_STEPS, SIGMOID_BLOCK, SMALL_PRODUCT, NetworkConfig
-from ska.linalg import blas_threads, cosine_flat, frobenius_norm
+from ska.linalg import blas_threads, cosine_flat, frobenius_norm, outer_mean
 
 from test_variational import entropy_primitive
 
@@ -720,3 +722,73 @@ def reference_columns(cfg, X):
     cols["entropy_cum"] = np.cumsum(cols["entropy_step"], axis=0)
     cols["net_cum"] = np.cumsum(cols["net_step"], axis=0)
     return cols
+
+
+# ------------------------------------------------ layer 0 on the family net ---
+
+FAMILY = json.loads((Path(__file__).resolve().parents[1] / "configs" /
+                     "invariance_family.json").read_text())
+
+
+def _family_net(dt, steps, **changes):
+    """The family net of configs/invariance_family.json, changes to its
+    network section or seed applied."""
+    return ska.init_network(NetworkConfig(
+        **{**FAMILY["network"], "seed": FAMILY["seed"], **changes}, dt=dt, steps=steps))
+
+
+def _family_inputs():
+    data = {k: v for k, v in FAMILY["data"].items() if k != "source"}
+    return ska.synthetic_blobs(**data).inputs
+
+
+def test_layer0_keeps_its_own_clock_bit_for_bit():
+    """Halving the inputs and doubling init_std_scale leaves layer 0's Z
+    unchanged and halves its update U = outer_mean(G, X), so four times the
+    dt moves W by twice as much, which the doubled W absorbs: layer 0 sees
+    eta only through eta * lambda_max(X^T X / N), its intrinsic timescale.
+    Every scaling is by a power of two, exact in binary, so no tolerance.
+    Only flow_norm, which divides by dt, reads 4 times smaller. Layer 1's
+    input D is not rescaled, so its clock differs."""
+    X = _family_inputs()
+    a = ska.run(_family_net(0.005, 100), ska.Dataset(X))
+    b = ska.run(_family_net(0.02, 100, init_std_scale=2 * FAMILY["network"]["init_std_scale"]),
+                ska.Dataset(X / 2))
+    for name in ("z_norm", "entropy_step", "entropy_cum", "cosine", "net_step", "net_cum"):
+        assert np.array_equal(a.column(name)[:, 0], b.column(name)[:, 0], equal_nan=True), name
+    assert np.array_equal(a.column("flow_norm")[:, 0], 4 * b.column("flow_norm")[:, 0])
+    assert not np.array_equal(a.column("z_norm")[:, 1], b.column("z_norm")[:, 1])
+
+
+def _layer0_balance_residual(X, dt, steps):
+    """sum_k |H_k + dt |U_{k-1}|_F^2| / sum_k |H_k| over a run, with H_k layer
+    0's entropy_step and U_{k-1} = outer_mean(G, X) its update before the
+    step, taken from the snapshot the step before left."""
+    net = _family_net(dt, steps)
+    ska.step(net, X)  # the seeding step
+    gap = total = 0.0
+    for _ in range(steps):
+        layer = net.layers[0]
+        U = outer_mean(ska.entropy_gradient(layer.Z, layer.D), X)
+        H = ska.step(net, X)[0][0]
+        gap += abs(H + dt * float(np.sum(U * U)))
+        total += abs(H)
+    return gap / total
+
+
+def test_layer0_descends_its_entropy_as_a_gradient_flow():
+    """Layer 0's update is gradient descent on a potential whose derivative
+    in Z is G, so to first order its entropy step is -dt |U|^2 (the
+    energy-dissipation balance of a gradient flow; Ambrosio, Gigli & Savare,
+    ch. 1): it never rises over family seeds 0 to 9 (largest measured
+    -0.18), and the balance's residual halves with dt (0.0256, 0.0130 and
+    0.0065 at dt 0.02, 0.01 and 0.005)."""
+    X = _family_inputs()
+    T = FAMILY["invariance"]["total_time"]
+    for seed in range(10):
+        for dt in (0.02, 0.01):
+            trace = ska.run(_family_net(dt, round(T / dt), seed=seed), ska.Dataset(X))
+            assert np.all(trace.column("entropy_step")[:, 0] < 0), (seed, dt)
+    residuals = [_layer0_balance_residual(X, dt, round(T / dt)) for dt in (0.02, 0.01, 0.005)]
+    for coarse, fine in zip(residuals, residuals[1:]):
+        assert 1.8 <= coarse / fine <= 2.2, residuals
