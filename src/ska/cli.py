@@ -287,15 +287,22 @@ def environment(traces) -> dict:
     }
 
 
-def write_manifest(out_dir: Path, command: str, config: dict, resolved: dict,
+def write_manifest(out_dir: Path, command: str, c: dict, samples: int,
                    artifacts: list, t0: float, traces) -> None:
-    """Write manifest.json, listed in its own artifacts; resolved gains the net's layers."""
+    """Write manifest.json, listed in its own artifacts. resolved has one
+    shape for every command: the window c asks for, the net's layers, the
+    samples and each trace's eta, steps and product, in the runner's order."""
+    window = (c["invariance"]["total_time"] if "invariance" in c
+              else c["run"]["dt"] * c["run"]["steps"])
     manifest = {
         "tool": "ska",
         "version": __version__,
         "command": command,
-        "config": config,
-        "resolved": {**resolved, "layers": len(config["network"]["layer_sizes"]) - 1},
+        "config": c,
+        "resolved": {"eta_times_K": window, "layers": len(c["network"]["layer_sizes"]) - 1,
+                     "samples": samples,
+                     "runs": [{"eta": t.dt, "steps": t.n_steps, "eta_times_K": t.dt * t.n_steps}
+                              for t in traces]},
         "artifacts": sorted([*artifacts, "manifest.json"]),
         "environment": environment(traces),
         "duration_seconds": round(time.perf_counter() - t0, 3),
@@ -362,9 +369,8 @@ def _run(c: dict, ds: Dataset, dt: float, steps: int, record_units=None) -> Traj
     return run(init_network(config), ds, record_units=record_units)
 
 
-def cmd_train(args, c: dict) -> tuple:
+def cmd_train(args, c: dict, ds: Dataset) -> tuple:
     out_dir = args.out
-    ds = build_dataset(c["data"])
     trace = _run(c, ds, c["run"]["dt"], c["run"]["steps"])
 
     artifacts = ["trace.csv", "markers.csv"]
@@ -372,19 +378,11 @@ def cmd_train(args, c: dict) -> tuple:
     write_markers_csv(out_dir / "markers.csv", trace)
     if args.svg:
         artifacts += train_charts(out_dir, trace)
-
-    resolved = {
-        "eta": c["run"]["dt"],
-        "steps": c["run"]["steps"],
-        "eta_times_K": c["run"]["dt"] * c["run"]["steps"],
-        "samples": ds.n,
-    }
-    return resolved, artifacts, [trace]
+    return artifacts, [trace]
 
 
-def cmd_invariance(args, c: dict) -> tuple:
+def cmd_invariance(args, c: dict, ds: Dataset) -> tuple:
     out_dir = args.out
-    ds = build_dataset(c["data"])
     traces = run_family(ds, **c["network"], **c["invariance"], seed=c["seed"])
     aligned = resample_common_grid(traces)
     result = compare(aligned)
@@ -407,19 +405,13 @@ def cmd_invariance(args, c: dict) -> tuple:
     write_csv(out_dir / "invariance_report.csv", ",".join(columns),
               ([words[row[k]] if k == "passed" else row[k] for k in columns]
                for row in result["rows"]))
-
-    resolved = {"eta_times_K": c["invariance"]["total_time"], "samples": ds.n,
-                "runs": [{"label": label, "eta": t.dt, "steps": t.n_steps,
-                          "eta_times_K": t.dt * t.n_steps}
-                         for label, t in zip(aligned.labels, traces)]}
-    return resolved, artifacts, traces
+    return artifacts, traces
 
 
-def cmd_variational(args, c: dict) -> tuple:
+def cmd_variational(args, c: dict, ds: Dataset) -> tuple:
     """The run, and with dt_halving the same window at dt/2, recording the
     configured units; variational_report.json holds unit_reports of them."""
     out_dir = args.out
-    ds = build_dataset(c["data"])
     dt, steps = c["run"]["dt"], c["run"]["steps"]
     units, halving = c["variational"]["units"], c["variational"]["dt_halving"]
     traces = [_run(c, ds, dt, steps, units)]
@@ -428,13 +420,13 @@ def cmd_variational(args, c: dict) -> tuple:
     payload = {"dt": dt, "steps": steps, "dt_halving": halving,
                "units": variational.unit_reports(units, *traces)}
     write_json(out_dir / "variational_report.json", payload)
-    resolved = {"eta_times_K": dt * steps, "samples": ds.n, "recorded_units": len(units)}
-    return resolved, ["variational_report.json"], traces
+    return ["variational_report.json"], traces
 
 
 # Each command's runner, help line and the config sections it reads, each
-# with its default. A runner writes its artifacts into args.out and returns
-# the manifest's resolved block, the names of the files it wrote and its traces.
+# with its default. A runner takes the args, the resolved config and its
+# dataset, writes its artifacts into args.out and returns the names of the
+# files it wrote and its traces.
 COMMANDS = {
     "train": (cmd_train, "single run with trace, markers, charts",
               {"network": REQUIRED, "run": REQUIRED, "data": REQUIRED}),
@@ -627,9 +619,10 @@ def main(argv=None) -> int:
             if args.command != "report":
                 c = resolve_config(args)
                 args.out.mkdir(parents=True, exist_ok=True)
+                ds = build_dataset(c["data"])
                 runner, _, _ = COMMANDS[args.command]
-                resolved, artifacts, traces = runner(args, c)
-                write_manifest(args.out, args.command, c, resolved, artifacts, t0, traces)
+                artifacts, traces = runner(args, c, ds)
+                write_manifest(args.out, args.command, c, ds.n, artifacts, t0, traces)
             return report(args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ TOLERANCE = 0.02
 
 def steps_for(total_time: float, eta: float) -> int:
     """Rounded step count for the window; the realized eta*K may differ
-    slightly from total_time (the mismatch is logged, never hidden)."""
+    slightly from total_time (the manifest's resolved.runs logs it)."""
     k = bounded_steps(total_time / eta, f"eta {eta} over T = {total_time}")
     if k < 2:
         raise ValueError(f"eta {eta} gives only {k} steps over T = {total_time}; "
@@ -69,7 +69,7 @@ class AlignedFamily:
 
     @property
     def labels(self) -> list:
-        """Each trace's name in the report rows, aligned.csv and the manifest."""
+        """Each trace's name in the report rows and aligned.csv; trace i is resolved.runs[i]."""
         return [f"run{i}:eta={trace.dt:g}" for i, trace in enumerate(self.traces)]
 
 

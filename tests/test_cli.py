@@ -635,7 +635,7 @@ def test_exit_2_removes_only_the_empty_out_dir_it_made(tmp_path, capsys, monkeyp
     assert out.is_dir()
     out.rmdir()
 
-    def write_then_fail(args, c):
+    def write_then_fail(args, c, ds):
         (args.out / "partial.csv").write_text("")
         raise ValueError("stopped after a write")
 
@@ -993,24 +993,33 @@ def test_report_rejects_a_run_file_number_that_is_not_a_finite_number(tmp_path, 
 
 
 # The characteristic time, layer count and sample count of each run of
-# RUN_FILE_CFGS.
-RUN_FILE_RESOLVED = {"train": (0.05 * 6, 2, 24), "invariance": (0.2, 1, 16),
-                     "variational-check": (0.05 * 120, 1, 1)}
+# RUN_FILE_CFGS, and the (eta, steps) of each of its runs: variational-check
+# halves dt by default.
+RUN_FILE_RESOLVED = {"train": (0.05 * 6, 2, 24, [(0.05, 6)]),
+                     "invariance": (0.2, 1, 16, [(0.01, 20), (0.005, 40)]),
+                     "variational-check": (0.05 * 120, 1, 1, [(0.05, 120), (0.025, 240)])}
 
 
 @pytest.mark.parametrize("command", sorted(RUN_FILE_CFGS))
 def test_every_manifest_has_one_shape(tmp_path, capsys, command):
-    """Each command's manifest passes MANIFEST alone, and its report prints
-    the characteristic time and the layers line as lines 3 and 4."""
+    """Each command's manifest passes MANIFEST alone, its resolved block has
+    the same keys whatever the command and lists every run the command
+    made, and its report prints the characteristic time and the layers line
+    as lines 3 and 4."""
     out = tmp_path / "out"
     charts = ["--no-svg"] if command == "train" else []
     config = _write_cfg(tmp_path, RUN_FILE_CFGS[command])
     assert main([command, "--config", config, "--out", str(out), *charts]) == 0
     manifest = _check(json.loads((out / "manifest.json").read_text()), MANIFEST, "",
                       "manifest.json")
-    T, layers, samples = RUN_FILE_RESOLVED[command]
+    T, layers, samples, runs = RUN_FILE_RESOLVED[command]
     resolved = manifest["resolved"]
+    assert sorted(resolved) == ["eta_times_K", "layers", "runs", "samples"]
     assert [resolved[k] for k in ("eta_times_K", "layers", "samples")] == [T, layers, samples]
+    assert [(r["eta"], r["steps"]) for r in resolved["runs"]] == runs
+    for r in resolved["runs"]:
+        assert sorted(r) == ["eta", "eta_times_K", "steps"]
+        assert r["eta_times_K"] == r["eta"] * r["steps"]
     assert capsys.readouterr().out.splitlines()[2:4] == [
         f"characteristic time eta*K = {T}", f"layers: {layers}, samples: {samples}"]
 
