@@ -261,10 +261,10 @@ def step(net: Network, X: np.ndarray) -> list | None:
 
     A recorded step (k >= 1) works over the pair the layer's forward
     retired: it writes the increments dZ and dD over it, takes ||Z||, the
-    cosine of Z and dD, and ||dZ|| / dt, writes Z * dD over dD for the
-    entropy, the gradient G over that spent block, applies the update, and
-    writes (D - G) * dZ over the same block for the net. It then releases
-    the pair before the next layer is forwarded, so between steps each layer
+    cosine of Z and dD, ||dZ|| / dt and the entropy, each one reduction
+    that writes nothing, writes the gradient G over the spent dD, applies
+    the update, and writes D - G over G for the net. It then releases the
+    pair before the next layer is forwarded, so between steps each layer
     holds two blocks the size of Z, and only the layer in flight holds four.
     A step allocates only the new snapshot (Z, D), the update block and the
     block-sized temporaries of the sigmoid and gradient passes, plus, when X
@@ -293,7 +293,7 @@ def step(net: Network, X: np.ndarray) -> list | None:
             zn = linalg.frobenius_norm(Z)
             cos = linalg.cosine_flat(Z, dD, norm_a=zn)
             fn = linalg.frobenius_norm(dZ) / dt
-            es = entropy_step(Z, dD, out=dD)
+            es = entropy_step(Z, dD)
             G = entropy_gradient(Z, D, out=dD)
         upd = linalg.outer_mean(G, inp)
         if upd.size == 1:

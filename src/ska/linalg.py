@@ -1,17 +1,19 @@
 """Dense float64 kernels of the Euler step and the metric pass.
 
-matmul, outer_mean, the Frobenius norm and the flattened cosine: the four
-operations the dynamics and the metrics run on every step. blas_threads caps
-the threads of numpy's OpenBLAS for the length of a run; keep_heap sets the C
-allocator's policy for the process that runs the steps. The three that
-take two operands check their shapes and raise ShapeMismatchError instead
-of letting broadcasting paper over a mistake. Matrices are 2-D float64
-arrays, row-major, one sample per row where a batch is involved. Nothing
-mutates its inputs. matmul and outer_mean return a fresh array; outer_mean scales
-its product in place rather than allocating a second one. The norm and cosine
-reduce to Python floats through one dot product per operand, with no
+matmul, outer_mean, the Frobenius norm, the flattened cosine and inner, the
+one reduction under the cosine, the entropy and the net: the operations the
+dynamics and the metrics run on every step. blas_threads caps the threads of
+numpy's OpenBLAS for the length of a run; keep_heap sets the C allocator's
+policy for the process that runs the steps. matmul, outer_mean and the cosine
+check their shapes and raise ShapeMismatchError instead of letting
+broadcasting paper over a mistake. Matrices are 2-D float64 arrays, row-major,
+one sample per row where a batch is involved. Nothing mutates its inputs.
+matmul and outer_mean return a fresh array; outer_mean scales its product in
+place rather than allocating a second one. The norm, inner and the cosine
+reduce to floats through one dot product per operand pair, with no
 intermediate array. On one element each kernel multiplies Python floats; the
-two products add +0.0, as numpy's 1x1 product is a sum that starts from +0.0.
+two products and inner add +0.0, as numpy's 1x1 product is a sum that starts
+from +0.0.
 """
 
 from __future__ import annotations
@@ -81,6 +83,15 @@ def frobenius_norm(m: np.ndarray) -> float:
     return _norm(m)
 
 
+def inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of the elementwise products of two same-shape arrays: the dot
+    product of their C-flattened views, or a.item() * b.item() + 0.0 on one
+    element, the sum from +0.0 that the dot product takes on longer arrays."""
+    if a.size == 1:
+        return a.item() * b.item() + 0.0
+    return np.dot(a.ravel(), b.ravel())
+
+
 def cosine_flat(a: np.ndarray, b: np.ndarray, *, norm_a: float | None = None) -> float:
     """Cosine of the angle between two same-shape arrays flattened to vectors.
 
@@ -96,8 +107,7 @@ def cosine_flat(a: np.ndarray, b: np.ndarray, *, norm_a: float | None = None) ->
     if na == 0.0 or nb == 0.0:
         return math.nan
     # one element: na, nb >= 2**-537, so na * nb > 0 and the float division cannot raise
-    dot = a.item() * b.item() if a.size == 1 else np.dot(a.ravel(), b.ravel())
-    c = float(dot / (na * nb))
+    c = float(inner(a, b) / (na * nb))
     return c if math.isnan(c) else min(1.0, max(-1.0, c))
 
 

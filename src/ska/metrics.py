@@ -25,17 +25,11 @@ if TYPE_CHECKING:
 LN2 = float(np.log(2.0))
 
 
-def entropy_step(Z: np.ndarray, dD: np.ndarray, out: np.ndarray | None = None) -> float:
-    """Single-step layer entropy -(1/ln 2) * mean_samples sum_units Z * dD.
-
-    out, when given, receives the product Z * dD instead of a fresh array;
-    it may be dD itself, which then no longer holds the increment. The
-    Euler step passes dD, and then writes the entropy gradient over it.
-    """
+def entropy_step(Z: np.ndarray, dD: np.ndarray) -> float:
+    """Single-step layer entropy -(1/ln 2) * mean_samples sum_units Z * dD."""
     if Z.shape != dD.shape:
         raise linalg.ShapeMismatchError("entropy_step", Z.shape, dD.shape)
-    total = _sum1(Z.item() * dD.item(), out) if Z.size == 1 else np.multiply(Z, dD, out=out).sum()
-    return float(-total / (LN2 * Z.shape[0]))
+    return float(-linalg.inner(Z, dD) / (LN2 * Z.shape[0]))
 
 
 def net_step(D: np.ndarray, G: np.ndarray, dZ: np.ndarray,
@@ -45,24 +39,18 @@ def net_step(D: np.ndarray, G: np.ndarray, dZ: np.ndarray,
     D - G compares what a unit decided against how hard its entropy pushes
     it; weighting by the knowledge increment makes the running sum a
     discrete line integral along the trajectory. out, when given, receives
-    (D - G) * dZ instead of a fresh array; it may be G itself, which then no
+    D - G instead of a fresh array; it may be G itself, which then no
     longer holds the gradient. The Euler step passes G once the weight
     update has read it.
     """
     if not (D.shape == G.shape == dZ.shape):
         raise linalg.ShapeMismatchError("net_step", D.shape, dZ.shape)
-    if D.size == 1:
-        return float(_sum1((D.item() - G.item()) * dZ.item(), out) / D.shape[0])
-    prod = np.subtract(D, G, out=out)
-    prod *= dZ
-    return float(prod.sum() / D.shape[0])
-
-
-def _sum1(prod: float, out: np.ndarray | None) -> float:
-    # numpy's sum of a one-element product, which starts from +0.0; out gets the product
-    if out is not None:
-        out.flat[0] = prod
-    return prod + 0.0
+    if D.size == 1:  # Python floats, without numpy's per-call dispatch
+        diff = np.empty_like(D) if out is None else out
+        diff.flat[0] = D.item() - G.item()
+    else:
+        diff = np.subtract(D, G, out=out)
+    return float(linalg.inner(diff, dZ) / D.shape[0])
 
 
 # The metric columns of a trace, in the order trace.csv writes them.

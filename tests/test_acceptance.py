@@ -15,6 +15,7 @@ import json
 import math
 import struct
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ import scipy.integrate
 
 import ska
 from ska import data as ska_data
-from ska.cli import main as cli_main
+from ska.cli import build_dataset, main as cli_main, write_markers_csv, write_trace_csv
 from ska.dynamics import NetworkConfig
 from ska.invariance import compare, resample_common_grid, run_family
 from ska.variational import EL_ORDER_FLOOR, unit_reports
@@ -36,10 +37,9 @@ FAMILY_NET = dict(layer_sizes=(64, 32, 16, 4), seed=19, init_std_scale=2.0)
 FAMILY_ETAS = (0.02, 0.01, 0.005, 0.001)
 FAMILY_T = 0.5
 
-# criterion 6 run, frozen
-GLYPH_N, GLYPH_SEED = 4096, 7
-FIG_NET = dict(layer_sizes=(784, 256, 128, 64, 10), dt=0.01, steps=50,
-               seed=10, init_std_scale=0.15)
+# criterion 6 runs the benchmark's frozen glyph-train config and holds its
+# trace to the benchmark's reference
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class Criterion:
@@ -202,11 +202,17 @@ def test_acceptance_5_net_action_identity():
 # ------------------------------------------------- 6: trajectory shapes ---
 
 
-def test_acceptance_6_trajectory_shapes():
+def test_acceptance_6_trajectory_shapes(tmp_path, monkeypatch):
+    """The shapes of the glyph run, and its trace and markers within
+    checks.TOL of perfbench/reference/glyph-train, so a change to the
+    numerics fails here and not only in the benchmark."""
     c = Criterion(6, "qualitative trajectory shapes")
-    ds = ska.glyph_dataset(GLYPH_N, seed=GLYPH_SEED)
-    cfg = NetworkConfig(**FIG_NET)
-    trace = ska.run(ska.init_network(cfg), ds)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+
+    frozen = checks.WORKLOADS["glyph-train"]["config"]
+    cfg = NetworkConfig(**frozen["network"], **frozen["run"], seed=frozen["seed"])
+    trace = ska.run(ska.init_network(cfg), build_dataset(frozen["data"]))
     hidden = range(trace.n_layers - 1)
     out = trace.n_layers - 1
 
@@ -222,6 +228,15 @@ def test_acceptance_6_trajectory_shapes():
         peak = ska.find_flow_peak(trace, l)
         c.check(1 < peak < trace.n_steps,
                 f"layer {l}: flow peak at boundary step {peak}")
+    ref = checks.REFERENCE / "glyph-train"
+    trace_csv, markers_csv = tmp_path / "trace.csv", tmp_path / "markers.csv"
+    write_trace_csv(trace_csv, trace)
+    write_markers_csv(markers_csv, trace)
+    for failure in (checks.compare_table(trace_csv, ref / "trace.csv", checks.TRACE_KEYS,
+                                         ("layer",))
+                    + checks.compare_markers(markers_csv, ref / "markers.csv",
+                                             checks.trace_columns(trace_csv))):
+        c.check(False, failure)
     c.check(time.perf_counter() - c.t0 < 300.0, "runtime >= 5 min")
     c.finish()
 

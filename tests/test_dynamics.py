@@ -402,7 +402,10 @@ def test_step_metrics_match_their_formulas_bitwise(sizes):
     copies of the two snapshots, and the weights move by the gradient the
     metric pass wrote over the spent dD. The 900-unit layer's Z (20 x 900)
     spans two blocks, so the gradient written over the spent dD takes the
-    blocked path."""
+    blocked path. Entropy and net, dot products of the flattened arrays,
+    also agree with the elementwise-product sums they replaced, within
+    twice the error bound of a summation of Z.size products,
+    Z.size * eps * sum |products|."""
     cfg = NetworkConfig(layer_sizes=sizes, dt=0.1, steps=1, init_std_scale=2.0, seed=8)
     net = ska.init_network(cfg)
     X = np.random.default_rng(9).uniform(0, 1, (20, sizes[0]))
@@ -420,6 +423,10 @@ def test_step_metrics_match_their_formulas_bitwise(sizes):
         assert z_norm == frobenius_norm(Z)
         assert flow == frobenius_norm(dZ) / cfg.dt
         assert net_step == ska.net_step(D, G, dZ)
+        n = Z.shape[0]
+        for got, products, mean_by in ((entropy, Z * dD, -LN2 * n), (net_step, (D - G) * dZ, n)):
+            bound = 2 * Z.size * np.finfo(float).eps * np.abs(products).sum() / abs(mean_by)
+            assert abs(got - np.sum(products) / mean_by) <= bound, (l, got, bound)
         assert layer.W.tobytes() == (W - ska.linalg.outer_mean(G, inp) * cfg.dt).tobytes()
         inp = D
 
@@ -711,13 +718,13 @@ def reference_columns(cfg, X):
             for l, ((Z, D, G, _), (Zp, Dp, _, _)) in enumerate(zip(snap, prev)):
                 dZ, dD = Z - Zp, D - Dp
                 nz, nd = np.linalg.norm(Z), np.linalg.norm(dD)
-                cols["entropy_step"][k - 1, l] = -np.sum(Z * dD) / (LN2 * n)
+                cols["entropy_step"][k - 1, l] = -np.dot(Z.ravel(), dD.ravel()) / (LN2 * n)
                 if nz > 0 and nd > 0:
                     c = float(np.dot(Z.ravel(), dD.ravel()) / (nz * nd))
                     cols["cosine"][k - 1, l] = min(1.0, max(-1.0, c))
                 cols["z_norm"][k - 1, l] = np.linalg.norm(Z)
                 cols["flow_norm"][k - 1, l] = np.linalg.norm(dZ) / cfg.dt
-                cols["net_step"][k - 1, l] = np.sum((D - G) * dZ) / n
+                cols["net_step"][k - 1, l] = np.dot((D - G).ravel(), dZ.ravel()) / n
         prev = snap
     cols["entropy_cum"] = np.cumsum(cols["entropy_step"], axis=0)
     cols["net_cum"] = np.cumsum(cols["net_step"], axis=0)
