@@ -261,7 +261,9 @@ def _jsonable(v):
     if isinstance(v, (np.floating, np.integer)):
         v = v.item()
     if isinstance(v, float) and not math.isfinite(v):
-        return None
+        # JSON has no infinity: the largest float keeps an infinity's order
+        # against every finite value (a failing rel_dev stays failing); a NaN is null
+        return None if math.isnan(v) else math.copysign(sys.float_info.max, v)
     return v
 
 
@@ -483,6 +485,11 @@ def environment_line(env: dict) -> str:
             f"malloc {malloc}, BLAS threads per run: {threads}")
 
 
+def _rel(value) -> str:
+    # null is a NaN, and the largest float the infinity _jsonable wrote
+    return "nan" if value is None else "inf" if value == sys.float_info.max else f"{value:.4f}"
+
+
 def report(out_dir: Path) -> int:
     """Print the summary of the run directory out_dir once all of it is read
     and checked, and return its exit code: 1 when a check fails or a run
@@ -537,14 +544,13 @@ def report(out_dir: Path) -> int:
                     f"{json.dumps(row['rel_dev'])} and tolerance {row['tolerance']} "
                     f"give {json.dumps(verdict)}")
             word = {True: "pass", False: "FAIL", None: "incomparable"}[verdict]
-            rel = "nan" if row["rel_dev"] is None else f"{row['rel_dev']:.4f}"
-            say(f"{row['metric']} {row['run']}: rel_dev {rel} "
+            say(f"{row['metric']} {row['run']}: rel_dev {_rel(row['rel_dev'])} "
                 f"tol {row['tolerance']:.4f} {word}")
         # the row with the least room under its tolerance, or furthest past it
         measured = [r for r in rows if r["rel_dev"] is not None]
         if measured:
             w = max(measured, key=lambda r: r["rel_dev"] - r["tolerance"])
-            say(f"worst row: {w['metric']} {w['run']}, rel_dev {w['rel_dev']:.4f} "
+            say(f"worst row: {w['metric']} {w['run']}, rel_dev {_rel(w['rel_dev'])} "
                 f"against tol {w['tolerance']:.4f}")
         else:
             say("no row was comparable: the family checked nothing")

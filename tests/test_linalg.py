@@ -105,6 +105,31 @@ def test_cosine_flat_errors():
         linalg.cosine_flat(np.ones((2, 2)), np.ones((2, 3)))
 
 
+def test_reductions_read_their_operands_in_c_order():
+    """The norm, inner and the cosine (with and without norm_a) give the same
+    bits on F-ordered and transposed operands as on C-contiguous copies: a
+    reduction is the dot product of the operands flattened in C order,
+    whatever their memory layout."""
+    rng = np.random.default_rng(16)
+
+    def reductions(a, b):
+        return [linalg.frobenius_norm(a), linalg.frobenius_norm(b), linalg.inner(a, b),
+                linalg.cosine_flat(a, b),
+                linalg.cosine_flat(a, b, norm_a=linalg.frobenius_norm(a))]
+
+    differ = total = 0
+    for _ in range(50):
+        a, b = rng.standard_normal((2, 37, 53))
+        for x, y in ((np.asfortranarray(a), np.asfortranarray(b)), (a.T, b.T)):
+            assert not (x.flags.c_contiguous or y.flags.c_contiguous)
+            got = [float(v).hex() for v in reductions(x, y)]
+            want = [float(v).hex() for v in reductions(np.ascontiguousarray(x),
+                                                       np.ascontiguousarray(y))]
+            differ += sum(g != w for g, w in zip(got, want))
+            total += len(got)
+    assert differ == 0, f"{differ} of {total} reductions depend on the layout"
+
+
 def test_blas_threads_lowers_and_restores(two_blas_threads):
     with linalg.blas_threads(1) as threads:
         assert threads == 1 == two_blas_threads()
